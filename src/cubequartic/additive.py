@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +27,13 @@ from .errors import DimensionMismatchError, ResourceLimitError
 # many entries the dense convolution path must carry the computation.
 PAIR_ENUMERATION_LIMIT = 40_000_000
 
-# the greedy removal sweep costs O(|A|^3) python operations
+# the greedy removal sweep gathers O(|A|^3) pair counts in numpy over
+# all its rounds; above this size only the full set and the certificate
+# level sets are scored
 GREEDY_LIMIT = 300
 
 __all__ = [
+    "PairIndex",
     "MultiplicityTable",
     "LevelSetDecomposition",
     "HereditaryResult",
@@ -69,21 +73,51 @@ class MultiplicityTable:
         """The sumset A + A."""
         return SupportSet(self.n, tuple(sorted(self.counts)))
 
+    def m_bound(self) -> int:
+        """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
+        return 1 + max((c for x, c in self.counts.items() if x != 0), default=0)
 
-def _pairs_table(masks: tuple[int, ...] | np.ndarray) -> dict[int, int]:
-    seq = [int(m) for m in masks]
-    if seq and max(seq) >= (1 << 62):
-        # beyond int64: plain dictionary accumulation over python ints
-        table: dict[int, int] = {}
-        for a in seq:
-            for b in seq:
-                x = a ^ b
-                table[x] = table.get(x, 0) + 1
-        return table
-    arr = np.asarray(seq, dtype=np.int64)
-    xors = (arr[:, None] ^ arr[None, :]).ravel()
-    values, counts = np.unique(xors, return_counts=True)
-    return {int(x): int(c) for x, c in zip(values, counts)}
+
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """Every ordered pair of a set of masks, grouped by its XOR sum.
+
+    ``sums`` holds the distinct values of A + A in increasing order and
+    ``counts[k]`` = |M_x| for x = sums[k]; ``inverse[i, j]`` is the
+    position in ``sums`` of masks[i] ^ masks[j].  Building it costs one
+    sort of the |A|^2 pair sums, after which the pair table, the sparse
+    quartic kernel and the greedy hereditary search read it directly.
+    Masks are int64, or python ints (object arrays) from 2^62 up.
+    """
+
+    masks: np.ndarray
+    sums: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, masks: Sequence[int]) -> "PairIndex":
+        wide = len(masks) > 0 and max(masks) >= 1 << 62
+        arr = np.asarray(masks, dtype=object if wide else np.int64)
+        sums, inverse, counts = np.unique(
+            (arr[:, None] ^ arr[None, :]).ravel(),
+            return_inverse=True,
+            return_counts=True,
+        )
+        return cls(arr, sums, counts, inverse.reshape(len(arr), len(arr)))
+
+    def table(self) -> dict[int, int]:
+        return dict(zip(self.sums.tolist(), self.counts.tolist()))
+
+    def energy(self) -> int:
+        # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
+        return int(np.dot(self.counts, self.counts))
+
+    def pair_sums(self, coords: np.ndarray) -> np.ndarray:
+        """sum over (a, b) in M_x of y_a y_b, for each x in ``sums``."""
+        return np.bincount(
+            self.inverse.ravel(), weights=np.outer(coords, coords).ravel()
+        )
 
 
 def _convolution_table(A: SupportSet) -> dict[int, int]:
@@ -105,14 +139,18 @@ def _convolution_table(A: SupportSet) -> dict[int, int]:
 
 
 def pair_multiplicities(
-    A: SupportSet, *, dense_cap: int | None = None
+    A: SupportSet,
+    *,
+    dense_cap: int | None = None,
+    index: PairIndex | None = None,
 ) -> MultiplicityTable:
     """The table x -> |M_x| over ordered pairs of A.
 
     Two independent routes exist: direct pair enumeration (any n, cost
     |A|^2) and dense XOR self-convolution (cost n 2^n, needs the dense
     cap).  When both are affordable the results are cross-checked
-    against each other before being returned.
+    against each other before being returned.  A caller holding the
+    pair index of A passes it to skip the enumeration.
     """
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
     size = len(A)
@@ -122,7 +160,9 @@ def pair_multiplicities(
     # int64 overflow guard: intermediate convolution sums reach 2^n |A|^2
     conv_ok = A.n <= cap and A.n + 2 * size.bit_length() < 62
     if enum_ok:
-        table = _pairs_table(A.elements)
+        if index is None:
+            index = PairIndex.of(A.elements)
+        table = index.table()
         if conv_ok:
             if table != _convolution_table(A):
                 raise RuntimeError(
@@ -143,9 +183,7 @@ def m_bound(A: SupportSet, *, dense_cap: int | None = None) -> int:
     """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
     if len(A) == 0:
         raise ValueError("m bound undefined for the empty set")
-    table = pair_multiplicities(A, dense_cap=dense_cap)
-    off_zero = [c for x, c in table.counts.items() if x != 0]
-    return 1 + max(off_zero, default=0)
+    return pair_multiplicities(A, dense_cap=dense_cap).m_bound()
 
 
 def additive_energy(A: SupportSet, *, dense_cap: int | None = None) -> int:
@@ -197,11 +235,6 @@ class HereditaryResult:
     def __post_init__(self) -> None:
         if len(self.best) == 0:
             raise ValueError("hereditary result needs a non-empty subset")
-
-
-def _energy_of_masks(masks: tuple[int, ...]) -> int:
-    table = _pairs_table(masks)
-    return sum(c * c for c in table.values())
 
 
 def _exhaustive_hereditary(masks: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
@@ -256,37 +289,34 @@ def _exhaustive_hereditary(masks: tuple[int, ...]) -> tuple[tuple[int, ...], Fra
     return best_set, Fraction(best_energy, best_size * best_size)
 
 
-def _greedy_hereditary(masks: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
-    """Peel off one element at a time, keeping whichever removal helps most."""
-    current = list(masks)
-    table = _pairs_table(current)
-    energy = sum(c * c for c in table.values())
-    best_set = tuple(current)
-    best_ratio = Fraction(energy, len(current) ** 2)
-    while len(current) > 1:
-        size = len(current)
-        pick, pick_energy, pick_ratio = None, None, None
-        for i, a in enumerate(current):
-            drops: dict[int, int] = {}
-            for b in current:
-                if b != a:
-                    x = a ^ b
-                    drops[x] = drops.get(x, 0) + 2
-            delta = table[0] ** 2 - (table[0] - 1) ** 2
-            for x, d in drops.items():
-                delta += table[x] ** 2 - (table[x] - d) ** 2
-            cand_energy = energy - delta
-            cand_ratio = Fraction(cand_energy, (size - 1) ** 2)
-            if pick_ratio is None or cand_ratio > pick_ratio:
-                pick, pick_energy, pick_ratio = i, cand_energy, cand_ratio
-        del current[pick]
-        table = _pairs_table(current)
-        energy = pick_energy
-        assert energy == sum(c * c for c in table.values())
-        if pick_ratio > best_ratio:
-            best_ratio = pick_ratio
-            best_set = tuple(current)
-    return best_set, best_ratio
+def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
+    """Peel off one element at a time, keeping whichever removal helps most.
+
+    With c the pair counts of the current set B, removing a lowers
+    E2(B, B) by (2 c_0 - 1) + sum over b in B, b != a, of (4 c_{a^b} - 4)
+    = 4 r_a - 6|B| + 3, where r_a = sum over b in B of c_{a^b}.  So each
+    round removes the first a (in mask order) with the least row sum
+    r_a; the counts stay exact int64 throughout.
+    """
+    counts = index.counts.copy()
+    active = np.arange(len(index.masks))
+    size = len(active)
+    energy = index.energy()
+    best_rows, best_ratio = active, Fraction(energy, size * size)
+    while size > 1:
+        block = index.inverse[np.ix_(active, active)]
+        row_sums = counts[block].sum(axis=1)
+        pick = int(np.argmin(row_sums))
+        energy -= 4 * int(row_sums[pick]) - 6 * size + 3
+        # a ^ b is distinct for distinct b; the pair (a, a) counts once
+        counts[block[pick]] -= 2
+        counts[block[pick, pick]] += 1
+        active = np.delete(active, pick)
+        size -= 1
+        ratio = Fraction(energy, size * size)
+        if ratio > best_ratio:
+            best_rows, best_ratio = active, ratio
+    return tuple(index.masks[best_rows].tolist()), best_ratio
 
 
 def hereditary_energy(
@@ -294,6 +324,7 @@ def hereditary_energy(
     *,
     exact_limit: int = 20,
     certificate: SpectrumVector | None = None,
+    index: PairIndex | None = None,
 ) -> HereditaryResult:
     """max over non-empty B subset of A of E2(B, B) / |B|^2.
 
@@ -301,7 +332,8 @@ def hereditary_energy(
     heuristic search is run instead: the full set, a greedy
     element-removal sweep, and, when a certificate vector on A is
     supplied, its dyadic level sets.  The heuristic answer is a
-    certified lower bound with ``exact=False``.
+    certified lower bound with ``exact=False``.  The heuristic reads
+    the pair index of A, built here unless the caller passes it.
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
@@ -311,7 +343,8 @@ def hereditary_energy(
         masks, ratio = _exhaustive_hereditary(A.elements)
         return HereditaryResult(SupportSet(A.n, masks), ratio, exact=True)
 
-    candidates: list[tuple[int, ...]] = [A.elements]
+    # the full set needs no entry: the search below starts from it
+    candidates: list[tuple[int, ...]] = []
     if certificate is not None and certificate.norm_squared() > 0.0:
         decomposition = dyadic_level_sets(
             SpectrumVector(
@@ -322,13 +355,15 @@ def hereditary_energy(
             candidates.append(level.elements)
         if len(decomposition.tail):
             candidates.append(decomposition.tail.elements)
+    if index is None:
+        index = PairIndex.of(A.elements)
     if len(A) <= GREEDY_LIMIT:
-        best_set, best_ratio = _greedy_hereditary(A.elements)
+        best_set, best_ratio = _greedy_hereditary(index)
     else:
         best_set = A.elements
-        best_ratio = Fraction(_energy_of_masks(best_set), len(best_set) ** 2)
+        best_ratio = Fraction(index.energy(), len(best_set) ** 2)
     for cand in candidates:
-        ratio = Fraction(_energy_of_masks(cand), len(cand) ** 2)
+        ratio = Fraction(PairIndex.of(cand).energy(), len(cand) ** 2)
         if ratio > best_ratio or (
             ratio == best_ratio
             and (len(cand), cand) < (len(best_set), best_set)

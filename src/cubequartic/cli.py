@@ -16,7 +16,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .additive import hereditary_energy, m_bound, pair_multiplicities
+from .additive import (
+    PAIR_ENUMERATION_LIMIT,
+    PairIndex,
+    hereditary_energy,
+    pair_multiplicities,
+)
 from .asymptotics import psi_value
 from .core import DEFAULT_DENSE_CAP, SupportSet
 from .errors import CubeQuarticError, ResourceLimitError, SetFileError
@@ -227,13 +232,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"estimation stage: n={A.n} exceeds the dense cap {args.dense_cap}"
         )
     cfg = _optimizer_config(args)
-    est = mu_lower(A, cfg, dense_cap=args.dense_cap)
-    upper = mu_upper(A, dense_cap=args.dense_cap)
-    table = pair_multiplicities(A, dense_cap=args.dense_cap)
+    # one pair index and one pair table serve every stage below
+    index = PairIndex.of(A.elements) if len(A) ** 2 <= PAIR_ENUMERATION_LIMIT else None
+    est = mu_lower(A, cfg, dense_cap=args.dense_cap, index=index)
+    table = pair_multiplicities(A, dense_cap=args.dense_cap, index=index)
+    mult = table.m_bound()
+    upper = mu_upper(A, dense_cap=args.dense_cap, multiplicity=mult)
     energy = sum(c * c for c in table.counts.values())
     ratio = Fraction(energy, len(A) ** 2)
     hered = hereditary_energy(
-        A, exact_limit=args.exact_limit, certificate=est.certificate
+        A, exact_limit=args.exact_limit, certificate=est.certificate, index=index
     )
     total = 1 << A.n
     results = {
@@ -253,7 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
         "additive": {
             "energy": _exact(energy),
-            "multiplicity_bound": m_bound(A, dense_cap=args.dense_cap),
+            "multiplicity_bound": mult,
             "energy_ratio": _exact(ratio),
         },
         "hereditary": {
@@ -265,7 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "support_lower_bound_counting": _exact(Fraction(total, len(A))),
             "support_lower_bound_ratio": total / upper.best,
             "support_lower_bound_multiplicity": _exact(
-                Fraction(total, m_bound(A, dense_cap=args.dense_cap))
+                Fraction(total, mult)
             ),
         },
     }

@@ -21,6 +21,7 @@ sixteen million cells) instead of degrading silently; see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -59,6 +60,11 @@ def _require_dense(n: int, dense_cap: int | None) -> None:
             f"dense cube of dimension {n} exceeds the cap of {cap}; "
             f"raise dense_cap to force the dense path"
         )
+
+
+def _weight_masks(n: int, k: int) -> Iterator[int]:
+    """The masks of weight k in {0,1}^n, without visiting the other 2^n points."""
+    return (sum(1 << i for i in bits) for bits in itertools.combinations(range(n), k))
 
 
 def _check_dimension(n: int) -> None:
@@ -128,14 +134,16 @@ class SupportSet:
         """All points of Hamming weight exactly k."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
-        return cls(n, tuple(x for x in range(1 << n) if x.bit_count() == k))
+        return cls(n, tuple(sorted(_weight_masks(n, k))))
 
     @classmethod
     def ball(cls, n: int, k: int) -> "SupportSet":
         """All points of Hamming weight at most k."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
-        return cls(n, tuple(x for x in range(1 << n) if x.bit_count() <= k))
+        return cls(
+            n, tuple(sorted(m for j in range(k + 1) for m in _weight_masks(n, j)))
+        )
 
     @classmethod
     def span(cls, n: int, generators: Sequence[int]) -> "SupportSet":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import dyadic_level_sets, m_bound
+from .additive import PAIR_ENUMERATION_LIMIT, PairIndex, dyadic_level_sets, m_bound
 from .asymptotics import f_combine, psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
@@ -173,26 +173,27 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
         raise ValueError("vector support does not match the set")
     if len(A) == 0:
         raise ValueError("empty support")
-    masks = A.elements
-    if masks and max(masks) >= (1 << 62):
-        raise ResourceLimitError("matrix assembly limited to 62-bit masks")
-    size = len(masks)
-    arr = np.asarray(masks, dtype=np.int64)
-    xors = (arr[:, None] ^ arr[None, :]).ravel()
-    _, inverse = np.unique(xors, return_inverse=True)
-    value_at = np.bincount(inverse, weights=np.outer(y.coords, y.coords).ravel())
-    return value_at[inverse].reshape(size, size)
+    index = PairIndex.of(A.elements)
+    return index.pair_sums(y.coords)[index.inverse]
+
+
+def _require_transform_cap(n: int, cap: int) -> None:
+    if n > min(cap, 62):
+        raise ResourceLimitError(
+            f"dimension {n} exceeds the dense cap {min(cap, 62)} "
+            f"required by the transform path"
+        )
 
 
 class _DenseKernel:
-    """Fast F and gradient evaluation through the dense transform."""
+    """Fast F and gradient evaluation through the dense transform.
+
+    ``evaluate`` returns F and a state that ``gradient`` takes back:
+    here the point values of the synthesized f.
+    """
 
     def __init__(self, support: SupportSet, cap: int) -> None:
-        if support.n > min(cap, 62):
-            raise ResourceLimitError(
-                f"dimension {support.n} exceeds the dense cap {min(cap, 62)} "
-                f"required by the transform path"
-            )
+        _require_transform_cap(support.n, cap)
         self.n = support.n
         self.masks = support.masks_array()
         self.size = 1 << support.n
@@ -214,13 +215,48 @@ class _DenseKernel:
         return 4.0 * cube[self.masks]
 
 
+class _SparseKernel:
+    """F and gradient from the pair index, at cost |A|^2 per call.
+
+    With s_x the pair sums, F = s.s and grad F = 4 T y for the pair-sum
+    matrix T[i, j] = s at a_i ^ a_j; the state passed from ``evaluate``
+    to ``gradient`` is (y, s).
+    """
+
+    def __init__(self, index: PairIndex) -> None:
+        self.index = index
+
+    def evaluate(self, coords: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        sums = self.index.pair_sums(coords)
+        return float(np.dot(sums, sums)), (coords, sums)
+
+    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        coords, sums = state
+        return 4.0 * (sums[self.index.inverse] @ coords)
+
+
+def _choose_kernel(
+    A: SupportSet, cap: int, index: PairIndex | None
+) -> _DenseKernel | _SparseKernel:
+    """The cheaper kernel for A: one call costs about |A|^2 on the pair
+    index and n 2^n on the dense transform.
+
+    The dense cap bounds both routes, so it is checked first.
+    """
+    _require_transform_cap(A.n, cap)
+    pairs = len(A) * len(A)
+    if pairs <= A.n << A.n and pairs <= PAIR_ENUMERATION_LIMIT:
+        return _SparseKernel(PairIndex.of(A.elements) if index is None else index)
+    return _DenseKernel(A, cap)
+
+
 # relative window improvement below which an ascent run stops
 _WINDOW = 50
 _MAX_BACKTRACKS = 64
 
 
 def _ascend(
-    kernel: _DenseKernel, start: np.ndarray, cfg: OptimizerConfig
+    kernel: _DenseKernel | _SparseKernel, start: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, int, bool]:
     """Monotone shifted power ascent of F on the unit sphere.
 
@@ -230,13 +266,13 @@ def _ascend(
     F and relaxes after each accepted step.
     """
     y = start / math.sqrt(float(np.dot(start, start)))
-    value, point_values = kernel.evaluate(y)
+    value, state = kernel.evaluate(y)
     window: deque[float] = deque([value], maxlen=_WINDOW + 1)
     alpha = 1.0
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        grad = kernel.gradient(point_values)
+        grad = kernel.gradient(state)
         radial = float(np.dot(grad, y))
         tangent = grad - radial * y
         if math.sqrt(float(np.dot(tangent, tangent))) <= 1e-14 * max(
@@ -249,7 +285,7 @@ def _ascend(
             norm = math.sqrt(float(np.dot(candidate, candidate)))
             if norm > 0.0:
                 y_new = candidate / norm
-                value_new, point_new = kernel.evaluate(y_new)
+                value_new, state_new = kernel.evaluate(y_new)
                 if value_new >= value:
                     accepted = True
                     break
@@ -257,7 +293,7 @@ def _ascend(
         if not accepted:
             # no admissible uphill step at float resolution
             return y, value, iterations, True
-        y, value, point_values = y_new, value_new, point_new
+        y, value, state = y_new, value_new, state_new
         alpha *= 0.9
         window.append(value)
         if (
@@ -274,6 +310,7 @@ def mu_lower(
     *,
     dense_cap: int | None = None,
     extra_starts: tuple[SpectrumVector, ...] = (),
+    index: PairIndex | None = None,
 ) -> MuEstimate:
     """Best F value found by multi-start ascent on the unit sphere.
 
@@ -282,6 +319,11 @@ def mu_lower(
     of each dyadic level set of the best first-phase iterate.  Every
     reported value is F at a feasible point, hence a certified lower
     bound; the uniform start pins it at or above the energy ratio of A.
+
+    F and its gradient come from the pair index of A (built here
+    unless passed) when |A|^2 <= n 2^n and |A|^2 is within
+    PAIR_ENUMERATION_LIMIT, else from the dense transform; either way
+    n must be within the dense cap.
     """
     if len(A) == 0:
         raise ValueError("cannot optimise over an empty support")
@@ -289,7 +331,7 @@ def mu_lower(
     if len(A) == 1:
         certificate = SpectrumVector(A, np.ones(1), normalized=True)
         return MuEstimate(1.0, certificate, 1, 0, True)
-    kernel = _DenseKernel(A, cap)
+    kernel = _choose_kernel(A, cap, index)
     size = len(A)
     rng = np.random.default_rng(cfg.seed)
 
@@ -339,16 +381,20 @@ def mu_lower(
     )
 
 
-def mu_upper(A: SupportSet, *, dense_cap: int | None = None) -> BoundSet:
+def mu_upper(
+    A: SupportSet, *, dense_cap: int | None = None, multiplicity: int | None = None
+) -> BoundSet:
     """Assembled upper bounds: cardinality, multiplicity, sphere forms.
 
     The sum bound applies to any full sphere; the exponential bound
-    2^(n psi(k/n)) additionally requires k <= n/2.
+    2^(n psi(k/n)) additionally requires k <= n/2.  A caller that has
+    already computed m(A) passes it as ``multiplicity``.
     """
     if len(A) == 0:
         raise ValueError("no bounds for the empty set")
     cardinality = len(A)
-    multiplicity = m_bound(A, dense_cap=dense_cap)
+    if multiplicity is None:
+        multiplicity = m_bound(A, dense_cap=dense_cap)
     psi_bound: float | None = None
     sum_bound: int | None = None
     k = A.sphere_radius()

@@ -7,6 +7,8 @@ import pytest
 
 from cubequartic.additive import (
     MultiplicityTable,
+    PairIndex,
+    _greedy_hereditary,
     additive_energy,
     dyadic_level_sets,
     energy_ratio,
@@ -19,6 +21,47 @@ from cubequartic.core import SpectrumVector, SupportSet
 from cubequartic.errors import DimensionMismatchError
 
 from conftest import brute_energy, random_support
+
+
+def _pairs_table(masks):
+    table = {}
+    for a in masks:
+        for b in masks:
+            table[a ^ b] = table.get(a ^ b, 0) + 1
+    return table
+
+
+def greedy_hereditary_oracle(masks):
+    """The dict-based greedy sweep the vectorised search must reproduce."""
+    current = list(masks)
+    table = _pairs_table(current)
+    energy = sum(c * c for c in table.values())
+    best_set = tuple(current)
+    best_ratio = Fraction(energy, len(current) ** 2)
+    while len(current) > 1:
+        size = len(current)
+        pick, pick_energy, pick_ratio = None, None, None
+        for i, a in enumerate(current):
+            drops: dict[int, int] = {}
+            for b in current:
+                if b != a:
+                    x = a ^ b
+                    drops[x] = drops.get(x, 0) + 2
+            delta = table[0] ** 2 - (table[0] - 1) ** 2
+            for x, d in drops.items():
+                delta += table[x] ** 2 - (table[x] - d) ** 2
+            cand_energy = energy - delta
+            cand_ratio = Fraction(cand_energy, (size - 1) ** 2)
+            if pick_ratio is None or cand_ratio > pick_ratio:
+                pick, pick_energy, pick_ratio = i, cand_energy, cand_ratio
+        del current[pick]
+        table = _pairs_table(current)
+        energy = pick_energy
+        assert energy == sum(c * c for c in table.values())
+        if pick_ratio > best_ratio:
+            best_ratio = pick_ratio
+            best_set = tuple(current)
+    return best_set, best_ratio
 
 
 def subsets_bruteforce(masks):
@@ -60,6 +103,29 @@ class TestPairMultiplicities:
             MultiplicityTable(2, {0: 0})
         with pytest.raises(ValueError):
             MultiplicityTable(2, {9: 1})
+
+
+class TestPairIndex:
+    def test_table_and_inverse_match_enumeration(self, rng):
+        for _ in range(10):
+            A = random_support(rng, 7, 30)
+            index = PairIndex.of(A.elements)
+            assert index.table() == _pairs_table(A.elements)
+            assert index.energy() == brute_energy(A.elements)
+            for i, a in enumerate(A.elements):
+                for j, b in enumerate(A.elements):
+                    assert index.sums[index.inverse[i, j]] == a ^ b
+
+    def test_masks_beyond_int64(self):
+        masks = (3, 1 << 62, (1 << 62) | 3, 1 << 70)
+        index = PairIndex.of(masks)
+        assert index.table() == _pairs_table(masks)
+        assert pair_multiplicities(SupportSet(71, masks)).counts == _pairs_table(masks)
+
+    def test_given_index_gives_the_same_table(self, rng):
+        A = random_support(rng, 6, 20)
+        index = PairIndex.of(A.elements)
+        assert pair_multiplicities(A, index=index) == pair_multiplicities(A)
 
 
 class TestEnergy:
@@ -180,6 +246,20 @@ class TestHereditaryEnergy:
         sub = res.best
         assert res.ratio == energy_ratio(sub)
         assert all(m in A for m in sub)
+
+    def test_greedy_matches_dict_oracle(self, rng):
+        for _ in range(240):
+            A = random_support(rng, int(rng.integers(2, 10)), 48)
+            got = _greedy_hereditary(PairIndex.of(A.elements))
+            assert got == greedy_hereditary_oracle(A.elements)
+        # the full set and a 4-element coset tie at ratio 4: the earlier wins
+        tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
+        assert _greedy_hereditary(PairIndex.of(tie)) == (tie, Fraction(4))
+        assert greedy_hereditary_oracle(tie) == (tie, Fraction(4))
+
+    def test_greedy_on_masks_beyond_int64(self):
+        masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))
+        assert _greedy_hereditary(PairIndex.of(masks)) == greedy_hereditary_oracle(masks)
 
     def test_large_set_skips_greedy(self):
         A = SupportSet.sphere(12, 4)

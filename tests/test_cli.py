@@ -159,6 +159,27 @@ class TestAnalyze:
         assert "resource cap" in err
         assert "estimation stage" in err
 
+    def test_one_pair_table_per_command(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.additive
+        import cubequartic.cli
+
+        calls = []
+        original = cubequartic.additive.pair_multiplicities
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cubequartic.additive, "pair_multiplicities", counted)
+        monkeypatch.setattr(cubequartic.cli, "pair_multiplicities", counted)
+        path = write(tmp_path, "n=5\nsphere 5 2\n")
+        code, out, _ = run(capsys, ["analyze", path] + FAST)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        results = json.loads(out)["results"]
+        assert results["additive"]["multiplicity_bound"] == 7
+        assert results["mu_upper"]["multiplicity_bound"] == 7
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "n=4\nsphere 4 2\n")
         argv = ["analyze", path, "--seed", "7"] + FAST

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cubequartic.additive import energy_ratio
+from cubequartic.additive import PairIndex, energy_ratio
 from cubequartic.asymptotics import f_combine, psi_value
 from cubequartic.core import (
+    DEFAULT_DENSE_CAP,
     CubeFunction,
     SpectrumVector,
     SupportSet,
@@ -27,6 +28,9 @@ from cubequartic.quartic import (
     mu_lower,
     mu_upper,
     shkredov_matrix,
+    _choose_kernel,
+    _DenseKernel,
+    _SparseKernel,
 )
 
 from conftest import central_difference, quartic_oracle, random_support, random_unit
@@ -117,6 +121,45 @@ class TestMatrix:
         A = SupportSet.sphere(3, 1)
         with pytest.raises(ValueError):
             shkredov_matrix(A, SpectrumVector.uniform(SupportSet.sphere(3, 2)))
+
+
+class TestKernels:
+    # spheres, balls, spans and random sets on both sides of |A|^2 = n 2^n
+    SETS = [
+        SupportSet.sphere(10, 1),
+        SupportSet.sphere(9, 2),
+        SupportSet.sphere(7, 3),
+        SupportSet.sphere(6, 3),
+        SupportSet.ball(8, 1),
+        SupportSet.ball(6, 2),
+        SupportSet.span(7, [3, 12, 48, 65]),
+        SupportSet.span(5, [1, 2, 4, 8, 16]),
+    ]
+
+    def test_sparse_matches_dense(self, rng):
+        sets = self.SETS + [random_support(rng, n, 40) for n in (4, 6, 8, 10)]
+        for A in sets:
+            sparse = _SparseKernel(PairIndex.of(A.elements))
+            dense = _DenseKernel(A, DEFAULT_DENSE_CAP)
+            for _ in range(3):
+                y = rng.standard_normal(len(A))
+                f_sparse, s_state = sparse.evaluate(y)
+                f_dense, d_state = dense.evaluate(y)
+                assert math.isclose(f_sparse, f_dense, rel_tol=1e-12)
+                g_sparse = sparse.gradient(s_state)
+                g_dense = dense.gradient(d_state)
+                scale = float(np.max(np.abs(g_dense)))
+                assert np.max(np.abs(g_sparse - g_dense)) <= 1e-12 * scale
+
+    def test_choice_follows_pair_count_against_transform_size(self):
+        cases = [
+            (SupportSet.sphere(14, 2), _SparseKernel),  # 91^2 < 14 * 2^14
+            (SupportSet.sphere(11, 3), _DenseKernel),  # 165^2 > 11 * 2^11
+            (SupportSet.sphere(6, 3), _DenseKernel),  # 20^2 > 6 * 2^6
+            (SupportSet.ball(12, 6), _DenseKernel),
+        ]
+        for A, kind in cases:
+            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is kind
 
 
 class TestMuLower:
