@@ -32,6 +32,15 @@ PAIR_ENUMERATION_LIMIT = 40_000_000
 # level sets are scored
 GREEDY_LIMIT = 300
 
+# the exhaustive search visits all 2^|A| subsets, so past this size it
+# would run for hours; a request above it is refused before any work
+EXHAUSTIVE_LIMIT = 26
+
+# the exhaustive search holds 2^h x |A + A| tables of pair counts; the
+# low block size h is the largest that keeps them within this many
+# entries (about half a megabyte of int32)
+_BLOCK_ENTRIES = 1 << 17
+
 __all__ = [
     "PairIndex",
     "MultiplicityTable",
@@ -237,56 +246,80 @@ class HereditaryResult:
             raise ValueError("hereditary result needs a non-empty subset")
 
 
-def _exhaustive_hereditary(masks: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
-    """Visit all non-empty subsets in Gray-code order with O(|B|) updates.
+def _union_counts(
+    inverse: np.ndarray, table: np.ndarray, low: np.ndarray, high: Sequence[int]
+) -> np.ndarray:
+    """Pair counts of L | H for every subset L of ``low``, with H = ``high``.
 
-    Flipping one element in or out changes |M_x| only at the |B| points
-    x = a ^ b, so the energy is maintained incrementally; the whole walk
-    costs about 2^|A| * |A| / 2 integer operations.
-
-    Ties prefer the smaller subset, then the lexicographically smaller
-    mask tuple.
+    ``table[L]`` holds the counts of L alone; row L of the result is
+    c(L | H) = c(L) + c(H) + 2 cross(L), where cross(L) counts the pairs
+    (l, k) in L x H by sum.  cross is built by doubling over the bits of
+    L from one row per low element, which writes each entry once.
     """
-    m = len(masks)
-    counts: dict[int, int] = {}
-    current: set[int] = set()
-    energy = 0
-    best_energy, best_size, best_set = 0, 0, ()
-    for code in range(1, 1 << m):
-        j = (code & -code).bit_length() - 1
-        a = masks[j]
-        if a in current:
-            current.remove(a)
-            for b in current:
-                x = a ^ b
-                counts[x] -= 2
-                energy -= 4 * counts[x] + 4
-            counts[0] -= 1
-            energy -= 2 * counts[0] + 1
-        else:
-            for b in current:
-                x = a ^ b
-                energy += 4 * counts.get(x, 0) + 4
-                counts[x] = counts.get(x, 0) + 2
-            energy += 2 * counts.get(0, 0) + 1
-            counts[0] = counts.get(0, 0) + 1
-            current.add(a)
-        size = len(current)
-        if size == 0:
-            continue
-        if best_size == 0:
-            best_energy, best_size, best_set = energy, size, tuple(sorted(current))
-            continue
-        # compare energy/size^2 against the incumbent without Fractions
-        left = energy * best_size * best_size
-        right = best_energy * size * size
-        if left > right:
-            best_energy, best_size, best_set = energy, size, tuple(sorted(current))
-        elif left == right:
-            cand = tuple(sorted(current))
-            if size < best_size or (size == best_size and cand < best_set):
-                best_energy, best_size, best_set = energy, size, cand
-    return best_set, Fraction(best_energy, best_size * best_size)
+    width = table.shape[1]
+    block = inverse[np.ix_(high, low)]
+    rows = np.bincount(
+        (block + np.arange(len(low)) * width).ravel(), minlength=len(low) * width
+    )
+    rows = (2 * rows).astype(np.int32).reshape(len(low), width)
+    out = np.empty_like(table)
+    out[0] = np.bincount(inverse[np.ix_(high, high)].ravel(), minlength=width)
+    for bit, row in enumerate(rows):
+        np.add(out[: 1 << bit], row, out=out[1 << bit : 2 << bit])
+    out += table
+    return out
+
+
+def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
+    """The exact maximum of E2(B, B) / |B|^2 over all non-empty B.
+
+    The m elements split into a low block of h and a high block of
+    m - h.  A table of pair counts over A + A for all 2^h low subsets L
+    is built once; each high subset H then gets the counts of every
+    L | H in a few passes over a 2^h x |A + A| int32 table (see
+    ``_union_counts``), and their squares sum to the energies.  h is the
+    largest block whose table stays within ``_BLOCK_ENTRIES`` entries.
+
+    For each size the best subset is kept as one int64 key: the energy
+    shifted left by m bits, OR-ed with the subset code whose bit order is
+    reversed (element 0 in the top bit).  Among equal energies the larger
+    key is the subset holding the least element of the symmetric
+    difference, i.e. the lexicographically smaller mask tuple (masks
+    are sorted).  Across sizes the higher ratio wins, then the smaller
+    subset.
+    """
+    inverse = index.inverse
+    m, width = len(inverse), len(index.sums)
+    h = min(m, (_BLOCK_ENTRIES // width).bit_length() - 1)
+    table = np.zeros((1, width), dtype=np.int32)
+    for j in range(h):
+        grown = _union_counts(inverse, table, np.arange(j), [j])
+        table = np.concatenate((table, grown))
+    codes = np.arange(1 << h)
+    bits = [(codes >> i) & 1 for i in range(h)]
+    sizes = sum(bits, np.zeros_like(codes))
+    low_keys = sum((b << (m - 1 - i) for i, b in enumerate(bits)), np.zeros_like(codes))
+    by_size = np.argsort(sizes, kind="stable")
+    size_starts = np.searchsorted(sizes[by_size], np.arange(h + 1))
+    best = np.zeros(m + 1, dtype=np.int64)
+    low = np.arange(h)
+    for code in range(1 << (m - h)):
+        high = [h + k for k in range(m - h) if code >> k & 1]
+        counts = _union_counts(inverse, table, low, high)
+        # counts <= |B|^2 and energies <= |B|^3 fit int32 below the size cap
+        energy = np.einsum("ij,ij->i", counts, counts).astype(np.int64)
+        top = np.maximum.reduceat(((energy << m) | low_keys)[by_size], size_starts)
+        top |= sum(1 << (m - 1 - k) for k in high)
+        window = best[len(high) : len(high) + h + 1]
+        np.maximum(window, top, out=window)
+    best_size, best_ratio = 1, Fraction(int(best[1]) >> m)
+    for size in range(2, m + 1):
+        ratio = Fraction(int(best[size]) >> m, size * size)
+        if ratio > best_ratio:
+            best_size, best_ratio = size, ratio
+    key = int(best[best_size])
+    members = [i for i in range(m) if key >> (m - 1 - i) & 1]
+    return tuple(index.masks[members].tolist()), best_ratio
 
 
 def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
@@ -328,19 +361,29 @@ def hereditary_energy(
 ) -> HereditaryResult:
     """max over non-empty B subset of A of E2(B, B) / |B|^2.
 
-    Exhaustive (and exact) when |A| <= exact_limit.  Above the limit a
-    heuristic search is run instead: the full set, a greedy
-    element-removal sweep, and, when a certificate vector on A is
-    supplied, its dyadic level sets.  The heuristic answer is a
-    certified lower bound with ``exact=False``.  The heuristic reads
-    the pair index of A, built here unless the caller passes it.
+    Exhaustive (and exact) when |A| <= exact_limit; an exhaustive request
+    above ``EXHAUSTIVE_LIMIT`` elements raises ResourceLimitError before
+    any work.  Above the limit a heuristic search is run instead: the
+    full set, a greedy element-removal sweep, and, when a certificate
+    vector on A is supplied, its dyadic level sets.  The heuristic
+    answer is a certified lower bound with ``exact=False``.  Both
+    searches read the pair index of A, built here unless the caller
+    passes it.
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
     if certificate is not None and certificate.support.elements != A.elements:
         raise ValueError("certificate support does not match the set")
+    if EXHAUSTIVE_LIMIT < len(A) <= exact_limit:
+        raise ResourceLimitError(
+            f"hereditary stage: exhaustive search over the 2^{len(A)} subsets "
+            f"of a {len(A)}-element set exceeds the cap of {EXHAUSTIVE_LIMIT} "
+            f"elements; lower the exact limit below {len(A)}"
+        )
+    if index is None:
+        index = PairIndex.of(A.elements)
     if len(A) <= exact_limit:
-        masks, ratio = _exhaustive_hereditary(A.elements)
+        masks, ratio = _exhaustive_hereditary(index)
         return HereditaryResult(SupportSet(A.n, masks), ratio, exact=True)
 
     # the full set needs no entry: the search below starts from it
@@ -355,8 +398,6 @@ def hereditary_energy(
             candidates.append(level.elements)
         if len(decomposition.tail):
             candidates.append(decomposition.tail.elements)
-    if index is None:
-        index = PairIndex.of(A.elements)
     if len(A) <= GREEDY_LIMIT:
         best_set, best_ratio = _greedy_hereditary(index)
     else:

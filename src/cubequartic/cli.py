@@ -463,6 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(
+            f"invalid request: --threads must be at least 1, got {args.threads}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         return args.func(args)
     except SetFileError as exc:

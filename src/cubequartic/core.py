@@ -21,6 +21,7 @@ sixteen million cells) instead of degrading silently; see
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -167,7 +168,7 @@ class SupportSet:
         return iter(self.elements)
 
     def __contains__(self, mask: int) -> bool:
-        i = np.searchsorted(np.asarray(self.elements), mask)
+        i = bisect.bisect_left(self.elements, mask)
         return i < len(self.elements) and self.elements[i] == mask
 
     def masks_array(self) -> np.ndarray:

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubequartic import additive
 from cubequartic.additive import (
+    EXHAUSTIVE_LIMIT,
     MultiplicityTable,
     PairIndex,
+    _exhaustive_hereditary,
     _greedy_hereditary,
     additive_energy,
     dyadic_level_sets,
@@ -18,7 +21,7 @@ from cubequartic.additive import (
     sumset,
 )
 from cubequartic.core import SpectrumVector, SupportSet
-from cubequartic.errors import DimensionMismatchError
+from cubequartic.errors import DimensionMismatchError, ResourceLimitError
 
 from conftest import brute_energy, random_support
 
@@ -62,6 +65,55 @@ def greedy_hereditary_oracle(masks):
             best_ratio = pick_ratio
             best_set = tuple(current)
     return best_set, best_ratio
+
+
+def exhaustive_hereditary_oracle(masks):
+    """Gray-code walk over all non-empty subsets with O(|B|) dict updates.
+
+    Flipping one element in or out changes |M_x| only at the |B| points
+    x = a ^ b, so the energy is maintained incrementally.  Ties prefer
+    the smaller subset, then the lexicographically smaller mask tuple.
+    """
+    m = len(masks)
+    counts: dict[int, int] = {}
+    current: set[int] = set()
+    energy = 0
+    best_energy, best_size, best_set = 0, 0, ()
+    for code in range(1, 1 << m):
+        j = (code & -code).bit_length() - 1
+        a = masks[j]
+        if a in current:
+            current.remove(a)
+            for b in current:
+                x = a ^ b
+                counts[x] -= 2
+                energy -= 4 * counts[x] + 4
+            counts[0] -= 1
+            energy -= 2 * counts[0] + 1
+        else:
+            for b in current:
+                x = a ^ b
+                energy += 4 * counts.get(x, 0) + 4
+                counts[x] = counts.get(x, 0) + 2
+            energy += 2 * counts.get(0, 0) + 1
+            counts[0] = counts.get(0, 0) + 1
+            current.add(a)
+        size = len(current)
+        if size == 0:
+            continue
+        if best_size == 0:
+            best_energy, best_size, best_set = energy, size, tuple(sorted(current))
+            continue
+        # compare energy/size^2 against the incumbent without Fractions
+        left = energy * best_size * best_size
+        right = best_energy * size * size
+        if left > right:
+            best_energy, best_size, best_set = energy, size, tuple(sorted(current))
+        elif left == right:
+            cand = tuple(sorted(current))
+            if size < best_size or (size == best_size and cand < best_set):
+                best_energy, best_size, best_set = energy, size, cand
+    return best_set, Fraction(best_energy, best_size * best_size)
 
 
 def subsets_bruteforce(masks):
@@ -246,6 +298,57 @@ class TestHereditaryEnergy:
         sub = res.best
         assert res.ratio == energy_ratio(sub)
         assert all(m in A for m in sub)
+
+    def test_exhaustive_matches_gray_code_oracle(self, rng):
+        for _ in range(240):
+            A = random_support(rng, int(rng.integers(1, 10)), 14)
+            got = _exhaustive_hereditary(PairIndex.of(A.elements))
+            assert got == exhaustive_hereditary_oracle(A.elements)
+
+    def test_exhaustive_tie_prefers_smaller_then_earlier(self):
+        # the full set and five 4-element cosets all reach the maximum 4
+        tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
+        expected = ((1, 4, 10, 15), Fraction(4))
+        assert exhaustive_hereditary_oracle(tie) == expected
+        assert _exhaustive_hereditary(PairIndex.of(tie)) == expected
+        res = hereditary_energy(SupportSet(5, tie))
+        assert res.exact and (res.best.elements, res.ratio) == expected
+
+    def test_exhaustive_on_masks_beyond_int64(self):
+        masks = tuple(sorted((m << 60) ^ m for m in range(1, 13)))
+        index = PairIndex.of(masks)
+        assert index.masks.dtype == object
+        assert _exhaustive_hereditary(index) == exhaustive_hereditary_oracle(masks)
+
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 17])
+    def test_exhaustive_on_both_sides_of_the_block_split(self, monkeypatch, block):
+        # |A + A| <= 32 in n = 5: a 2^6-entry table holds at most 2^1 low
+        # subsets, so most elements fall in the high block; 2^17 entries
+        # hold every subset of up to 12 elements in the low block
+        monkeypatch.setattr(additive, "_BLOCK_ENTRIES", block)
+        masks = (0, 3, 5, 6, 9, 12, 17, 20, 23, 26, 29, 30)
+        for size in range(1, len(masks) + 1):
+            got = _exhaustive_hereditary(PairIndex.of(masks[:size]))
+            assert got == exhaustive_hereditary_oracle(masks[:size])
+
+    def test_exhaustive_on_the_sphere_s63(self):
+        A = SupportSet.sphere(6, 3)
+        res = hereditary_energy(A)
+        assert res.exact
+        assert res.best.elements == A.elements
+        assert res.ratio == Fraction(64, 5)
+
+    def test_exhaustive_cap_refuses_before_any_work(self, monkeypatch):
+        def no_index(masks):
+            raise AssertionError("pair index built before the cap check")
+
+        monkeypatch.setattr(PairIndex, "of", no_index)
+        A = SupportSet.from_masks(8, range(40))
+        with pytest.raises(ResourceLimitError, match="hereditary stage"):
+            hereditary_energy(A, exact_limit=40)
+        B = SupportSet.from_masks(8, range(EXHAUSTIVE_LIMIT + 1))
+        with pytest.raises(ResourceLimitError, match="hereditary stage"):
+            hereditary_energy(B, exact_limit=EXHAUSTIVE_LIMIT + 1)
 
     def test_greedy_matches_dict_oracle(self, rng):
         for _ in range(240):

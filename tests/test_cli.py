@@ -159,6 +159,16 @@ class TestAnalyze:
         assert "resource cap" in err
         assert "estimation stage" in err
 
+    def test_hereditary_cap_exit(self, tmp_path, capsys):
+        records = "\n".join(format(m, "08b") for m in range(40))
+        path = write(tmp_path, f"n=8\n{records}\n")
+        argv = ["analyze", path, "--exact-limit", "40", "--starts", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "resource cap" in err
+        assert "hereditary stage" in err
+
     def test_one_pair_table_per_command(self, tmp_path, capsys, monkeypatch):
         import cubequartic.additive
         import cubequartic.cli
@@ -257,6 +267,14 @@ class TestScan:
         _, one, _ = run(capsys, base + ["--threads", "1"])
         _, four, _ = run(capsys, base + ["--threads", "4"])
         assert one == four
+
+    def test_bad_flag_values_exit_usage(self, capsys):
+        bad = (["--threads", "0"], ["--threads", "-3"], ["--starts", "-1"], ["--iters", "0"])
+        for flag in bad:
+            code, out, err = run(capsys, ["scan", "--n-max", "3"] + flag)
+            assert code == EXIT_USAGE, flag
+            assert out == ""
+            assert "invalid request" in err
 
     def test_csv_rows(self, capsys):
         _, out, _ = run(capsys, ["scan", "--n-max", "4", "--format", "csv"] + FAST)

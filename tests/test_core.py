@@ -139,6 +139,14 @@ class TestSupportSet:
         assert A.weights() == (0, 3, 4)
         assert 7 in A and 8 not in A
 
+    def test_contains_compares_masks_of_any_size(self):
+        masks = [0, 5, 1 << 62, (1 << 62) + 1, 1 << 69]
+        A = SupportSet.from_masks(70, masks)
+        assert all(m in A for m in masks)
+        absent = [1, 4, 6, (1 << 62) - 1, (1 << 62) + 2, (1 << 69) + 1, 1 << 80]
+        assert not any(m in A for m in absent)
+        assert (1 << 64) not in SupportSet.from_masks(4, [0, 7])
+
     def test_indicator(self):
         A = SupportSet.from_masks(3, [1, 6])
         f = A.indicator()
