@@ -52,6 +52,7 @@ __all__ = [
     "energy_ratio",
     "sumset",
     "hereditary_energy",
+    "check_exhaustive_cap",
     "dyadic_level_sets",
 ]
 
@@ -352,6 +353,17 @@ def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
     return tuple(index.masks[best_rows].tolist()), best_ratio
 
 
+def check_exhaustive_cap(size: int, exact_limit: int) -> None:
+    """Refuse an exhaustive hereditary search over more than
+    ``EXHAUSTIVE_LIMIT`` elements, which ``exact_limit`` would ask for."""
+    if EXHAUSTIVE_LIMIT < size <= exact_limit:
+        raise ResourceLimitError(
+            f"hereditary stage: exhaustive search over the 2^{size} subsets "
+            f"of a {size}-element set exceeds the cap of {EXHAUSTIVE_LIMIT} "
+            f"elements; lower the exact limit below {size}"
+        )
+
+
 def hereditary_energy(
     A: SupportSet,
     *,
@@ -374,12 +386,7 @@ def hereditary_energy(
         raise ValueError("hereditary energy undefined for the empty set")
     if certificate is not None and certificate.support.elements != A.elements:
         raise ValueError("certificate support does not match the set")
-    if EXHAUSTIVE_LIMIT < len(A) <= exact_limit:
-        raise ResourceLimitError(
-            f"hereditary stage: exhaustive search over the 2^{len(A)} subsets "
-            f"of a {len(A)}-element set exceeds the cap of {EXHAUSTIVE_LIMIT} "
-            f"elements; lower the exact limit below {len(A)}"
-        )
+    check_exhaustive_cap(len(A), exact_limit)
     if index is None:
         index = PairIndex.of(A.elements)
     if len(A) <= exact_limit:

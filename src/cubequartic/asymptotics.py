@@ -18,15 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .reporting import (
-    BoundReport,
-    check_close,
-    check_ge,
-    check_le,
-    check_lt,
-    soft_note,
-)
-from .spheres import SphereParams, t1
+from .reporting import BoundReport, check_close, check_le, check_lt, soft_note
+from .spheres import SphereParams
 
 __all__ = [
     "PsiEvaluation",

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .additive import (
     PAIR_ENUMERATION_LIMIT,
     PairIndex,
+    check_exhaustive_cap,
     hereditary_energy,
     pair_multiplicities,
 )
@@ -28,7 +29,7 @@ from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
-from .spheres import SphereParams, argmax_st, r_exact, sphere_table, t1
+from .spheres import SphereParams, argmax_st, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
@@ -231,6 +232,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ResourceLimitError(
             f"estimation stage: n={A.n} exceeds the dense cap {args.dense_cap}"
         )
+    check_exhaustive_cap(len(A), args.exact_limit)
     cfg = _optimizer_config(args)
     # one pair index and one pair table serve every stage below
     index = PairIndex.of(A.elements) if len(A) ** 2 <= PAIR_ENUMERATION_LIMIT else None
@@ -283,9 +285,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "pair multiplicity table, dual-route checked",
         "support lower bounds through counting, ratio, and multiplicity",
     ]
-    document = _document("analyze", args, results, provenance)
-    csv_rows: list[list] | None = None
-    _emit(document, args.format, csv_rows)
+    _emit(_document("analyze", args, results, provenance), args.format, None)
     return EXIT_OK
 
 
@@ -312,7 +312,7 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
         for row in selected
     ]
     footer = {
-        "total": render(r_exact(p)),
+        "total": render(rows[-1].cumulative),
         "peak_location": t1(p),
         "argmax": argmax_st(p),
     }

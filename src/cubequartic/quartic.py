@@ -117,16 +117,15 @@ class BoundSet:
 
 
 def _pair_sums(support: SupportSet, coords: np.ndarray) -> np.ndarray:
-    """The values sum_{(a,b) in M_x} y_a y_b over all x in A+A."""
+    """The values sum_{(a,b) in M_x} y_a y_b over all x in A+A.
+
+    Masks from 2^62 up are held as python ints in object arrays.  This
+    enumeration stays apart from ``PairIndex`` so that ``big_f`` checks
+    the kernels by an independent route.
+    """
     masks = support.elements
-    if masks and max(masks) >= (1 << 62):
-        sums: dict[int, float] = {}
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                x = a ^ b
-                sums[x] = sums.get(x, 0.0) + coords[i] * coords[j]
-        return np.asarray(list(sums.values()))
-    arr = np.asarray(masks, dtype=np.int64)
+    wide = max(masks) >= 1 << 62
+    arr = np.asarray(masks, dtype=object if wide else np.int64)
     xors = (arr[:, None] ^ arr[None, :]).ravel()
     weights = np.outer(coords, coords).ravel()
     _, inverse = np.unique(xors, return_inverse=True)
@@ -323,7 +322,9 @@ def mu_lower(
     F and its gradient come from the pair index of A (built here
     unless passed) when |A|^2 <= n 2^n and |A|^2 is within
     PAIR_ENUMERATION_LIMIT, else from the dense transform; either way
-    n must be within the dense cap.
+    n must be within the dense cap.  The reported value is F at the
+    normalized certificate through the same kernel; ``big_f`` is the
+    independent route that tests compare it with.
     """
     if len(A) == 0:
         raise ValueError("cannot optimise over an empty support")
@@ -373,7 +374,7 @@ def mu_lower(
 
     certificate = SpectrumVector(A, best_y).normalize()
     return MuEstimate(
-        value=big_f(certificate),
+        value=kernel.evaluate(certificate.coords)[0],
         certificate=certificate,
         starts_used=len(starts) + len(level_starts),
         iterations=total_iters,

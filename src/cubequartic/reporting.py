@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-Value = "int | float | Fraction | str | None"
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,6 @@ class BoundReport:
 
     def failed_checks(self) -> list[Check]:
         return [c for c in self.checks if c.hard and not c.passed]
-
-    def extend(self, checks: Sequence[Check]) -> None:
-        self.checks.extend(checks)
 
     def describe(self) -> str:
         lines = [f"report: {self.subject} -> {'PASS' if self.overall else 'FAIL'}"]

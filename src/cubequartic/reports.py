@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .additive import additive_energy, hereditary_energy, m_bound, sumset
+from .additive import additive_energy, hereditary_energy, sumset
 from .additive import energy_ratio as set_energy_ratio
 from .asymptotics import psi_value
 from .core import (
@@ -42,7 +42,7 @@ from .reporting import (
     check_lt,
     soft_note,
 )
-from .spheres import SphereParams, argmax_st, r_exact, ratio_st
+from .spheres import SphereParams, argmax_st, r_exact, ratio_st, sphere_table
 
 __all__ = [
     "uncertainty_report",
@@ -122,7 +122,7 @@ def uncertainty_report(
             detail=f"ratio bound {upper.best}",
         )
     )
-    mult = m_bound(A)
+    mult = upper.multiplicity_bound
     report.checks.append(
         check_ge(
             "support times multiplicity bound",
@@ -253,13 +253,6 @@ def sumset_bound_report(B: SupportSet, C: SupportSet, k1: int, k2: int) -> Bound
 @lru_cache(maxsize=None)
 def _r_cached(n: int, k: int) -> Fraction:
     return r_exact(SphereParams(n, k))
-
-
-@lru_cache(maxsize=4096)
-def _masses(n: int, k: int) -> tuple[Fraction, ...]:
-    from .spheres import sphere_table
-
-    return tuple(row.mass for row in sphere_table(SphereParams(n, k)))
 
 
 def ball_bound_report(
@@ -414,7 +407,7 @@ def bracket_report(
 
     est = mu_lower(A, cfg, dense_cap=dense_cap, extra_starts=(start,))
     upper = mu_upper(A, dense_cap=dense_cap)
-    mult = m_bound(A)
+    mult = upper.multiplicity_bound
 
     report = BoundReport(subject=f"bracket, n={A.n}, |A|={len(A)}")
     report.checks.append(
@@ -633,7 +626,6 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
             cells += 1
             p = SphereParams(n, k)
             D = n * n + 8 * (n - 2 * k) ** 2
-            half = math.isqrt(D)
             peak_float = (3 * n - math.sqrt(D)) / 8.0
 
             report.checks.append(
@@ -704,7 +696,7 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                 )
             )
 
-            masses = _masses(n, k)
+            masses = [row.mass for row in sphere_table(p)]
             window = math.ceil(halfwidth)
             lo_t = max(0, math.ceil(peak_float - window))
             hi_t = min(k, math.floor(peak_float + window))
@@ -730,7 +722,6 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                     provenance="exact rational totals at the two neighbouring radii",
                 )
             )
-            del half  # isqrt retained only for clarity of the radical size
     report.notes.append(f"{cells} (n, k) cells checked")
     return report
 

@@ -182,9 +182,12 @@ def sphere_table(p: SphereParams) -> list[SphereTableRow]:
     """Rows t = 0 .. k with masses, step ratios and partial sums.
 
     The final cumulative value is exactly r(n, k); ratio_to_prev on row
-    t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).
+    t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  The masses
+    come from the ratio chain; ``s_t_exact`` is the independent route
+    that tests compare them with.
     """
-    masses = [s_t_exact(p, t) for t in range(p.k + 1)]
+    masses = _mass_chain(p)
+    masses += [Fraction(0)] * (p.k + 1 - len(masses))
     rows: list[SphereTableRow] = []
     running = Fraction(0)
     for t, mass in enumerate(masses):

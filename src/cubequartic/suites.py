@@ -42,8 +42,8 @@ from .core import (
     walsh_transform,
     walsh_transform_reference,
 )
-from .quartic import OptimizerConfig, big_f, decompose_last, mu_lower
-from .reporting import BoundReport, Check, check_close, check_ge, check_le, soft_note
+from .quartic import OptimizerConfig, decompose_last
+from .reporting import BoundReport, Check, check_close, check_ge, check_le
 from .reports import (
     ball_bound_report,
     bracket_report,
@@ -76,8 +76,6 @@ __all__ = [
     "run_suites",
     "SUITE_NAMES",
 ]
-
-SUITE_NAMES = ("core", "additive", "sphere", "asymptotics", "bounds")
 
 
 def _random_support(rng: np.random.Generator, n: int, max_size: int) -> SupportSet:
@@ -217,14 +215,15 @@ def suite_additive(seed: int = 0) -> list[BoundReport]:
         n = int(rng.integers(2, 11))
         A = _random_support(rng, n, 18)
         table = pair_multiplicities(A)
+        energy = additive_energy(A)
         brute = _brute_energy(A.elements)
         energies.checks.append(
             Check(
                 f"energy two ways (trial {trial}, n={n}, |A|={len(A)})",
-                additive_energy(A),
+                energy,
                 "==",
                 brute,
-                additive_energy(A) == brute,
+                energy == brute,
                 provenance="transform-backed table vs quadratic-time dictionary",
             )
         )
@@ -242,13 +241,14 @@ def suite_additive(seed: int = 0) -> list[BoundReport]:
         direct_m = 1 + max(
             (c for x, c in table.counts.items() if x != 0), default=0
         )
+        mult = m_bound(A)
         energies.checks.append(
             Check(
                 f"multiplicity bound (trial {trial})",
-                m_bound(A),
+                mult,
                 "==",
                 direct_m,
-                m_bound(A) == direct_m,
+                mult == direct_m,
                 provenance="definition unrolled",
             )
         )
@@ -731,6 +731,19 @@ def suite_bounds(seed: int = 0, cfg: OptimizerConfig | None = None) -> list[Boun
     return reports
 
 
+# name -> suite in canonical order; only the bounds suite runs the ascent.
+# Each suite is looked up by name at call time, so a wrapped module
+# attribute (a tracer or a test double) is the one that runs.
+_SUITES = {
+    "core": lambda seed, cfg: suite_core(seed),
+    "additive": lambda seed, cfg: suite_additive(seed),
+    "sphere": lambda seed, cfg: suite_sphere(seed),
+    "asymptotics": lambda seed, cfg: suite_asymptotics(seed),
+    "bounds": lambda seed, cfg: suite_bounds(seed, cfg),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suites(
     names: list[str], seed: int = 0, cfg: OptimizerConfig | None = None
 ) -> list[tuple[str, list[BoundReport]]]:
@@ -743,16 +756,4 @@ def run_suites(
             wanted.append(name)
         else:
             raise ValueError(f"unknown suite {name!r}")
-    out: list[tuple[str, list[BoundReport]]] = []
-    for name in wanted:
-        if name == "core":
-            out.append((name, suite_core(seed)))
-        elif name == "additive":
-            out.append((name, suite_additive(seed)))
-        elif name == "sphere":
-            out.append((name, suite_sphere(seed)))
-        elif name == "asymptotics":
-            out.append((name, suite_asymptotics(seed)))
-        else:
-            out.append((name, suite_bounds(seed, cfg)))
-    return out
+    return [(name, _SUITES[name](seed, cfg)) for name in wanted]

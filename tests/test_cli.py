@@ -169,6 +169,23 @@ class TestAnalyze:
         assert "resource cap" in err
         assert "hereditary stage" in err
 
+    def test_hereditary_cap_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import random
+
+        import cubequartic.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ascent ran before the hereditary cap check")
+
+        monkeypatch.setattr(cubequartic.cli, "mu_lower", refuse)
+        masks = random.Random(0).sample(range(1 << 12), 200)
+        records = "\n".join(format(m, "012b") for m in masks)
+        path = write(tmp_path, f"n=12\n{records}\n")
+        code, out, err = run(capsys, ["analyze", path, "--exact-limit", "300"])
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "hereditary stage" in err
+
     def test_one_pair_table_per_command(self, tmp_path, capsys, monkeypatch):
         import cubequartic.additive
         import cubequartic.cli

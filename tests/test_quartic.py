@@ -71,6 +71,16 @@ class TestBigF:
         with pytest.raises(ValueError):
             big_f(SpectrumVector(SupportSet(3, ()), np.zeros(0)))
 
+    def test_masks_beyond_int64(self, rng):
+        A = SupportSet(71, (3, 1 << 62, (1 << 62) | 3, 1 << 70))
+        for _ in range(3):
+            coords = rng.standard_normal(len(A))
+            assert math.isclose(
+                big_f(SpectrumVector(A, coords)),
+                quartic_oracle(A, coords),
+                rel_tol=1e-12,
+            )
+
 
 class TestGradient:
     def test_matches_finite_differences(self, rng):
@@ -186,6 +196,19 @@ class TestMuLower:
         est = mu_lower(A, FAST)
         assert est.certificate.normalized
         assert est.value == big_f(est.certificate)
+
+    def test_dense_route_value_is_big_f_at_the_certificate(self, monkeypatch):
+        import cubequartic.quartic
+
+        def refuse(y):
+            raise AssertionError("mu_lower evaluated F a second way")
+
+        for A in (SupportSet.sphere(6, 3), SupportSet.ball(8, 3)):
+            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _DenseKernel
+            with monkeypatch.context() as patch:
+                patch.setattr(cubequartic.quartic, "big_f", refuse)
+                est = mu_lower(A, FAST)
+            assert math.isclose(est.value, big_f(est.certificate), rel_tol=1e-12)
 
     def test_uniform_start_pins_the_energy_ratio(self, rng):
         for _ in range(5):

@@ -220,17 +220,32 @@ class TestTable:
         assert rows[-1].cumulative == Fraction(14, 3)
 
     def test_telescoping(self, rng):
+        cells = []
         for _ in range(10):
             n = int(rng.integers(2, 20))
-            k = int(rng.integers(0, n + 1))
+            cells.append((n, int(rng.integers(0, n + 1))))
+        # every cell up to n = 24 covers k = 0, k = n and the zero rows past n/2
+        cells += [(n, k) for n in range(1, 25) for k in range(n + 1)]
+        for n, k in cells:
             p = SphereParams(n, k)
             rows = sphere_table(p)
+            assert [row.t for row in rows] == list(range(k + 1))
             running = Fraction(0)
             for row in rows:
                 assert row.mass == s_t_exact(p, row.t)
                 running += row.mass
                 assert row.cumulative == running
             assert rows[-1].cumulative == r_exact(p)
+
+    def test_masses_come_from_the_ratio_chain(self, monkeypatch):
+        import cubequartic.spheres
+
+        def refuse(p, t):
+            raise AssertionError("sphere_table evaluated a mass a second way")
+
+        monkeypatch.setattr(cubequartic.spheres, "s_t_exact", refuse)
+        p = SphereParams(40, 25)
+        assert sphere_table(p)[-1].cumulative == r_exact(p)
 
     def test_ratio_column_consistent(self):
         rows = sphere_table(SphereParams(9, 4))
