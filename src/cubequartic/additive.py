@@ -123,11 +123,15 @@ class PairIndex:
         # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
         return int(np.dot(self.counts, self.counts))
 
-    def pair_sums(self, coords: np.ndarray) -> np.ndarray:
-        """sum over (a, b) in M_x of y_a y_b, for each x in ``sums``."""
-        return np.bincount(
-            self.inverse.ravel(), weights=np.outer(coords, coords).ravel()
-        )
+    def pair_sums(
+        self, coords: np.ndarray, other: np.ndarray | None = None
+    ) -> np.ndarray:
+        """sum over (a, b) in M_x of y_a z_b, for each x in ``sums``.
+
+        z is ``other``, or y itself when it is not given.
+        """
+        weights = np.outer(coords, coords if other is None else other)
+        return np.bincount(self.inverse.ravel(), weights=weights.ravel())
 
 
 def _convolution_table(A: SupportSet) -> dict[int, int]:

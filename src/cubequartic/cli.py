@@ -29,7 +29,7 @@ from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
-from .spheres import SphereParams, argmax_st, sphere_table, t1
+from .spheres import SphereParams, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
@@ -314,7 +314,8 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
     footer = {
         "total": render(rows[-1].cumulative),
         "peak_location": t1(p),
-        "argmax": argmax_st(p),
+        # first row of the largest mass: argmax_st's tie rule, smallest t
+        "argmax": max(rows, key=lambda row: row.mass).t,
     }
     if 2 * args.k <= args.n:
         footer["psi"] = psi_value(args.k / args.n)

@@ -36,6 +36,7 @@ from .spheres import sphere_sum_bound
 
 __all__ = [
     "OptimizerConfig",
+    "AscentRun",
     "MuEstimate",
     "BoundSet",
     "SplitPair",
@@ -65,6 +66,27 @@ class OptimizerConfig:
             raise ValueError("invalid optimizer configuration")
 
 
+@dataclass(frozen=True)
+class AscentRun:
+    """One start of the sphere ascent and how it ended.
+
+    kind is where the start came from: "uniform", "extra", "gaussian"
+    or "level".  exit is "stationary" (the projected gradient
+    vanished), "no-uphill" (the best point of the great circle did not
+    raise F), "window" (the last _WINDOW steps gained less than tol) or
+    "iteration-cap".
+    """
+
+    kind: str
+    value: float
+    iterations: int
+    exit: str
+
+    @property
+    def converged(self) -> bool:
+        return self.exit != "iteration-cap"
+
+
 @dataclass
 class MuEstimate:
     """Certified lower bound on the sphere maximum of F.
@@ -72,7 +94,8 @@ class MuEstimate:
     value is F evaluated at the (feasible, normalized) certificate, so
     it is a true lower bound regardless of convergence; converged
     reports whether the run that produced the best value met the
-    stopping criterion rather than the iteration cap.
+    stopping criterion rather than the iteration cap.  runs holds one
+    record per start, in the order the starts ran.
     """
 
     value: float
@@ -80,6 +103,7 @@ class MuEstimate:
     starts_used: int
     iterations: int
     converged: bool
+    runs: tuple[AscentRun, ...]
 
 
 @dataclass(frozen=True)
@@ -187,8 +211,8 @@ def _require_transform_cap(n: int, cap: int) -> None:
 class _DenseKernel:
     """Fast F and gradient evaluation through the dense transform.
 
-    ``evaluate`` returns F and a state that ``gradient`` takes back:
-    here the point values of the synthesized f.
+    ``evaluate`` returns F and a state that ``gradient``, ``circle``
+    and ``move`` take back: here the point values of the synthesized f.
     """
 
     def __init__(self, support: SupportSet, cap: int) -> None:
@@ -213,13 +237,40 @@ class _DenseKernel:
         cube *= self.scale
         return 4.0 * cube[self.masks]
 
+    def circle(
+        self, point_values: np.ndarray, direction: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """F along cos(t) y + sin(t) d, and the point values b of d.
+
+        With a the point values of y, F = mean((c a + s b)^4), so the
+        coefficients are the means of a^(4-i) b^i for i = 0..4.
+        """
+        b = np.zeros(self.size)
+        b[self.masks] = direction
+        walsh_transform(b)
+        a2 = point_values * point_values
+        b2 = b * b
+        ab = point_values * b
+        coefficients = np.array(
+            [a2 @ a2, a2 @ ab, a2 @ b2, ab @ b2, b2 @ b2]
+        ) * self.scale
+        return coefficients, b
+
+    def move(
+        self, point_values: np.ndarray, b: np.ndarray, c: float, s: float
+    ) -> tuple[float, np.ndarray]:
+        """F and the state at cos(t) y + sin(t) d, with no transform."""
+        f = c * point_values + s * b
+        sq = f * f
+        return float(np.mean(sq * sq)), f
+
 
 class _SparseKernel:
     """F and gradient from the pair index, at cost |A|^2 per call.
 
     With s_x the pair sums, F = s.s and grad F = 4 T y for the pair-sum
     matrix T[i, j] = s at a_i ^ a_j; the state passed from ``evaluate``
-    to ``gradient`` is (y, s).
+    to the other methods is (y, s).
     """
 
     def __init__(self, index: PairIndex) -> None:
@@ -232,6 +283,35 @@ class _SparseKernel:
     def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         coords, sums = state
         return 4.0 * (sums[self.index.inverse] @ coords)
+
+    def circle(
+        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """F along cos(t) y + sin(t) d, and the pair sums needed to move.
+
+        With P, Q and R the pair sums of y(x)y, y(x)d and d(x)d, the
+        pair sums on the circle are c^2 P + 2cs Q + s^2 R.
+        """
+        coords, p = state
+        q = self.index.pair_sums(coords, direction)
+        r = self.index.pair_sums(direction)
+        coefficients = np.array(
+            [p @ p, p @ q, (2.0 * (q @ q) + p @ r) / 3.0, q @ r, r @ r]
+        )
+        return coefficients, (direction, q, r)
+
+    def move(
+        self,
+        state: tuple[np.ndarray, np.ndarray],
+        arc: tuple[np.ndarray, np.ndarray, np.ndarray],
+        c: float,
+        s: float,
+    ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """F and the state at cos(t) y + sin(t) d, with no enumeration."""
+        coords, p = state
+        direction, q, r = arc
+        sums = (c * c) * p + (2.0 * c * s) * q + (s * s) * r
+        return float(np.dot(sums, sums)), (c * coords + s * direction, sums)
 
 
 def _choose_kernel(
@@ -251,56 +331,98 @@ def _choose_kernel(
 
 # relative window improvement below which an ascent run stops
 _WINDOW = 50
-_MAX_BACKTRACKS = 64
+
+
+def _circle_argmax(coefficients: np.ndarray) -> tuple[float, float] | None:
+    """(cos t, sin t) at the maximum of F over the great circle.
+
+    F(cos(t) y + sin(t) d) = sum_i C(4, i) m_i cos^(4-i)(t) sin^i(t)
+    for the coefficients m.  With v = cot t this is sin^4(t) p(v) for
+    p(v) = sum_i C(4, i) m_i v^(4-i), and its derivative in t is
+    -sin^4(t) g(v) with g(v) = (1 + v^2) p'(v) - 4v p(v), a quartic
+    whose degree-5 terms cancel.  F has period pi in t and rises from
+    t = 0 at rate 4 m1, so when m1 > 0 its maximum sits at a root of g
+    in (0, pi); the roots are the eigenvalues of the companion matrix.
+    Complex roots are kept by their real part: every candidate is a
+    point of the circle, and the best one wins.  Returns None when
+    m1 <= 0, i.e. F does not rise along d at float resolution.
+    """
+    m0, m1, m2, m3, m4 = coefficients.tolist()
+    if m1 <= 0.0:
+        return None
+    companion = np.array(
+        [
+            [(m0 - 3.0 * m2) / m1, 3.0 * (m1 - m3) / m1, (3.0 * m2 - m4) / m1, m3 / m1],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    best, step = -math.inf, None
+    for v in np.linalg.eigvals(companion).real.tolist():
+        h = math.hypot(1.0, v)
+        c, s = v / h, 1.0 / h
+        cc, ss = c * c, s * s
+        value = cc * (cc * m0 + 4.0 * c * s * m1 + 6.0 * ss * m2) + ss * (
+            4.0 * c * s * m3 + ss * m4
+        )
+        if value > best:
+            best, step = value, (c, s)
+    return step
 
 
 def _ascend(
     kernel: _DenseKernel | _SparseKernel, start: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, float, int, bool]:
-    """Monotone shifted power ascent of F on the unit sphere.
+) -> tuple[np.ndarray, float, int, str]:
+    """Monotone ascent of F on the unit sphere by exact great-circle steps.
 
-    The iteration y <- normalize(grad F(y) + alpha y) increases F for a
-    large enough shift alpha (it approaches a projected-gradient step
-    of size 1/alpha), so alpha doubles until the step does not decrease
-    F and relaxes after each accepted step.
+    Each step takes the unit projected gradient d at y and moves to the
+    maximum of F over the great circle cos(t) y + sin(t) d.  Along it F
+    is a quartic form in (cos t, sin t) with five coefficients, which
+    the kernel returns together with what it needs to form the new
+    point without a fresh evaluation; ``_circle_argmax`` finds the
+    maximum exactly.  The dense kernel thus runs two Walsh transforms
+    of length 2^n per step (the gradient and the transform of d), the
+    sparse one two bincounts over the pair index.  A step is taken only
+    if F does not fall; otherwise the run stops.  A shifted power step
+    normalize(grad F + alpha y), for any alpha > 0, lies on the same
+    circle, so no step gains less than it would.
+
+    Returns the last point, its value, the iterations and the exit
+    reason (see ``AscentRun``).
     """
     y = start / math.sqrt(float(np.dot(start, start)))
     value, state = kernel.evaluate(y)
     window: deque[float] = deque([value], maxlen=_WINDOW + 1)
-    alpha = 1.0
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
+    for iterations in range(1, cfg.max_iters + 1):
         grad = kernel.gradient(state)
         radial = float(np.dot(grad, y))
         tangent = grad - radial * y
-        if math.sqrt(float(np.dot(tangent, tangent))) <= 1e-14 * max(
-            1.0, abs(radial)
-        ):
-            return y, value, iterations, True
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = grad + alpha * y
-            norm = math.sqrt(float(np.dot(candidate, candidate)))
-            if norm > 0.0:
-                y_new = candidate / norm
-                value_new, state_new = kernel.evaluate(y_new)
-                if value_new >= value:
-                    accepted = True
-                    break
-            alpha = 2.0 * max(alpha, 1e-6)
-        if not accepted:
-            # no admissible uphill step at float resolution
-            return y, value, iterations, True
-        y, value, state = y_new, value_new, state_new
-        alpha *= 0.9
+        norm = math.sqrt(float(np.dot(tangent, tangent)))
+        if norm <= 1e-14 * max(1.0, abs(radial)):
+            return y, value, iterations, "stationary"
+        # a second projection: near a stationary point the first leaves
+        # a radial part of relative size eps |grad| / |tangent|, which
+        # would tilt the circle off the sphere and let F grow with |y|
+        tangent -= float(np.dot(tangent, y)) * y
+        direction = tangent / math.sqrt(float(np.dot(tangent, tangent)))
+        coefficients, arc = kernel.circle(state, direction)
+        step = _circle_argmax(coefficients)
+        if step is None:
+            return y, value, iterations, "no-uphill"
+        c, s = step
+        value_new, state_new = kernel.move(state, arc, c, s)
+        if value_new < value:
+            # no uphill point on the circle at float resolution
+            return y, value, iterations, "no-uphill"
+        y, value, state = c * y + s * direction, value_new, state_new
         window.append(value)
         if (
             len(window) == window.maxlen
             and value - window[0] <= cfg.tol * max(1.0, abs(value))
         ):
-            return y, value, iterations, True
-    return y, value, iterations, False
+            return y, value, iterations, "window"
+    return y, value, cfg.max_iters, "iteration-cap"
 
 
 def mu_lower(
@@ -331,54 +453,59 @@ def mu_lower(
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
     if len(A) == 1:
         certificate = SpectrumVector(A, np.ones(1), normalized=True)
-        return MuEstimate(1.0, certificate, 1, 0, True)
+        run = AscentRun("uniform", 1.0, 0, "stationary")
+        return MuEstimate(1.0, certificate, 1, 0, True, (run,))
     kernel = _choose_kernel(A, cap, index)
     size = len(A)
     rng = np.random.default_rng(cfg.seed)
 
-    starts: list[np.ndarray] = [np.full(size, 1.0 / math.sqrt(size))]
+    starts: list[tuple[str, np.ndarray]] = [
+        ("uniform", np.full(size, 1.0 / math.sqrt(size)))
+    ]
     for extra in extra_starts:
         if extra.support.elements != A.elements:
             raise ValueError("extra start support does not match the set")
-        starts.append(extra.normalize().coords)
+        starts.append(("extra", extra.normalize().coords))
     for _ in range(cfg.starts):
         vec = rng.standard_normal(size)
         while float(np.dot(vec, vec)) == 0.0:
             vec = rng.standard_normal(size)
-        starts.append(vec)
+        starts.append(("gaussian", vec))
 
-    best_y, best_value, total_iters, best_converged = None, -math.inf, 0, False
+    runs: list[AscentRun] = []
+    best_y, best = None, None
 
-    def run(batch: list[np.ndarray]) -> None:
-        nonlocal best_y, best_value, total_iters, best_converged
-        for start in batch:
-            y, value, iters, converged = _ascend(kernel, start, cfg)
-            total_iters += iters
-            if value > best_value:
-                best_y, best_value, best_converged = y, value, converged
+    def run(batch: list[tuple[str, np.ndarray]]) -> None:
+        nonlocal best_y, best
+        for kind, start in batch:
+            y, value, iters, exit_reason = _ascend(kernel, start, cfg)
+            runs.append(AscentRun(kind, value, iters, exit_reason))
+            if best is None or value > best.value:
+                best_y, best = y, runs[-1]
 
     run(starts)
     # second phase: indicator starts on the dyadic slices of the leader
     slices = dyadic_level_sets(
         SpectrumVector(A, np.abs(best_y)).normalize()
     )
-    level_starts: list[np.ndarray] = []
+    level_starts: list[tuple[str, np.ndarray]] = []
     for _, level in slices.levels:
         indicator = np.zeros(size)
         member = set(level.elements)
         for i, mask in enumerate(A.elements):
             if mask in member:
                 indicator[i] = 1.0
-        level_starts.append(indicator / math.sqrt(len(level)))
+        level_starts.append(("level", indicator / math.sqrt(len(level))))
     run(level_starts)
 
     certificate = SpectrumVector(A, best_y).normalize()
     return MuEstimate(
         value=kernel.evaluate(certificate.coords)[0],
         certificate=certificate,
-        starts_used=len(starts) + len(level_starts),
-        iterations=total_iters,
-        converged=best_converged,
+        starts_used=len(runs),
+        iterations=sum(r.iterations for r in runs),
+        converged=best.converged,
+        runs=tuple(runs),
     )
 
 

@@ -14,11 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .additive import (
-    additive_energy,
     dyadic_level_sets,
     energy_ratio,
     hereditary_energy,
-    m_bound,
     pair_multiplicities,
     sumset,
 )
@@ -215,7 +213,7 @@ def suite_additive(seed: int = 0) -> list[BoundReport]:
         n = int(rng.integers(2, 11))
         A = _random_support(rng, n, 18)
         table = pair_multiplicities(A)
-        energy = additive_energy(A)
+        energy = sum(c * c for c in table.counts.values())
         brute = _brute_energy(A.elements)
         energies.checks.append(
             Check(
@@ -241,7 +239,7 @@ def suite_additive(seed: int = 0) -> list[BoundReport]:
         direct_m = 1 + max(
             (c for x, c in table.counts.items() if x != 0), default=0
         )
-        mult = m_bound(A)
+        mult = table.m_bound()
         energies.checks.append(
             Check(
                 f"multiplicity bound (trial {trial})",

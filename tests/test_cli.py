@@ -16,6 +16,7 @@ from cubequartic.cli import (
     parse_set_file,
 )
 from cubequartic.errors import SetFileError
+from cubequartic.spheres import SphereParams, argmax_st
 
 FAST = ["--starts", "6", "--iters", "2000"]
 
@@ -265,6 +266,14 @@ class TestSphereTable:
         assert lines[1] == "row,0,1/1,,1/1"
         assert lines[2] == "row,1,8/3,8/3,11/3"
         assert any(line.startswith("footer,total,14/3") for line in lines)
+
+    def test_footer_argmax_matches_argmax_st(self, capsys):
+        cells = [(n, k) for n in range(1, 25) for k in range(n + 1)] + [(2048, 1024)]
+        for n, k in cells:
+            code, out, _ = run(capsys, ["sphere-table", str(n), str(k), "--t-max", "0"])
+            assert code == EXIT_OK
+            footer = json.loads(out)["results"]["footer"]
+            assert footer["argmax"] == argmax_st(SphereParams(n, k)), (n, k)
 
 
 class TestScan:

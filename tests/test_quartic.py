@@ -14,6 +14,7 @@ from cubequartic.core import (
     SupportSet,
     analyze,
     moments,
+    walsh_transform,
 )
 from cubequartic.errors import ResourceLimitError
 from cubequartic.quartic import (
@@ -28,7 +29,9 @@ from cubequartic.quartic import (
     mu_lower,
     mu_upper,
     shkredov_matrix,
+    _ascend,
     _choose_kernel,
+    _circle_argmax,
     _DenseKernel,
     _SparseKernel,
 )
@@ -172,12 +175,153 @@ class TestKernels:
             assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is kind
 
 
+def both_kernels(A):
+    return _SparseKernel(PairIndex.of(A.elements)), _DenseKernel(A, DEFAULT_DENSE_CAP)
+
+
+def circle_quartic(coefficients, theta):
+    """sum_i C(4, i) m_i cos^(4-i) sin^i at theta, term by term."""
+    c, s = math.cos(theta), math.sin(theta)
+    return sum(
+        math.comb(4, i) * float(m) * c ** (4 - i) * s**i
+        for i, m in enumerate(coefficients)
+    )
+
+
+class _RecordingKernel:
+    """Forwards to a kernel and records every great-circle step of an ascent.
+
+    It follows the ascent's point y from the start and through every step
+    with F(new) >= F(old); the test checks the ascent ends where it does.
+    """
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.steps = []  # (y, d, value reached)
+
+    def evaluate(self, coords):
+        value, state = self.kernel.evaluate(coords)
+        self.y, self.value = coords, value
+        return value, state
+
+    def gradient(self, state):
+        return self.kernel.gradient(state)
+
+    def circle(self, state, direction):
+        self.direction = direction
+        return self.kernel.circle(state, direction)
+
+    def move(self, state, arc, c, s):
+        value, new_state = self.kernel.move(state, arc, c, s)
+        if value >= self.value:
+            self.steps.append((self.y, self.direction, value))
+            self.y, self.value = c * self.y + s * self.direction, value
+        return value, new_state
+
+
+class TestLineSearch:
+    def test_circle_coefficients_match_the_oracle(self, rng):
+        # random sets on both sides of |A|^2 = n 2^n
+        sets = [random_support(rng, n, 40) for n in (4, 5, 6, 8, 10)]
+        sets += [SupportSet.sphere(6, 3), SupportSet.sphere(10, 1)]
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 16)
+        for A in sets:
+            y = random_unit(rng, len(A))
+            d = rng.standard_normal(len(A))
+            for kernel in both_kernels(A):
+                _, state = kernel.evaluate(y)
+                coefficients, arc = kernel.circle(state, d)
+                for theta in thetas:
+                    c, s = math.cos(theta), math.sin(theta)
+                    expected = quartic_oracle(A, c * y + s * d)
+                    assert math.isclose(
+                        circle_quartic(coefficients, theta), expected, rel_tol=1e-10
+                    )
+                    assert math.isclose(
+                        kernel.move(state, arc, c, s)[0], expected, rel_tol=1e-10
+                    )
+
+    def test_each_step_reaches_the_circle_maximum(self, rng):
+        grid = np.arange(720) * (math.pi / 720)  # F has period pi on the circle
+        cfg = OptimizerConfig(max_iters=6)
+        for A in (random_support(rng, 5, 14), random_support(rng, 6, 18)):
+            for kernel in both_kernels(A):
+                recorder = _RecordingKernel(kernel)
+                y_end, value_end, _, _ = _ascend(recorder, rng.standard_normal(len(A)), cfg)
+                assert np.array_equal(recorder.y, y_end) and recorder.value == value_end
+                assert recorder.steps
+                for y, d, value in recorder.steps:
+                    best = max(
+                        big_f(SpectrumVector(A, math.cos(t) * y + math.sin(t) * d))
+                        for t in grid
+                    )
+                    assert value >= best - 1e-12 * best
+
+    def test_no_step_when_f_does_not_rise_along_d(self):
+        # F = cos^4 + sin^4 on the circle: flat at t = 0, so no uphill step
+        assert _circle_argmax(np.array([1.0, 0.0, 0.0, 0.0, 1.0])) is None
+        # near t = 0, F = 1 + 4e-3 t - 2 t^2 + O(t^3): the top is near t = 1e-3
+        c, s = _circle_argmax(np.array([1.0, 1e-3, 0.0, 0.0, 1.0]))
+        assert c > 0.0 and abs(s - 1e-3) < 1e-5
+
+    def _count_transforms(self, monkeypatch, A):
+        import cubequartic.quartic
+
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return walsh_transform(values)
+
+        monkeypatch.setattr(cubequartic.quartic, "walsh_transform", counted)
+        return mu_lower(A, FAST), calls
+
+    def test_dense_route_runs_two_transforms_per_step(self, monkeypatch):
+        A = SupportSet.sphere(7, 3)
+        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _DenseKernel
+        est, calls = self._count_transforms(monkeypatch, A)
+        # per start: one to evaluate it, then the gradient and the
+        # transform of the direction in each iteration, except the last
+        # iteration of a run that stops at a stationary point, which
+        # only computes the gradient; and one for the certificate
+        expected = 1 + sum(
+            1 + 2 * run.iterations - (run.exit == "stationary") for run in est.runs
+        )
+        assert len(calls) == expected
+        assert any(run.exit != "stationary" for run in est.runs)
+
+    def test_sparse_route_runs_no_transform(self, monkeypatch):
+        A = SupportSet.sphere(12, 2)
+        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _SparseKernel
+        est, calls = self._count_transforms(monkeypatch, A)
+        assert calls == [] and est.iterations > 0
+
+
 class TestMuLower:
     def test_singleton_short_circuit(self):
         est = mu_lower(SupportSet.from_masks(4, [9]))
         assert est.value == 1.0
         assert est.starts_used == 1 and est.iterations == 0
         assert est.converged
+        assert len(est.runs) == 1
+
+    def test_runs_record_every_start(self, rng):
+        EXITS = {"stationary", "no-uphill", "window", "iteration-cap"}
+        A = SupportSet.from_masks(7, [int(m) for m in rng.choice(128, 24, replace=False)])
+        extra = SpectrumVector(A, rng.standard_normal(len(A)))
+        for cfg in (FAST, OptimizerConfig(starts=5, max_iters=2, seed=2)):
+            est = mu_lower(A, cfg, extra_starts=(extra,))
+            kinds = [run.kind for run in est.runs]
+            assert len(est.runs) == est.starts_used
+            assert kinds[: 2 + cfg.starts] == ["uniform", "extra"] + ["gaussian"] * cfg.starts
+            assert set(kinds[2 + cfg.starts :]) <= {"level"}
+            assert sum(run.iterations for run in est.runs) == est.iterations
+            assert all(run.exit in EXITS for run in est.runs)
+            best = max(est.runs, key=lambda run: run.value)
+            assert est.converged == (best.exit != "iteration-cap")
+            assert math.isclose(est.value, best.value, rel_tol=1e-12)
+            # two iterations leave the best run of this set at the cap
+            assert est.converged == (cfg is FAST)
 
     def test_subspace_reaches_its_size(self):
         V = SupportSet.span(4, [3, 5])

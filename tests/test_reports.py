@@ -28,7 +28,7 @@ from cubequartic.reports import (
     tensorization_check,
     uncertainty_report,
 )
-from cubequartic.suites import SUITE_NAMES, run_suites
+from cubequartic.suites import SUITE_NAMES, run_suites, suite_additive
 
 FAST = OptimizerConfig(starts=6, max_iters=1500, seed=3)
 
@@ -302,6 +302,30 @@ class TestSuites:
         results = run_suites(["additive"], seed=5)
         assert len(results) == 1 and results[0][0] == "additive"
         assert all(r.overall for r in results[0][1])
+
+    def test_additive_suite_builds_one_pair_table_per_set(self, monkeypatch):
+        import cubequartic.additive
+        import cubequartic.suites
+
+        original = cubequartic.additive.pair_multiplicities
+        direct, elsewhere = [], []
+
+        def counted(log):
+            def call(A, **kwargs):
+                log.append(A)
+                return original(A, **kwargs)
+
+            return call
+
+        # suite_additive calls its own binding; energy_ratio the module's
+        monkeypatch.setattr(cubequartic.suites, "pair_multiplicities", counted(direct))
+        monkeypatch.setattr(cubequartic.additive, "pair_multiplicities", counted(elsewhere))
+        reports = suite_additive(seed=0)
+        assert all(r.overall for r in reports)
+        # one table per trial of the 20-trial energy corpus
+        assert len(direct) == 20
+        # elsewhere only energy_ratio, once in each of the 8 hereditary trials
+        assert len(elsewhere) == 8
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
