@@ -87,6 +87,10 @@ class MultiplicityTable:
         """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
         return 1 + max((c for x, c in self.counts.items() if x != 0), default=0)
 
+    def energy(self) -> int:
+        """E2(A, A) = sum over x of |M_x|^2."""
+        return sum(c * c for c in self.counts.values())
+
 
 @dataclass(frozen=True, eq=False)
 class PairIndex:
@@ -202,8 +206,7 @@ def m_bound(A: SupportSet, *, dense_cap: int | None = None) -> int:
 
 def additive_energy(A: SupportSet, *, dense_cap: int | None = None) -> int:
     """E2(A, A), the number of XOR quadruples, exactly."""
-    table = pair_multiplicities(A, dense_cap=dense_cap)
-    return sum(c * c for c in table.counts.values())
+    return pair_multiplicities(A, dense_cap=dense_cap).energy()
 
 
 def energy_ratio(A: SupportSet, *, dense_cap: int | None = None) -> Fraction:

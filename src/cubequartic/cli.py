@@ -240,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     table = pair_multiplicities(A, dense_cap=args.dense_cap, index=index)
     mult = table.m_bound()
     upper = mu_upper(A, dense_cap=args.dense_cap, multiplicity=mult)
-    energy = sum(c * c for c in table.counts.values())
+    energy = table.energy()
     ratio = Fraction(energy, len(A) ** 2)
     hered = hereditary_energy(
         A, exact_limit=args.exact_limit, certificate=est.certificate, index=index

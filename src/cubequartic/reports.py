@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -250,11 +249,6 @@ def sumset_bound_report(B: SupportSet, C: SupportSet, k1: int, k2: int) -> Bound
     return report
 
 
-@lru_cache(maxsize=None)
-def _r_cached(n: int, k: int) -> Fraction:
-    return r_exact(SphereParams(n, k))
-
-
 def ball_bound_report(
     n: int,
     k: int,
@@ -306,8 +300,8 @@ def ball_bound_report(
                 provenance="equality holds exactly at radius 0 and radius n/2",
             )
         )
-    r_k = _r_cached(n, k)
-    worst = max((_r_cached(n, i) for i in range(k + 1)), default=Fraction(1))
+    ratios = [r_exact(SphereParams(n, i)) for i in range(k + 1)]
+    r_k, worst = ratios[-1], max(ratios)
     report.checks.append(
         check_le(
             "sphere energy ratios increase with radius",
@@ -479,7 +473,7 @@ def conjecture_scan(
         n, k = cell
         A = SupportSet.sphere(n, k)
         ratio = set_energy_ratio(A)
-        closed = _r_cached(n, k)
+        closed = r_exact(SphereParams(n, k))
         if ratio != closed:
             raise RuntimeError(
                 f"energy-ratio routes disagree at (n={n}, k={k}): {ratio} vs {closed}"
@@ -705,13 +699,13 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                 check_ge(
                     f"central window holds the mass (n={n}, k={k})",
                     Fraction(n + 1, n) * central,
-                    _r_cached(n, k),
+                    r_exact(p),
                     provenance="geometric decay away from the peak, exact rationals",
                     detail=f"window radii [{lo_t}, {hi_t}]",
                 )
             )
 
-            ratio_adj = _r_cached(n - 1, k) / _r_cached(n - 1, k - 1)
+            ratio_adj = r_exact(SphereParams(n - 1, k)) / r_exact(SphereParams(n - 1, k - 1))
             report.checks.append(
                 Check(
                     f"adjacent-radius totals within a factor of nine (n={n}, k={k})",
@@ -743,7 +737,7 @@ def psi_envelope_report(n_max: int = 256, *, k_min: int = 8) -> BoundReport:
     violations_down: list[tuple[int, int]] = []
     for n in range(1, n_max + 1):
         for k in range(0, n // 2 + 1):
-            log_r = log2_fraction(_r_cached(n, k))
+            log_r = log2_fraction(r_exact(SphereParams(n, k)))
             envelope = n * psi_value(k / n)
             margin_up = envelope + slack - log_r
             if worst_up is None or margin_up < worst_up[0]:

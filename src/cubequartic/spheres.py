@@ -7,9 +7,11 @@ even weight 2t, and the normalised pair-correlation mass at weight 2t is
 
 Their total r(n, k) = sum_t s_t equals the additive energy of the
 sphere divided by its squared size, which is the value of the quartic
-form at the uniform unit vector.  Everything in this module is exact
-big-rational arithmetic except the two stated float roots t1, t2 and
-the deliberately-float small-k estimate.
+form at the uniform unit vector.  Every s_t shares the denominator
+C(n, k)^2, so r(n, k) and the argmax are read from integer numerators.
+Everything in this module is exact integer or rational arithmetic
+except the two stated float roots t1, t2 and the deliberately-float
+small-k estimate.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def s_t_exact(p: SphereParams, t: int) -> Fraction:
     return Fraction(math.comb(n, 2 * t) * inner * inner, math.comb(n, k) ** 2)
 
 
+def _ratio_terms(n: int, k: int, t: int) -> tuple[int, int]:
+    """Integer numerator and denominator of s_{t+1}/s_t (see ``ratio_st``)."""
+    return (
+        2 * (2 * t + 1) * (k - t) ** 2 * (n - k - t) ** 2,
+        (t + 1) ** 3 * (n - 2 * t) * (n - 2 * t - 1),
+    )
+
+
 def ratio_st(p: SphereParams, t: int) -> Fraction:
     """s_{t+1} / s_t in closed form,
 
@@ -84,30 +94,29 @@ def ratio_st(p: SphereParams, t: int) -> Fraction:
         raise ValueError(f"s_{t}({n},{k}) is zero; ratio undefined")
     if 2 * (t + 1) > n:
         return Fraction(0)
-    return Fraction(2 * (2 * t + 1), (t + 1) ** 3) * Fraction(
-        (k - t) ** 2 * (n - k - t) ** 2, (n - 2 * t) * (n - 2 * t - 1)
-    )
+    return Fraction(*_ratio_terms(n, k, t))
 
 
-def _mass_chain(p: SphereParams) -> list[Fraction]:
-    """[s_0, ..., s_{min(k, n-k)}] built by the ratio recurrence from s_0 = 1.
+def _mass_chain(p: SphereParams) -> list[int]:
+    """[N_0, ..., N_{min(k, n-k)}] with N_t = s_t * C(n, k)^2, an integer.
 
-    Every later mass is zero.  Cheaper than evaluating each
-    squared-binomial mass independently: only small-denominator
-    rationals are multiplied at each step.
+    Built by the ratio recurrence from N_0 = C(n, k)^2 in integers; the
+    division is exact because every N_t is an integer.  Every later
+    mass is zero.
     """
-    chain = [Fraction(1)]
+    chain = [p.size**2]
     for t in range(min(p.k, p.n - p.k)):
-        chain.append(chain[-1] * ratio_st(p, t))
+        num, den = _ratio_terms(p.n, p.k, t)
+        quotient, remainder = divmod(chain[-1] * num, den)
+        assert remainder == 0, "sphere mass numerator not an integer"
+        chain.append(quotient)
     return chain
 
 
 def r_exact(p: SphereParams) -> Fraction:
     """r(n, k) = sum_t s_t(n, k), exact."""
-    if 0 < p.k < p.n:
-        return sum(_mass_chain(p), Fraction(0))
-    # degenerate spheres are single points: only s_0 = 1 survives
-    return Fraction(1)
+    chain = _mass_chain(p)
+    return Fraction(sum(chain), chain[0])
 
 
 def t1(p: SphereParams) -> float:
@@ -131,14 +140,8 @@ def t2(p: SphereParams) -> float:
 
 def argmax_st(p: SphereParams) -> int:
     """The t maximising s_t(n, k); smallest such t on exact ties."""
-    if p.k < 1 or p.k > p.n - 1:
-        return 0
     chain = _mass_chain(p)
-    best_t = 0
-    for t, mass in enumerate(chain):
-        if mass > chain[best_t]:
-            best_t = t
-    return best_t
+    return chain.index(max(chain))
 
 
 def sphere_sum_bound(k: int) -> int:
@@ -182,18 +185,17 @@ def sphere_table(p: SphereParams) -> list[SphereTableRow]:
     """Rows t = 0 .. k with masses, step ratios and partial sums.
 
     The final cumulative value is exactly r(n, k); ratio_to_prev on row
-    t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  The masses
-    come from the ratio chain; ``s_t_exact`` is the independent route
-    that tests compare them with.
+    t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  Each mass
+    is the previous one times its row's ratio, from s_0 = 1;
+    ``s_t_exact`` is the independent route that tests compare them with.
     """
-    masses = _mass_chain(p)
-    masses += [Fraction(0)] * (p.k + 1 - len(masses))
     rows: list[SphereTableRow] = []
-    running = Fraction(0)
-    for t, mass in enumerate(masses):
+    mass, running = Fraction(1), Fraction(0)
+    for t in range(p.k + 1):
+        ratio = None
+        if t > 0 and mass:
+            ratio = ratio_st(p, t - 1)
+            mass *= ratio
         running += mass
-        ratio = (
-            ratio_st(p, t - 1) if t > 0 and masses[t - 1] != 0 else None
-        )
         rows.append(SphereTableRow(t, mass, ratio, running))
     return rows

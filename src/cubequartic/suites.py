@@ -213,7 +213,7 @@ def suite_additive(seed: int = 0) -> list[BoundReport]:
         n = int(rng.integers(2, 11))
         A = _random_support(rng, n, 18)
         table = pair_multiplicities(A)
-        energy = sum(c * c for c in table.counts.values())
+        energy = table.energy()
         brute = _brute_energy(A.elements)
         energies.checks.append(
             Check(
@@ -386,27 +386,25 @@ def suite_sphere(seed: int = 0) -> list[BoundReport]:
         n = int(rng.integers(2, 41))
         k = int(rng.integers(0, n + 1))
         p = SphereParams(n, k)
-        masses = [s_t_exact(p, t) for t in range(0, min(k, n - k) + 1)] if k <= n else []
-        total = sum(masses, Fraction(0)) if masses else Fraction(1)
+        masses = [s_t_exact(p, t) for t in range(0, min(k, n - k) + 1)]
+        total = sum(masses, Fraction(0))
+        chain_total = r_exact(p)
         closed.checks.append(
             Check(
                 f"chain total equals the sum (trial {trial}, n={n}, k={k})",
-                r_exact(p),
+                chain_total,
                 "==",
                 total,
-                r_exact(p) == total,
+                chain_total == total,
                 provenance="running chain vs direct binomial masses",
             )
         )
         if 0 < k <= n - 1:
             t = int(rng.integers(0, k))
-            if s_t_exact(p, t) != 0:
+            mass = s_t_exact(p, t)
+            if mass != 0:
                 step = ratio_st(p, t)
-                direct = (
-                    s_t_exact(p, t + 1) / s_t_exact(p, t)
-                    if s_t_exact(p, t) != 0
-                    else None
-                )
+                direct = s_t_exact(p, t + 1) / mass
                 closed.checks.append(
                     Check(
                         f"step ratio closed form (trial {trial}, t={t})",

@@ -1,5 +1,8 @@
 """Set-file ingestion, command output schemas, exit codes, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -208,6 +211,18 @@ class TestAnalyze:
         assert results["additive"]["multiplicity_bound"] == 7
         assert results["mu_upper"]["multiplicity_bound"] == 7
 
+    def test_csv_flattens_the_results(self, tmp_path, capsys):
+        path = write(tmp_path, "n=3\nsphere 3 1\n")
+        _, out_json, _ = run(capsys, ["analyze", path] + FAST)
+        code, out, err = run(capsys, ["analyze", path, "--format", "csv"] + FAST)
+        assert code == EXIT_OK and err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["field", "value"]
+        fields = dict(rows[1:])
+        results = json.loads(out_json)["results"]
+        assert float(fields["mu_upper.best"]) == results["mu_upper"]["best"]
+        assert fields["additive.energy_ratio"] == results["additive"]["energy_ratio"]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "n=4\nsphere 4 2\n")
         argv = ["analyze", path, "--seed", "7"] + FAST
@@ -310,6 +325,49 @@ class TestScan:
         assert lines[1].startswith("2,1,")
 
 
+class TestScanStatuses:
+    """Gap thresholds of the scan, reached by shifting the ascent value."""
+
+    @staticmethod
+    def shift_ascent(monkeypatch, delta):
+        import cubequartic.reports
+
+        original = cubequartic.reports.mu_lower
+
+        def shifted(*args, **kwargs):
+            est = original(*args, **kwargs)
+            return dataclasses.replace(est, value=est.value + delta)
+
+        monkeypatch.setattr(cubequartic.reports, "mu_lower", shifted)
+
+    def test_large_gap_is_a_candidate_with_certificate(self, capsys, monkeypatch):
+        self.shift_ascent(monkeypatch, 1e-3)
+        code, out, _ = run(capsys, ["scan", "--n-max", "3"] + FAST)
+        assert code == EXIT_OK
+        records = json.loads(out)["results"]["records"]
+        assert [(r["n"], r["k"]) for r in records] == [(2, 1), (3, 1)]
+        for rec in records:
+            assert rec["status"] == "counterexample-candidate"
+            assert rec["gap"] > 1e-4
+            assert len(rec["certificate"]) == math.comb(rec["n"], rec["k"])
+
+    def test_small_gap_is_inconclusive(self, capsys, monkeypatch):
+        self.shift_ascent(monkeypatch, 1e-5)
+        code, out, _ = run(capsys, ["scan", "--n-max", "3"] + FAST)
+        assert code == EXIT_OK
+        for rec in json.loads(out)["results"]["records"]:
+            assert rec["status"] == "inconclusive"
+            assert 1e-6 < rec["gap"] <= 1e-4
+            assert rec["certificate"] is None
+
+    def test_negative_gap_aborts(self, capsys, monkeypatch):
+        self.shift_ascent(monkeypatch, -1e-4)
+        code, out, err = run(capsys, ["scan", "--n-max", "3"] + FAST)
+        assert code == EXIT_CHECK_FAILED
+        assert out == ""
+        assert "scan aborted" in err
+
+
 class TestVerify:
     def test_core_suite(self, capsys):
         code, out, err = run(capsys, ["verify", "--suite", "core"] + FAST)
@@ -336,6 +394,19 @@ class TestVerify:
         _, second, _ = run(capsys, argv)
         assert first == second
         assert json.loads(first)["config"]["seed"] == 9
+
+    def test_failing_hard_check_exits_nonzero(self, capsys, monkeypatch):
+        import cubequartic.suites
+        from cubequartic.reporting import BoundReport, Check
+
+        def planted(seed=0):
+            return [BoundReport("planted", [Check("one equals two", 1, "==", 2, False)])]
+
+        monkeypatch.setattr(cubequartic.suites, "suite_core", planted)
+        code, out, err = run(capsys, ["verify", "--suite", "core"] + FAST)
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)["results"]["overall"] is False
+        assert "hard check failed: core/planted: one equals two" in err
 
     def test_unknown_suite_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

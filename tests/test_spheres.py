@@ -189,6 +189,26 @@ class TestPeak:
                 assert abs(argmax_st(p) - t1(p)) <= 1.0
 
 
+class TestIntegerChain:
+    """r_exact and argmax_st read the integer mass chain, which the table
+    does not use; both are checked against the squared-binomial masses."""
+
+    @staticmethod
+    def assert_matches_masses(n, k):
+        p = SphereParams(n, k)
+        masses = [s_t_exact(p, t) for t in range(k + 1)]
+        assert r_exact(p) == sum(masses, Fraction(0)), (n, k)
+        assert argmax_st(p) == masses.index(max(masses)), (n, k)
+
+    def test_every_cell_up_to_64(self):
+        for n in range(1, 65):
+            for k in range(n + 1):
+                self.assert_matches_masses(n, k)
+
+    def test_large_cell(self):
+        self.assert_matches_masses(2048, 1024)
+
+
 class TestBounds:
     def test_sum_bound_frozen(self):
         assert [sphere_sum_bound(k) for k in range(4)] == [1, 3, 15, 93]
