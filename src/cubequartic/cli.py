@@ -3,8 +3,8 @@
 Output contract: reports go to stdout as JSON (default) or RFC-4180 CSV,
 logs go to stderr.  Exact values (rationals, oversized integers) are
 serialized as strings so no reader silently rounds them; floats use the
-shortest round-trip form.  Exit codes: 0 ok, 1 hard-check failure,
-2 usage or parse error, 3 resource cap.
+shortest round-trip form.  Exit codes: 0 ok, 1 hard-check failure or
+aborted internal check, 2 usage or parse error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -339,14 +339,9 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _optimizer_config(args)
-    try:
-        records = conjecture_scan(
-            args.n_max, cfg, threads=args.threads, dense_cap=args.dense_cap
-        )
-    except RuntimeError as exc:
-        print(f"scan aborted: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    records = conjecture_scan(
+        args.n_max, _optimizer_config(args), threads=args.threads, dense_cap=args.dense_cap
+    )
     results = {"records": [_record_payload(r) for r in records]}
     document = _document(
         "scan",
@@ -357,10 +352,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     csv_rows = None
     if args.format == "csv":
         csv_rows = [["n", "k", "mu_est", "energy_ratio", "gap", "upper_gap", "status"]]
-        for r in records:
-            csv_rows.append(
-                [r.n, r.k, r.mu_est, _exact(r.energy_ratio), r.gap, r.upper_gap, r.status]
-            )
+        for record in results["records"]:
+            csv_rows.append([v for key, v in record.items() if key != "certificate"])
     _emit(document, args.format, csv_rows)
     return EXIT_OK
 
@@ -383,23 +376,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         csv_rows = [
             ["suite", "subject", "check", "lhs", "relation", "rhs", "passed", "hard", "provenance", "detail"]
         ]
-        for name, reports in suites:
-            for report in reports:
-                for c in report.checks:
-                    csv_rows.append(
-                        [
-                            name,
-                            report.subject,
-                            c.name,
-                            _exact(c.lhs),
-                            c.relation,
-                            _exact(c.rhs),
-                            c.passed,
-                            c.hard,
-                            c.provenance,
-                            c.detail,
-                        ]
-                    )
+        for suite in results["suites"]:
+            for report in suite["reports"]:
+                for check in report["checks"]:
+                    csv_rows.append([suite["name"], report["subject"], *check.values()])
     _emit(document, args.format, csv_rows)
     if not overall:
         failing = [
@@ -481,6 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, CubeQuarticError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # a violated internal bracket (scan) or pair-table cross-check
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

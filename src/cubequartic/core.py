@@ -46,7 +46,6 @@ __all__ = [
     "SpectrumVector",
     "Moments",
     "walsh_transform",
-    "walsh_transform_reference",
     "analyze",
     "synthesize",
     "moments",
@@ -332,28 +331,6 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
         view[:, 1, :] = top - view[:, 1, :]
         h *= 2
     return values
-
-
-def walsh_transform_reference(values: np.ndarray) -> np.ndarray:
-    """Literal O(4^n) character sum, kept only as a slow cross-check.
-
-    Refuses n > 12 because the quadratic blow-up serves no purpose
-    beyond oracle duty.
-    """
-    size = len(values)
-    n = size.bit_length() - 1
-    if size != (1 << n):
-        raise ValueError(f"length {size} is not a power of two")
-    if n > 12:
-        raise ResourceLimitError("reference transform capped at n=12")
-    out = np.zeros(size, dtype=np.asarray(values).dtype)
-    for a in range(size):
-        acc = 0
-        for x in range(size):
-            sign = -1 if (a & x).bit_count() & 1 else 1
-            acc = acc + sign * values[x]
-        out[a] = acc
-    return out
 
 
 def analyze(f: CubeFunction, *, dense_cap: int | None = None) -> Spectrum:

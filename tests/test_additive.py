@@ -437,11 +437,11 @@ class TestDyadicLevelSets:
             assert sorted(seen) == nonzero
 
     def test_cutoff_depth(self):
-        size = 64
-        A = SupportSet.from_masks(7, list(range(1, size + 1)))
-        y = SpectrumVector.uniform(A)
-        dec = dyadic_level_sets(y)
-        assert dec.cutoff == 5  # ceil(log2(64)/2) + 2
+        # ceil(log2(size)/2) + 2, and 2 for a single element
+        for size, cutoff in ((1, 2), (2, 3), (4, 3), (5, 4), (64, 5), (65, 6)):
+            A = SupportSet.from_masks(7, list(range(1, size + 1)))
+            dec = dyadic_level_sets(SpectrumVector.uniform(A))
+            assert dec.cutoff == cutoff, size
 
     def test_requires_normalized_nonnegative(self):
         A = SupportSet.from_masks(3, [1, 2])

@@ -159,6 +159,16 @@ class TestCombine:
             y = float(rng.uniform(x / 9.0, 9.0 * x))
             assert f_combine(x, y) >= max(x, y) * (1.0 - 1e-12)
 
+    def test_monotone_in_each_argument(self, rng):
+        for _ in range(50):
+            x = float(rng.uniform(0.1, 10.0))
+            y = float(rng.uniform(x / 9.0, 9.0 * x))
+            bump = 1.0 + 1e-6
+            if y * bump < 9.0 * x:
+                assert f_combine(x, y * bump) >= f_combine(x, y) - 1e-12
+            if x * bump < 9.0 * y:
+                assert f_combine(x * bump, y) >= f_combine(x, y) - 1e-12
+
     def test_diagonal(self):
         for x in (0.5, 2.0, 7.0):
             assert math.isclose(f_combine(x, x), 2.0 * x, rel_tol=1e-15)

@@ -408,6 +408,32 @@ class TestVerify:
         assert json.loads(out)["results"]["overall"] is False
         assert "hard check failed: core/planted: one equals two" in err
 
+    def test_csv_rows_match_the_json_checks(self, capsys):
+        argv = ["verify", "--suite", "asymptotics"]
+        _, out_json, _ = run(capsys, argv)
+        _, out_csv, _ = run(capsys, argv + ["--format", "csv"])
+        expected = [
+            [suite["name"], report["subject"]]
+            + ["" if v is None else str(v) for v in check.values()]
+            for suite in json.loads(out_json)["results"]["suites"]
+            for report in suite["reports"]
+            for check in report["checks"]
+        ]
+        rows = list(csv.reader(io.StringIO(out_csv)))
+        assert rows[0] == [
+            "suite", "subject", "check", "lhs", "relation", "rhs",
+            "passed", "hard", "provenance", "detail",
+        ]
+        assert rows[1:] == expected
+
+    def test_internal_violation_aborts_without_output(self, capsys, monkeypatch):
+        # a lower bound above the exact ratio makes the scan inside bounds raise
+        TestScanStatuses.shift_ascent(monkeypatch, -1e-4)
+        code, out, err = run(capsys, ["verify", "--suite", "bounds"] + FAST)
+        assert code == EXIT_CHECK_FAILED
+        assert out == ""
+        assert err.startswith("verify aborted: ")
+
     def test_unknown_suite_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])

@@ -17,7 +17,6 @@ from cubequartic.core import (
     support_of,
     synthesize,
     walsh_transform,
-    walsh_transform_reference,
 )
 from cubequartic.errors import (
     DimensionMismatchError,
@@ -49,16 +48,6 @@ class TestWalshTransform:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_transform(np.zeros(6))
-
-    def test_reference_cap(self):
-        with pytest.raises(ResourceLimitError):
-            walsh_transform_reference(np.zeros(1 << 13))
-
-    def test_reference_agrees(self, rng):
-        values = rng.standard_normal(256)
-        assert np.allclose(
-            walsh_transform_reference(values), walsh_transform(values.copy()), atol=1e-10
-        )
 
 
 class TestAnalyzeSynthesize:

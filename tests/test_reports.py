@@ -28,7 +28,7 @@ from cubequartic.reports import (
     tensorization_check,
     uncertainty_report,
 )
-from cubequartic.suites import SUITE_NAMES, run_suites, suite_additive
+from cubequartic.suites import SUITE_NAMES, run_suites
 
 FAST = OptimizerConfig(starts=6, max_iters=1500, seed=3)
 
@@ -303,29 +303,51 @@ class TestSuites:
         assert len(results) == 1 and results[0][0] == "additive"
         assert all(r.overall for r in results[0][1])
 
-    def test_additive_suite_builds_one_pair_table_per_set(self, monkeypatch):
-        import cubequartic.additive
+    def test_every_report_runs_in_exactly_one_suite(self, monkeypatch):
+        import cubequartic.reports
         import cubequartic.suites
 
-        original = cubequartic.additive.pair_multiplicities
-        direct, elsewhere = [], []
+        reports = [name for name in cubequartic.reports.__all__ if name != "log2_fraction"]
+        shapes = [
+            "r_identity_check",
+            "psi_concavity_check",
+            "psi_linear_bound_check",
+            "phi_derivative_report",
+        ]
+        running = []
+        callers = {name: set() for name in reports + shapes}
 
-        def counted(log):
-            def call(A, **kwargs):
-                log.append(A)
-                return original(A, **kwargs)
+        def counted(name, func):
+            def call(*args, **kwargs):
+                callers[name].add(running[-1])
+                return func(*args, **kwargs)
 
             return call
 
-        # suite_additive calls its own binding; energy_ratio the module's
-        monkeypatch.setattr(cubequartic.suites, "pair_multiplicities", counted(direct))
-        monkeypatch.setattr(cubequartic.additive, "pair_multiplicities", counted(elsewhere))
-        reports = suite_additive(seed=0)
-        assert all(r.overall for r in reports)
-        # one table per trial of the 20-trial energy corpus
-        assert len(direct) == 20
-        # elsewhere only energy_ratio, once in each of the 8 hereditary trials
-        assert len(elsewhere) == 8
+        def entered(suite, func):
+            def call(*args, **kwargs):
+                running.append(suite)
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    running.pop()
+
+            return call
+
+        for name in callers:
+            original = getattr(cubequartic.suites, name)
+            monkeypatch.setattr(cubequartic.suites, name, counted(name, original))
+        for suite in SUITE_NAMES:
+            attr = f"suite_{suite}"
+            original = getattr(cubequartic.suites, attr)
+            monkeypatch.setattr(cubequartic.suites, attr, entered(suite, original))
+        results = run_suites(["all"], seed=0, cfg=FAST)
+        assert {name: len(suites) for name, suites in callers.items()} == {
+            name: 1 for name in callers
+        }
+        for name, suite_reports in results:
+            assert suite_reports, f"suite {name} returned no reports"
+            assert all(r.checks for r in suite_reports), name
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
