@@ -20,12 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_DENSE_CAP, SpectrumVector, SupportSet, walsh_transform
+from .core import DEFAULT_DENSE_CAP, PAIR_ENUMERATION_LIMIT, PairIndex, SupportSet
+from .core import SpectrumVector, walsh_transform
 from .errors import DimensionMismatchError, ResourceLimitError
-
-# Direct pair enumeration materialises |A|^2 XOR values; beyond this
-# many entries the dense convolution path must carry the computation.
-PAIR_ENUMERATION_LIMIT = 40_000_000
 
 # the greedy removal sweep gathers O(|A|^3) pair counts in numpy over
 # all its rounds; above this size only the full set and the certificate
@@ -92,52 +89,6 @@ class MultiplicityTable:
         return sum(c * c for c in self.counts.values())
 
 
-@dataclass(frozen=True, eq=False)
-class PairIndex:
-    """Every ordered pair of a set of masks, grouped by its XOR sum.
-
-    ``sums`` holds the distinct values of A + A in increasing order and
-    ``counts[k]`` = |M_x| for x = sums[k]; ``inverse[i, j]`` is the
-    position in ``sums`` of masks[i] ^ masks[j].  Building it costs one
-    sort of the |A|^2 pair sums, after which the pair table, the sparse
-    quartic kernel and the greedy hereditary search read it directly.
-    Masks are int64, or python ints (object arrays) from 2^62 up.
-    """
-
-    masks: np.ndarray
-    sums: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
-
-    @classmethod
-    def of(cls, masks: Sequence[int]) -> "PairIndex":
-        wide = len(masks) > 0 and max(masks) >= 1 << 62
-        arr = np.asarray(masks, dtype=object if wide else np.int64)
-        sums, inverse, counts = np.unique(
-            (arr[:, None] ^ arr[None, :]).ravel(),
-            return_inverse=True,
-            return_counts=True,
-        )
-        return cls(arr, sums, counts, inverse.reshape(len(arr), len(arr)))
-
-    def table(self) -> dict[int, int]:
-        return dict(zip(self.sums.tolist(), self.counts.tolist()))
-
-    def energy(self) -> int:
-        # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
-        return int(np.dot(self.counts, self.counts))
-
-    def pair_sums(
-        self, coords: np.ndarray, other: np.ndarray | None = None
-    ) -> np.ndarray:
-        """sum over (a, b) in M_x of y_a z_b, for each x in ``sums``.
-
-        z is ``other``, or y itself when it is not given.
-        """
-        weights = np.outer(coords, coords if other is None else other)
-        return np.bincount(self.inverse.ravel(), weights=weights.ravel())
-
-
 def _convolution_table(A: SupportSet) -> dict[int, int]:
     """|M_x| via the convolution theorem on the integer indicator.
 
@@ -157,68 +108,57 @@ def _convolution_table(A: SupportSet) -> dict[int, int]:
 
 
 def pair_multiplicities(
-    A: SupportSet,
-    *,
-    dense_cap: int | None = None,
-    index: PairIndex | None = None,
+    A: SupportSet, *, dense_cap: int | None = None
 ) -> MultiplicityTable:
     """The table x -> |M_x| over ordered pairs of A.
 
     Two independent routes exist: direct pair enumeration (any n, cost
-    |A|^2) and dense XOR self-convolution (cost n 2^n, needs the dense
-    cap).  When both are affordable the results are cross-checked
-    against each other before being returned.  A caller holding the
-    pair index of A passes it to skip the enumeration.
+    |A|^2, read off ``A.pairs``) and dense XOR self-convolution (cost
+    n 2^n, needs the dense cap).  When both are affordable the results
+    are cross-checked against each other before being returned.
     """
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
     size = len(A)
     if size == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
-    enum_ok = size * size <= PAIR_ENUMERATION_LIMIT
-    # int64 overflow guard: intermediate convolution sums reach 2^n |A|^2
-    conv_ok = A.n <= cap and A.n + 2 * size.bit_length() < 62
-    if enum_ok:
-        if index is None:
-            index = PairIndex.of(A.elements)
-        table = index.table()
-        if conv_ok:
-            if table != _convolution_table(A):
-                raise RuntimeError(
-                    "pair multiplicity cross-check failed between "
-                    "enumeration and convolution"
-                )
+    # the convolution's int64 sums reach 2^n |A|^2 < 2^(n + 2 bitlen |A|)
+    fits_int64 = A.n + 2 * size.bit_length() < 62
+    conv_ok = A.n <= cap and fits_int64
+    if A.pairs_within_cap():
+        table = A.pairs.table()
+        if conv_ok and table != _convolution_table(A):
+            raise RuntimeError(
+                "pair multiplicity cross-check failed between "
+                "enumeration and convolution"
+            )
     elif conv_ok:
         table = _convolution_table(A)
     else:
         raise ResourceLimitError(
-            f"set of size {size} in dimension {A.n} is too large for both "
-            f"pair enumeration and dense convolution"
+            f"pair stage: the {size * size} pairs of a {size}-element set in "
+            f"dimension {A.n} exceed the enumeration cap, and the dense "
+            f"convolution needs n <= {cap} and n + 2 bitlen|A| < 62"
         )
     return MultiplicityTable(A.n, table)
 
 
 def m_bound(A: SupportSet, *, dense_cap: int | None = None) -> int:
     """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
-    if len(A) == 0:
-        raise ValueError("m bound undefined for the empty set")
     return pair_multiplicities(A, dense_cap=dense_cap).m_bound()
 
 
-def additive_energy(A: SupportSet, *, dense_cap: int | None = None) -> int:
+def additive_energy(A: SupportSet) -> int:
     """E2(A, A), the number of XOR quadruples, exactly."""
-    return pair_multiplicities(A, dense_cap=dense_cap).energy()
+    return pair_multiplicities(A).energy()
 
 
-def energy_ratio(A: SupportSet, *, dense_cap: int | None = None) -> Fraction:
+def energy_ratio(A: SupportSet) -> Fraction:
     """E2(A, A) / |A|^2 as an exact rational.
 
     This is the value of the quartic form at the uniform unit vector on
     A, hence a certified lower bound for the maximum.
     """
-    size = len(A)
-    if size == 0:
-        raise ValueError("energy ratio undefined for the empty set")
-    return Fraction(additive_energy(A, dense_cap=dense_cap), size * size)
+    return Fraction(additive_energy(A), len(A) ** 2)
 
 
 def sumset(B: SupportSet, C: SupportSet) -> SupportSet:
@@ -371,59 +311,74 @@ def check_exhaustive_cap(size: int, exact_limit: int) -> None:
         )
 
 
+def _subset_energy(A: SupportSet, B: SupportSet) -> int:
+    """E2(B, B) for B within A, enumerating no set past the pair cap:
+    off A's index when A is within the cap (no new index is built), else
+    off B's own index or, past the cap, B's pair table."""
+    if A.pairs_within_cap():
+        index = A.pairs
+        if len(B) == len(A):
+            return index.energy()
+        rows = np.searchsorted(index.masks, B.elements)
+        counts = np.bincount(index.inverse[np.ix_(rows, rows)].ravel())
+        return int(np.dot(counts, counts))
+    if B.pairs_within_cap():
+        return B.pairs.energy()
+    return pair_multiplicities(B).energy()
+
+
 def hereditary_energy(
     A: SupportSet,
     *,
     exact_limit: int = 20,
     certificate: SpectrumVector | None = None,
-    index: PairIndex | None = None,
 ) -> HereditaryResult:
     """max over non-empty B subset of A of E2(B, B) / |B|^2.
 
     Exhaustive (and exact) when |A| <= exact_limit; an exhaustive request
     above ``EXHAUSTIVE_LIMIT`` elements raises ResourceLimitError before
     any work.  Above the limit a heuristic search is run instead: the
-    full set, a greedy element-removal sweep, and, when a certificate
-    vector on A is supplied, its dyadic level sets.  The heuristic
-    answer is a certified lower bound with ``exact=False``.  Both
-    searches read the pair index of A, built here unless the caller
-    passes it.
+    full set, a greedy element-removal sweep (on sets of at most
+    ``GREEDY_LIMIT`` elements within the pair cap), and, when a
+    certificate vector on A is supplied, its dyadic level sets.  The
+    heuristic answer is a certified lower bound with ``exact=False``.
+    Both searches read ``A.pairs``; no set past the pair cap is
+    enumerated (see ``_subset_energy``).
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
     if certificate is not None and certificate.support.elements != A.elements:
         raise ValueError("certificate support does not match the set")
     check_exhaustive_cap(len(A), exact_limit)
-    if index is None:
-        index = PairIndex.of(A.elements)
     if len(A) <= exact_limit:
-        masks, ratio = _exhaustive_hereditary(index)
+        masks, ratio = _exhaustive_hereditary(A.pairs)
         return HereditaryResult(SupportSet(A.n, masks), ratio, exact=True)
 
-    # the full set needs no entry: the search below starts from it
-    candidates: list[tuple[int, ...]] = []
+    candidates: list[SupportSet] = []
     if certificate is not None and certificate.norm_squared() > 0.0:
         decomposition = dyadic_level_sets(
             SpectrumVector(
                 certificate.support, np.abs(certificate.coords)
             ).normalize()
         )
-        for _, level in decomposition.levels:
-            candidates.append(level.elements)
-        if len(decomposition.tail):
-            candidates.append(decomposition.tail.elements)
-    if len(A) <= GREEDY_LIMIT:
-        best_set, best_ratio = _greedy_hereditary(index)
+        candidates = [level for _, level in decomposition.levels]
+        candidates.append(decomposition.tail)
+    if len(A) <= GREEDY_LIMIT and A.pairs_within_cap():
+        best_set, best_ratio = _greedy_hereditary(A.pairs)
     else:
         best_set = A.elements
-        best_ratio = Fraction(index.energy(), len(best_set) ** 2)
+        best_ratio = Fraction(_subset_energy(A, A), len(A) ** 2)
     for cand in candidates:
-        ratio = Fraction(PairIndex.of(cand).energy(), len(cand) ** 2)
+        # both searches start from the full set, which a candidate equal
+        # to it cannot beat under the tie rule; an empty tail scores nothing
+        if not 0 < len(cand) < len(A):
+            continue
+        ratio = Fraction(_subset_energy(A, cand), len(cand) ** 2)
         if ratio > best_ratio or (
             ratio == best_ratio
-            and (len(cand), cand) < (len(best_set), best_set)
+            and (len(cand), cand.elements) < (len(best_set), best_set)
         ):
-            best_set, best_ratio = cand, ratio
+            best_set, best_ratio = cand.elements, ratio
     return HereditaryResult(SupportSet(A.n, best_set), best_ratio, exact=False)
 
 

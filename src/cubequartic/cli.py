@@ -16,13 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .additive import (
-    PAIR_ENUMERATION_LIMIT,
-    PairIndex,
-    check_exhaustive_cap,
-    hereditary_energy,
-    pair_multiplicities,
-)
+from .additive import check_exhaustive_cap, hereditary_energy, pair_multiplicities
 from .asymptotics import psi_value
 from .core import DEFAULT_DENSE_CAP, SupportSet
 from .errors import CubeQuarticError, ResourceLimitError, SetFileError
@@ -234,17 +228,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     check_exhaustive_cap(len(A), args.exact_limit)
     cfg = _optimizer_config(args)
-    # one pair index and one pair table serve every stage below
-    index = PairIndex.of(A.elements) if len(A) ** 2 <= PAIR_ENUMERATION_LIMIT else None
-    est = mu_lower(A, cfg, dense_cap=args.dense_cap, index=index)
-    table = pair_multiplicities(A, dense_cap=args.dense_cap, index=index)
+    # A builds its pair index once (A.pairs) for every stage that reads it;
+    # one pair table serves the bounds and the energy
+    est = mu_lower(A, cfg, dense_cap=args.dense_cap)
+    table = pair_multiplicities(A, dense_cap=args.dense_cap)
     mult = table.m_bound()
     upper = mu_upper(A, dense_cap=args.dense_cap, multiplicity=mult)
     energy = table.energy()
     ratio = Fraction(energy, len(A) ** 2)
-    hered = hereditary_energy(
-        A, exact_limit=args.exact_limit, certificate=est.certificate, index=index
-    )
+    hered = hereditary_energy(A, exact_limit=args.exact_limit, certificate=est.certificate)
     total = 1 << A.n
     results = {
         "set": {"n": A.n, "size": len(A)},

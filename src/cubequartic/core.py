@@ -25,6 +25,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,10 +38,16 @@ from .errors import (
 
 DEFAULT_DENSE_CAP = 24
 
+# Direct pair enumeration materialises |A|^2 XOR values; beyond this
+# many entries the dense convolution path must carry the computation.
+PAIR_ENUMERATION_LIMIT = 40_000_000
+
 __all__ = [
     "DEFAULT_DENSE_CAP",
+    "PAIR_ENUMERATION_LIMIT",
     "CubePoint",
     "SupportSet",
+    "PairIndex",
     "CubeFunction",
     "Spectrum",
     "SpectrumVector",
@@ -106,7 +113,8 @@ class SupportSet:
     """A subset of {0,1}^n given as a sorted tuple of bitmasks.
 
     Construct through :meth:`from_masks` (which sorts and rejects
-    duplicates) or one of the named families below.
+    duplicates) or one of the named families below.  The set holds its
+    pair index (``pairs``) once a reader asks for it.
     """
 
     n: int
@@ -196,6 +204,73 @@ class SupportSet:
         values = np.zeros(1 << self.n)
         values[list(self.elements)] = 1.0
         return CubeFunction(self.n, values)
+
+    def pairs_within_cap(self) -> bool:
+        """Whether |A|^2 is within PAIR_ENUMERATION_LIMIT, so ``pairs`` may be built."""
+        return len(self.elements) ** 2 <= PAIR_ENUMERATION_LIMIT
+
+    @cached_property
+    def pairs(self) -> "PairIndex":
+        """The pair index, built on first use and kept for the set's
+        lifetime (|A|^2 int64 entries); its readers share it, so its arrays
+        are read-only.  Refused past the cap before anything is allocated."""
+        size = len(self.elements)
+        if not self.pairs_within_cap():
+            raise ResourceLimitError(
+                f"pair stage: enumerating the {size * size} pairs of a "
+                f"{size}-element set exceeds the cap of {PAIR_ENUMERATION_LIMIT}"
+            )
+        index = PairIndex.of(self.elements)
+        for array in (index.masks, index.sums, index.counts, index.inverse):
+            array.flags.writeable = False
+        return index
+
+
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """Every ordered pair of a set of masks, grouped by its XOR sum.
+
+    ``sums`` holds the distinct values of A + A in increasing order and
+    ``counts[k]`` = |M_x| for x = sums[k]; ``inverse[i, j]`` is the
+    position in ``sums`` of masks[i] ^ masks[j].  Building it costs one
+    sort of the |A|^2 pair sums, after which the pair table, the sparse
+    quartic kernel and the hereditary searches read it directly; a
+    support set builds its own once, as ``SupportSet.pairs``.  Masks are
+    int64, or python ints (object arrays) from 2^62 up.
+    """
+
+    masks: np.ndarray
+    sums: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, masks: Sequence[int]) -> "PairIndex":
+        wide = len(masks) > 0 and max(masks) >= 1 << 62
+        arr = np.asarray(masks, dtype=object if wide else np.int64)
+        sums, inverse, counts = np.unique(
+            (arr[:, None] ^ arr[None, :]).ravel(),
+            return_inverse=True,
+            return_counts=True,
+        )
+        return cls(arr, sums, counts, inverse.reshape(len(arr), len(arr)))
+
+    def table(self) -> dict[int, int]:
+        return dict(zip(self.sums.tolist(), self.counts.tolist()))
+
+    def energy(self) -> int:
+        # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
+        return int(np.dot(self.counts, self.counts))
+
+    def pair_sums(
+        self, coords: np.ndarray, other: np.ndarray | None = None
+    ) -> np.ndarray:
+        """sum over (a, b) in M_x of y_a z_b, for each x in ``sums``.
+
+        z is ``other``, or y itself when it is not given.
+        """
+        weights = np.outer(coords, coords if other is None else other)
+        return np.bincount(self.inverse.ravel(), weights=weights.ravel())
 
 
 def _as_dense(n: int, values: np.ndarray | Sequence[float]) -> np.ndarray:

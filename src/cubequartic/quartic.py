@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import PAIR_ENUMERATION_LIMIT, PairIndex, dyadic_level_sets, m_bound
+from .additive import dyadic_level_sets, m_bound
 from .asymptotics import f_combine, psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
     CubeFunction,
+    PairIndex,
     SpectrumVector,
     SupportSet,
     moments,
@@ -168,18 +169,15 @@ def big_f(y: SpectrumVector) -> float:
     return float(np.dot(sums, sums))
 
 
-def big_f_grad(
-    y: SpectrumVector, *, dense_cap: int | None = None
-) -> SpectrumVector:
+def big_f_grad(y: SpectrumVector) -> SpectrumVector:
     """Gradient of F at y: 4 times the spectrum of f^3 restricted to A.
 
     Uses the dense transform, so the dimension must sit within the
-    dense cap.
+    default dense cap.
     """
     if len(y.support) == 0:
         raise ValueError("F undefined on an empty support")
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    kernel = _DenseKernel(y.support, cap)
+    kernel = _DenseKernel(y.support, DEFAULT_DENSE_CAP)
     _, cube_values = kernel.evaluate(y.coords)
     return SpectrumVector(y.support, kernel.gradient(cube_values))
 
@@ -196,8 +194,7 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
         raise ValueError("vector support does not match the set")
     if len(A) == 0:
         raise ValueError("empty support")
-    index = PairIndex.of(A.elements)
-    return index.pair_sums(y.coords)[index.inverse]
+    return A.pairs.pair_sums(y.coords)[A.pairs.inverse]
 
 
 def _require_transform_cap(n: int, cap: int) -> None:
@@ -314,18 +311,15 @@ class _SparseKernel:
         return float(np.dot(sums, sums)), (c * coords + s * direction, sums)
 
 
-def _choose_kernel(
-    A: SupportSet, cap: int, index: PairIndex | None
-) -> _DenseKernel | _SparseKernel:
+def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
     """The cheaper kernel for A: one call costs about |A|^2 on the pair
     index and n 2^n on the dense transform.
 
     The dense cap bounds both routes, so it is checked first.
     """
     _require_transform_cap(A.n, cap)
-    pairs = len(A) * len(A)
-    if pairs <= A.n << A.n and pairs <= PAIR_ENUMERATION_LIMIT:
-        return _SparseKernel(PairIndex.of(A.elements) if index is None else index)
+    if len(A) * len(A) <= A.n << A.n and A.pairs_within_cap():
+        return _SparseKernel(A.pairs)
     return _DenseKernel(A, cap)
 
 
@@ -431,7 +425,6 @@ def mu_lower(
     *,
     dense_cap: int | None = None,
     extra_starts: tuple[SpectrumVector, ...] = (),
-    index: PairIndex | None = None,
 ) -> MuEstimate:
     """Best F value found by multi-start ascent on the unit sphere.
 
@@ -441,12 +434,11 @@ def mu_lower(
     reported value is F at a feasible point, hence a certified lower
     bound; the uniform start pins it at or above the energy ratio of A.
 
-    F and its gradient come from the pair index of A (built here
-    unless passed) when |A|^2 <= n 2^n and |A|^2 is within
-    PAIR_ENUMERATION_LIMIT, else from the dense transform; either way
-    n must be within the dense cap.  The reported value is F at the
-    normalized certificate through the same kernel; ``big_f`` is the
-    independent route that tests compare it with.
+    F and its gradient come from the pair index ``A.pairs`` when
+    |A|^2 <= n 2^n and |A|^2 is within the pair cap, else from the dense
+    transform; either way n must be within the dense cap.  The reported
+    value is F at the normalized certificate through the same kernel;
+    ``big_f`` is the independent route that tests compare it with.
     """
     if len(A) == 0:
         raise ValueError("cannot optimise over an empty support")
@@ -455,7 +447,7 @@ def mu_lower(
         certificate = SpectrumVector(A, np.ones(1), normalized=True)
         run = AscentRun("uniform", 1.0, 0, "stationary")
         return MuEstimate(1.0, certificate, 1, 0, True, (run,))
-    kernel = _choose_kernel(A, cap, index)
+    kernel = _choose_kernel(A, cap)
     size = len(A)
     rng = np.random.default_rng(cfg.seed)
 

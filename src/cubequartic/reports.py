@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .additive import additive_energy, hereditary_energy, sumset
-from .additive import energy_ratio as set_energy_ratio
+from .additive import additive_energy, hereditary_energy, pair_multiplicities, sumset
 from .asymptotics import psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
@@ -83,9 +82,7 @@ def log2_fraction(q: Fraction) -> float:
     return math.log2(q.numerator) - math.log2(q.denominator)
 
 
-def uncertainty_report(
-    f: CubeFunction, *, tol: float = _SUPPORT_TOL, exact_limit: int = 20
-) -> BoundReport:
+def uncertainty_report(f: CubeFunction) -> BoundReport:
     """Support-size lower bounds for a nonzero function.
 
     Three hard bounds on |supp f| * X >= 2^n with X the spectral support
@@ -95,9 +92,8 @@ def uncertainty_report(
     """
     values = _nonzero_values(f)
     n = f.n
-    spec = analyze(f)
-    A = support_of(spec, tol)
-    supp_f = _time_support(values, tol)
+    A = support_of(analyze(f), _SUPPORT_TOL)
+    supp_f = _time_support(values, _SUPPORT_TOL)
     total = 1 << n
 
     report = BoundReport(subject=f"uncertainty bounds, n={n}, |spectral support|={len(A)}")
@@ -131,7 +127,7 @@ def uncertainty_report(
             detail=f"m={mult}",
         )
     )
-    hered = hereditary_energy(A, exact_limit=exact_limit)
+    hered = hereditary_energy(A)
     scale = _SOFT_CONSTANT * float(hered.ratio) * math.log2(2 + len(A)) ** 3
     report.checks.append(
         check_ge(
@@ -249,13 +245,7 @@ def sumset_bound_report(B: SupportSet, C: SupportSet, k1: int, k2: int) -> Bound
     return report
 
 
-def ball_bound_report(
-    n: int,
-    k: int,
-    cfg: OptimizerConfig | None = None,
-    *,
-    dense_cap: int | None = None,
-) -> BoundReport:
+def ball_bound_report(n: int, k: int, cfg: OptimizerConfig | None = None) -> BoundReport:
     """Ball-supported spectra against the entropy envelope.
 
     Checks the ascent value on the full ball against 2^(n psi(k/n)),
@@ -267,7 +257,7 @@ def ball_bound_report(
         raise ValueError("ball radius must satisfy 0 <= 2k <= n")
     cfg = cfg or OptimizerConfig()
     ball = SupportSet.ball(n, k)
-    est = mu_lower(ball, cfg, dense_cap=dense_cap)
+    est = mu_lower(ball, cfg)
     exponent = n * psi_value(k / n)
 
     report = BoundReport(subject=f"ball bounds, n={n}, radius {k}, |A|={len(ball)}")
@@ -314,15 +304,14 @@ def ball_bound_report(
     return report
 
 
-def tensorization_check(
-    f: CubeFunction, m: int, *, dense_cap: int | None = None
-) -> BoundReport:
+def tensorization_check(f: CubeFunction, m: int) -> BoundReport:
     """Moments of the m-fold product function against the m-th powers."""
     if m not in (2, 3):
         raise ValueError("tensor power m must be 2 or 3")
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if m * f.n > cap:
-        raise ResourceLimitError(f"product cube n={m * f.n} exceeds dense cap {cap}")
+    if m * f.n > DEFAULT_DENSE_CAP:
+        raise ResourceLimitError(
+            f"product cube n={m * f.n} exceeds dense cap {DEFAULT_DENSE_CAP}"
+        )
     base = np.asarray(f.values, dtype=float)
     prod = base
     for _ in range(m - 1):
@@ -374,13 +363,7 @@ def tensorization_check(
     return report
 
 
-def bracket_report(
-    A: SupportSet,
-    cfg: OptimizerConfig | None = None,
-    *,
-    dense_cap: int | None = None,
-    exact_limit: int = 20,
-) -> BoundReport:
+def bracket_report(A: SupportSet, cfg: OptimizerConfig | None = None) -> BoundReport:
     """The bracket around the fourth-moment maximum over one set.
 
     hereditary energy ratio <= ascent value <= min(|A|, m(A), assembled
@@ -390,7 +373,7 @@ def bracket_report(
     if len(A) > 64:
         raise ResourceLimitError("bracket_report caps |A| at 64")
     cfg = cfg or OptimizerConfig()
-    hered = hereditary_energy(A, exact_limit=exact_limit)
+    hered = hereditary_energy(A)
 
     coords = np.zeros(len(A))
     member = set(hered.best.elements)
@@ -399,8 +382,8 @@ def bracket_report(
             coords[i] = 1.0
     start = SpectrumVector(A, coords / math.sqrt(len(hered.best)))
 
-    est = mu_lower(A, cfg, dense_cap=dense_cap, extra_starts=(start,))
-    upper = mu_upper(A, dense_cap=dense_cap)
+    est = mu_lower(A, cfg, extra_starts=(start,))
+    upper = mu_upper(A)
     mult = upper.multiplicity_bound
 
     report = BoundReport(subject=f"bracket, n={A.n}, |A|={len(A)}")
@@ -464,7 +447,8 @@ def conjecture_scan(
     Each cell compares the ascent value against the exact energy ratio
     computed twice (quadruple counting and the closed-form chain); a
     mismatch between the exact routes or an ascent value measurably
-    below the ratio raises instead of being recorded.
+    below the ratio raises instead of being recorded.  One pair table
+    per cell gives both the ratio and m(A).
     """
     cfg = cfg or OptimizerConfig()
     cells = [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
@@ -472,14 +456,15 @@ def conjecture_scan(
     def run(cell: tuple[int, int]) -> ConjectureRecord:
         n, k = cell
         A = SupportSet.sphere(n, k)
-        ratio = set_energy_ratio(A)
+        table = pair_multiplicities(A, dense_cap=dense_cap)
+        ratio = Fraction(table.energy(), len(A) ** 2)
         closed = r_exact(SphereParams(n, k))
         if ratio != closed:
             raise RuntimeError(
                 f"energy-ratio routes disagree at (n={n}, k={k}): {ratio} vs {closed}"
             )
         est = mu_lower(A, cfg, dense_cap=dense_cap)
-        upper = mu_upper(A, dense_cap=dense_cap)
+        upper = mu_upper(A, dense_cap=dense_cap, multiplicity=table.m_bound())
         gap = est.value - float(ratio)
         upper_gap = upper.best - float(ratio)
         if gap < -1e-8:
@@ -510,9 +495,7 @@ def conjecture_scan(
     return [run(cell) for cell in cells]
 
 
-def energy_lowerbound_step_check(
-    f: CubeFunction, C_val: float, *, exact_limit: int = 20
-) -> BoundReport:
+def energy_lowerbound_step_check(f: CubeFunction, C_val: float) -> BoundReport:
     """Energy of a compressed spectrum: the hereditary step of the chain.
 
     For near-compressed f (support product within C_val * 2^n) the
@@ -537,7 +520,7 @@ def energy_lowerbound_step_check(
         report.notes.append("instance outside the admissible range; nothing is claimed")
         return report
 
-    hered = hereditary_energy(A, exact_limit=exact_limit)
+    hered = hereditary_energy(A)
     e_a = additive_energy(A)
     e_b = additive_energy(hered.best)
     report.checks.append(

@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubequartic import additive
+from cubequartic import additive, core
 from cubequartic.additive import (
     EXHAUSTIVE_LIMIT,
     MultiplicityTable,
     PairIndex,
     _exhaustive_hereditary,
     _greedy_hereditary,
+    _subset_energy,
     additive_energy,
     dyadic_level_sets,
     energy_ratio,
@@ -173,11 +174,6 @@ class TestPairIndex:
         index = PairIndex.of(masks)
         assert index.table() == _pairs_table(masks)
         assert pair_multiplicities(SupportSet(71, masks)).counts == _pairs_table(masks)
-
-    def test_given_index_gives_the_same_table(self, rng):
-        A = random_support(rng, 6, 20)
-        index = PairIndex.of(A.elements)
-        assert pair_multiplicities(A, index=index) == pair_multiplicities(A)
 
 
 class TestEnergy:
@@ -381,6 +377,28 @@ class TestHereditaryEnergy:
         res = hereditary_energy(A, exact_limit=5, certificate=cert)
         assert not res.exact
         assert res.ratio >= energy_ratio(A)
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_subset_energy_matches_brute_force(self, rng, monkeypatch, cap):
+        # within the pair cap B's counts are read off the index of A; past
+        # it (every set of two or more masks is past a cap of 1) they come
+        # from B's own index or its pair table
+        if cap is not None:
+            monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", cap)
+        for _ in range(20):
+            A = random_support(rng, 7, 40)
+            keep = rng.random(len(A)) < 0.5
+            half = tuple(m for m, k in zip(A.elements, keep) if k)
+            for masks in (A.elements, half, A.elements[-1:]):
+                if masks:
+                    B = SupportSet(A.n, masks)
+                    assert _subset_energy(A, B) == brute_energy(masks)
+
+    def test_subset_energy_on_masks_beyond_int64(self):
+        masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))
+        A = SupportSet(66, masks)
+        for sub in (masks, masks[::3], masks[5:9]):
+            assert _subset_energy(A, SupportSet(66, sub)) == brute_energy(sub)
 
     def test_certificate_support_must_match(self):
         A = SupportSet.sphere(4, 1)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,48 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert results["additive"]["multiplicity_bound"] == 7
         assert results["mu_upper"]["multiplicity_bound"] == 7
+
+    @staticmethod
+    def count_index_builds(monkeypatch):
+        from cubequartic.core import PairIndex
+
+        built = []
+        original = PairIndex.of.__func__
+
+        def counted(cls, masks):
+            built.append(len(masks))
+            return original(cls, masks)
+
+        monkeypatch.setattr(PairIndex, "of", classmethod(counted))
+        return built
+
+    @pytest.mark.parametrize("n,k", [(11, 4), (14, 2)])
+    def test_one_pair_index_per_command(self, tmp_path, capsys, monkeypatch, n, k):
+        # S(11,4) takes the dense kernel, S(14,2) the sparse one
+        built = self.count_index_builds(monkeypatch)
+        path = write(tmp_path, f"n={n}\nsphere {n} {k}\n")
+        code, _, _ = run(capsys, ["analyze", path] + FAST)
+        assert code == EXIT_OK
+        assert built == [math.comb(n, k)]
+
+    def test_set_past_the_pair_cap_is_never_enumerated(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.core
+
+        path = write(tmp_path, "n=6\nball 6 2\n")
+        argv = ["analyze", path, "--exact-limit", "10"] + FAST
+        _, within, _ = run(capsys, argv)
+        # B(6,2) has 22 elements, so 484 pairs; its level sets are smaller
+        monkeypatch.setattr(cubequartic.core, "PAIR_ENUMERATION_LIMIT", 100)
+        built = self.count_index_builds(monkeypatch)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_OK and err == ""
+        assert all(size * size <= 100 for size in built)
+        capped, full = json.loads(out)["results"], json.loads(within)["results"]
+        assert capped["additive"] == full["additive"]
+        assert capped["mu_upper"] == full["mu_upper"]
+        assert Fraction(capped["hereditary"]["ratio"]) >= Fraction(
+            capped["additive"]["energy_ratio"]
+        )
 
     def test_csv_flattens_the_results(self, tmp_path, capsys):
         path = write(tmp_path, "n=3\nsphere 3 1\n")

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from cubequartic import core
 from cubequartic.core import (
     CubeFunction,
     CubePoint,
     Moments,
+    PairIndex,
     Spectrum,
     SpectrumVector,
     SupportSet,
@@ -24,7 +26,7 @@ from cubequartic.errors import (
     UndefinedRatioError,
 )
 
-from conftest import character_transform, random_function
+from conftest import brute_energy, character_transform, random_function
 
 
 class TestWalshTransform:
@@ -141,6 +143,39 @@ class TestSupportSet:
         f = A.indicator()
         assert f.values[1] == 1.0 and f.values[6] == 1.0
         assert float(np.sum(f.values)) == 2.0
+
+
+class TestSupportSetPairs:
+    def test_built_once_per_set(self, monkeypatch):
+        built = []
+        original = PairIndex.of.__func__
+
+        def counted(cls, masks):
+            built.append(len(masks))
+            return original(cls, masks)
+
+        monkeypatch.setattr(PairIndex, "of", classmethod(counted))
+        A = SupportSet.sphere(5, 2)
+        assert A.pairs is A.pairs
+        assert A.pairs.energy() == brute_energy(A.elements)
+        assert built == [10]
+
+    def test_refused_past_the_cap_before_any_enumeration(self, monkeypatch):
+        def refuse(masks):
+            raise AssertionError("pair index built past the cap")
+
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+        monkeypatch.setattr(PairIndex, "of", refuse)
+        A = SupportSet.sphere(5, 2)
+        assert not A.pairs_within_cap()
+        with pytest.raises(ResourceLimitError, match="pair stage"):
+            A.pairs
+
+    def test_shared_arrays_are_read_only(self):
+        index = SupportSet.sphere(4, 2).pairs
+        for array in (index.masks, index.sums, index.counts, index.inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestCubePoint:

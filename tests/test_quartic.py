@@ -172,7 +172,7 @@ class TestKernels:
             (SupportSet.ball(12, 6), _DenseKernel),
         ]
         for A, kind in cases:
-            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is kind
+            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is kind
 
 
 def both_kernels(A):
@@ -278,7 +278,7 @@ class TestLineSearch:
 
     def test_dense_route_runs_two_transforms_per_step(self, monkeypatch):
         A = SupportSet.sphere(7, 3)
-        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _DenseKernel
+        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _DenseKernel
         est, calls = self._count_transforms(monkeypatch, A)
         # per start: one to evaluate it, then the gradient and the
         # transform of the direction in each iteration, except the last
@@ -292,7 +292,7 @@ class TestLineSearch:
 
     def test_sparse_route_runs_no_transform(self, monkeypatch):
         A = SupportSet.sphere(12, 2)
-        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _SparseKernel
+        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _SparseKernel
         est, calls = self._count_transforms(monkeypatch, A)
         assert calls == [] and est.iterations > 0
 
@@ -348,7 +348,7 @@ class TestMuLower:
             raise AssertionError("mu_lower evaluated F a second way")
 
         for A in (SupportSet.sphere(6, 3), SupportSet.ball(8, 3)):
-            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP, None)) is _DenseKernel
+            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _DenseKernel
             with monkeypatch.context() as patch:
                 patch.setattr(cubequartic.quartic, "big_f", refuse)
                 est = mu_lower(A, FAST)

@@ -204,7 +204,7 @@ class TestTensorization:
     def test_dimension_cap(self, rng):
         f = CubeFunction(10, rng.standard_normal(1024))
         with pytest.raises(ResourceLimitError):
-            tensorization_check(f, 3, dense_cap=24)
+            tensorization_check(f, 3)
 
 
 class TestBracket:
