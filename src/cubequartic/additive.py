@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_DENSE_CAP, PAIR_ENUMERATION_LIMIT, PairIndex, SupportSet
-from .core import SpectrumVector, walsh_transform
+from .core import SpectrumVector
 from .errors import DimensionMismatchError, ResourceLimitError
 
 # the greedy removal sweep gathers O(|A|^3) pair counts in numpy over
@@ -89,24 +89,6 @@ class MultiplicityTable:
         return sum(c * c for c in self.counts.values())
 
 
-def _convolution_table(A: SupportSet) -> dict[int, int]:
-    """|M_x| via the convolution theorem on the integer indicator.
-
-    wht(1_A)^2 transformed back and divided by 2^n is the XOR
-    self-convolution; all arithmetic stays in int64, which is safe as
-    long as 2^n * |A|^2 fits (checked by the caller).
-    """
-    ind = np.zeros(1 << A.n, dtype=np.int64)
-    ind[A.masks_array()] = 1
-    walsh_transform(ind)
-    ind *= ind
-    walsh_transform(ind)
-    quotient, remainder = np.divmod(ind, 1 << A.n)
-    assert not remainder.any(), "convolution output not divisible by 2^n"
-    nz = np.nonzero(quotient)[0]
-    return {int(x): int(quotient[x]) for x in nz}
-
-
 def pair_multiplicities(
     A: SupportSet, *, dense_cap: int | None = None
 ) -> MultiplicityTable:
@@ -114,7 +96,8 @@ def pair_multiplicities(
 
     Two independent routes exist: direct pair enumeration (any n, cost
     |A|^2, read off ``A.pairs``) and dense XOR self-convolution (cost
-    n 2^n, needs the dense cap).  When both are affordable the results
+    n 2^n, needs the dense cap, read off ``A.convolution``).  Each is
+    computed at most once per set.  When both are affordable the results
     are cross-checked against each other before being returned.
     """
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
@@ -126,13 +109,13 @@ def pair_multiplicities(
     conv_ok = A.n <= cap and fits_int64
     if A.pairs_within_cap():
         table = A.pairs.table()
-        if conv_ok and table != _convolution_table(A):
+        if conv_ok and table != A.convolution:
             raise RuntimeError(
                 "pair multiplicity cross-check failed between "
                 "enumeration and convolution"
             )
     elif conv_ok:
-        table = _convolution_table(A)
+        table = dict(A.convolution)
     else:
         raise ResourceLimitError(
             f"pair stage: the {size * size} pairs of a {size}-element set in "

@@ -25,7 +25,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,6 +41,15 @@ DEFAULT_DENSE_CAP = 24
 # Direct pair enumeration materialises |A|^2 XOR values; beyond this
 # many entries the dense convolution path must carry the computation.
 PAIR_ENUMERATION_LIMIT = 40_000_000
+
+# a float Walsh transform applies up to this many butterfly levels in one
+# product with the Sylvester Hadamard matrix of order 2^_BLOCK_BITS;
+# _HADAMARD[b] is the matrix of order 2^b, built once here
+_BLOCK_BITS = 6
+_HADAMARD = [
+    reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * bits, np.ones((1, 1)))
+    for bits in range(_BLOCK_BITS + 1)
+]
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -114,7 +123,8 @@ class SupportSet:
 
     Construct through :meth:`from_masks` (which sorts and rejects
     duplicates) or one of the named families below.  The set holds its
-    pair index (``pairs``) once a reader asks for it.
+    pair index (``pairs``) and its convolution table (``convolution``)
+    once a reader asks for them.
     """
 
     n: int
@@ -224,6 +234,14 @@ class SupportSet:
         for array in (index.masks, index.sums, index.counts, index.inverse):
             array.flags.writeable = False
         return index
+
+    @cached_property
+    def convolution(self) -> dict[int, int]:
+        """x -> |M_x| from the dense XOR self-convolution, computed on
+        first use and kept for the set's lifetime; its readers share the
+        dict, so they copy it.  The caller checks the dense cap and that
+        2^n |A|^2 fits int64 (see ``_convolution_table``)."""
+        return _convolution_table(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,13 +409,40 @@ class SpectrumVector:
 def walsh_transform(values: np.ndarray) -> np.ndarray:
     """Unnormalised in-place Walsh-Hadamard transform, O(n 2^n).
 
-    Works on any numeric dtype (integer arrays stay integer, which the
-    exact convolution path relies on).  The input array is modified and
-    also returned.  Applying it twice multiplies by 2^n.
+    Float and complex arrays go through blocked matrix products: the n
+    index bits split into ceil(n / _BLOCK_BITS) blocks of near-equal
+    size, and each block is one product with the Hadamard matrix of its
+    order (the lowest block as a single matrix product, the others as a
+    stack of them).  That is a few BLAS calls where the butterfly makes
+    n numpy passes that each copy half the array.  Sums run in a
+    different order from the butterfly, so the last bits can differ.
+
+    Integer and object arrays keep the butterfly and stay in their dtype,
+    which the exact int64 convolution relies on: integer matrix products
+    have no BLAS kernel and are slower than the butterfly.
+
+    The input array is modified and also returned.  Applying it twice
+    multiplies by 2^n.
     """
     size = values.shape[0]
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
+    if values.dtype.kind in "fc":
+        n = size.bit_length() - 1
+        blocks = -(-n // _BLOCK_BITS)
+        done = 0
+        for i in range(blocks):
+            bits = (n - done) // (blocks - i)
+            hadamard = _HADAMARD[bits]
+            if done == 0:
+                # H is symmetric, so the lowest bits are one product on the right
+                rows = values.reshape(-1, 1 << bits)
+                rows[...] = rows @ hadamard
+            else:
+                stack = values.reshape(-1, 1 << bits, 1 << done)
+                stack[...] = hadamard @ stack
+            done += bits
+        return values
     h = 1
     while h < size:
         view = values.reshape(-1, 2, h)
@@ -406,6 +451,25 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
         view[:, 1, :] = top - view[:, 1, :]
         h *= 2
     return values
+
+
+def _convolution_table(A: SupportSet) -> dict[int, int]:
+    """|M_x| via the convolution theorem on the integer indicator.
+
+    wht(1_A)^2 transformed back and divided by 2^n is the XOR
+    self-convolution; all arithmetic stays in int64 (the butterfly
+    route of ``walsh_transform``), which is safe as long as 2^n |A|^2
+    fits (checked by the caller).  Read it through ``A.convolution``.
+    """
+    ind = np.zeros(1 << A.n, dtype=np.int64)
+    ind[A.masks_array()] = 1
+    walsh_transform(ind)
+    ind *= ind
+    walsh_transform(ind)
+    quotient, remainder = np.divmod(ind, 1 << A.n)
+    assert not remainder.any(), "convolution output not divisible by 2^n"
+    nz = np.nonzero(quotient)[0]
+    return {int(x): int(quotient[x]) for x in nz}
 
 
 def analyze(f: CubeFunction, *, dense_cap: int | None = None) -> Spectrum:

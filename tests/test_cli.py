@@ -5,7 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,39 @@ class TestAnalyze:
         assert Fraction(capped["hereditary"]["ratio"]) >= Fraction(
             capped["additive"]["energy_ratio"]
         )
+
+    def test_one_convolution_of_a_set_past_the_pair_cap(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.core
+
+        convolved = []
+        original = cubequartic.core._convolution_table
+
+        def counted(A):
+            convolved.append(len(A))
+            return original(A)
+
+        monkeypatch.setattr(cubequartic.core, "_convolution_table", counted)
+        monkeypatch.setattr(cubequartic.core, "PAIR_ENUMERATION_LIMIT", 100)
+        path = write(tmp_path, "n=6\nball 6 2\n")
+        code, _, _ = run(capsys, ["analyze", path, "--exact-limit", "10"] + FAST)
+        assert code == EXIT_OK
+        # the pair table and the hereditary search's full set share it
+        assert convolved.count(22) == 1
+
+    def test_stdout_does_not_depend_on_blas_threads(self, tmp_path):
+        import cubequartic
+
+        path = write(tmp_path, "n=11\nsphere 11 4\n")
+        src = str(Path(cubequartic.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "cubequartic.cli", "analyze", path,
+                "--starts", "2", "--seed", "0"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] != b""
 
     def test_csv_flattens_the_results(self, tmp_path, capsys):
         path = write(tmp_path, "n=3\nsphere 3 1\n")

@@ -31,16 +31,46 @@ from conftest import brute_energy, character_transform, random_function
 
 class TestWalshTransform:
     def test_matches_character_matrix(self, rng):
-        for n in range(1, 7):
+        # a float transform is one Hadamard block up to n = 6, two up to 12
+        for n in range(11):
             values = rng.standard_normal(1 << n)
             fast = walsh_transform(values.copy())
             assert np.allclose(fast, character_transform(values), atol=1e-10)
+
+    def test_integer_valued_floats_match_the_integer_butterfly(self, rng):
+        # integer sums below 2^53 are exact in any order, so the blocked
+        # float products (three blocks from n = 13) equal the int64 butterfly
+        for n in range(17):
+            ints = rng.integers(-9, 10, size=1 << n)
+            floats = walsh_transform(ints.astype(np.float64))
+            assert np.array_equal(floats, walsh_transform(ints).astype(np.float64))
 
     def test_integer_arrays_stay_integer(self, rng):
         values = rng.integers(-9, 10, size=32)
         out = walsh_transform(values.copy())
         assert out.dtype == values.dtype
         assert np.array_equal(out, character_transform(values).astype(values.dtype))
+        # exact past 2^53, where a float route would round
+        big = np.array([2**55 + 1, 1, 0, 0], dtype=np.int64)
+        assert walsh_transform(big).tolist() == [2**55 + 2, 2**55] * 2
+
+    def test_float32_stays_float32(self, rng):
+        values = rng.standard_normal(1 << 9).astype(np.float32)
+        out = walsh_transform(values.copy())
+        assert out.dtype == np.float32
+        assert np.allclose(out, character_transform(values), rtol=1e-5, atol=1e-4)
+
+    def test_non_contiguous_view_is_transformed_in_place(self, rng):
+        base = rng.standard_normal(1 << 10)
+        view, skipped = base[::2], base[1::2].copy()
+        expected = character_transform(view)
+        assert walsh_transform(view) is view
+        assert np.allclose(base[::2], expected, atol=1e-10)
+        assert np.array_equal(base[1::2], skipped)
+
+    def test_returns_its_input(self, rng):
+        for values in (rng.standard_normal(1 << 8), rng.integers(-9, 10, size=1 << 8)):
+            assert walsh_transform(values) is values
 
     def test_involution_up_to_scale(self, rng):
         values = rng.standard_normal(64)
@@ -176,6 +206,20 @@ class TestSupportSetPairs:
         for array in (index.masks, index.sums, index.counts, index.inverse):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_convolution_computed_once_per_set(self, monkeypatch):
+        convolved = []
+        original = core._convolution_table
+
+        def counted(A):
+            convolved.append(len(A))
+            return original(A)
+
+        monkeypatch.setattr(core, "_convolution_table", counted)
+        A = SupportSet.sphere(5, 2)
+        assert A.convolution is A.convolution
+        assert A.convolution == A.pairs.table()
+        assert convolved == [10]
 
 
 class TestCubePoint:
