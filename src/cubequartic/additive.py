@@ -156,8 +156,10 @@ def sumset(B: SupportSet, C: SupportSet) -> SupportSet:
         raise ResourceLimitError(
             f"sumset enumeration of {len(B)}x{len(C)} pairs exceeds the cap"
         )
-    xors = np.unique(B.masks_array()[:, None] ^ C.masks_array()[None, :])
-    return SupportSet(B.n, tuple(int(x) for x in xors))
+    # sort and drop repeats: a bare np.unique would import numpy.ma
+    xors = np.sort((B.masks_array()[:, None] ^ C.masks_array()[None, :]).ravel())
+    fresh = np.concatenate(([True], xors[1:] != xors[:-1]))
+    return SupportSet(B.n, tuple(xors[fresh].tolist()))
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def _document(command: str, args: argparse.Namespace, results, provenance: list[
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        # threads is deliberately not echoed: it may never change output bytes
+        # threads is deliberately not echoed: it has no effect on the output
         "config": {
             "format": args.format,
             "seed": args.seed,
@@ -331,9 +331,7 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    records = conjecture_scan(
-        args.n_max, _optimizer_config(args), threads=args.threads, dense_cap=args.dense_cap
-    )
+    records = conjecture_scan(args.n_max, _optimizer_config(args), dense_cap=args.dense_cap)
     results = {"records": [_record_payload(r) for r in records]}
     document = _document(
         "scan",
@@ -405,8 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--exact-limit", type=int, default=20, help="exhaustive hereditary search cap"
     )
+    # kept so existing invocations still parse; every command runs in one thread
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads (wall time only)"
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -189,7 +189,7 @@ class SupportSet:
         return i < len(self.elements) and self.elements[i] == mask
 
     def masks_array(self) -> np.ndarray:
-        return np.asarray(self.elements, dtype=np.int64)
+        return _mask_array(self.elements)
 
     def points(self) -> Iterator[CubePoint]:
         return (CubePoint(self.n, m) for m in self.elements)
@@ -244,6 +244,12 @@ class SupportSet:
         return _convolution_table(self)
 
 
+def _mask_array(masks: Sequence[int]) -> np.ndarray:
+    """Masks as int64, or as python ints (an object array) from 2^62 up."""
+    wide = len(masks) > 0 and max(masks) >= 1 << 62
+    return np.asarray(masks, dtype=object if wide else np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class PairIndex:
     """Every ordered pair of a set of masks, grouped by its XOR sum.
@@ -264,8 +270,7 @@ class PairIndex:
 
     @classmethod
     def of(cls, masks: Sequence[int]) -> "PairIndex":
-        wide = len(masks) > 0 and max(masks) >= 1 << 62
-        arr = np.asarray(masks, dtype=object if wide else np.int64)
+        arr = _mask_array(masks)
         sums, inverse, counts = np.unique(
             (arr[:, None] ^ arr[None, :]).ravel(),
             return_inverse=True,

@@ -16,6 +16,7 @@ the pair-sum matrix representation, and the coordinate-split machinery
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -63,8 +64,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts < 0 or self.max_iters < 1 or self.tol < 0.0:
-            raise ValueError("invalid optimizer configuration")
+        tol_ok = math.isfinite(self.tol) and self.tol >= 0.0
+        # random.Random(-s) would silently equal seed s, so seeds are >= 0
+        if self.starts < 0 or self.max_iters < 1 or not tol_ok or self.seed < 0:
+            raise ValueError(f"invalid optimizer configuration: {self}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,7 @@ def _pair_sums(support: SupportSet, coords: np.ndarray) -> np.ndarray:
     enumeration stays apart from ``PairIndex`` so that ``big_f`` checks
     the kernels by an independent route.
     """
-    masks = support.elements
-    wide = max(masks) >= 1 << 62
-    arr = np.asarray(masks, dtype=object if wide else np.int64)
+    arr = support.masks_array()
     xors = (arr[:, None] ^ arr[None, :]).ravel()
     weights = np.outer(coords, coords).ravel()
     _, inverse = np.unique(xors, return_inverse=True)
@@ -419,6 +420,19 @@ def _ascend(
     return y, value, cfg.max_iters, "iteration-cap"
 
 
+def _gaussian(rng: random.Random, size: int) -> np.ndarray:
+    """size standard normal draws, by Box-Muller over 2 * size uniforms.
+
+    Python fixes the ``random()`` stream of an integer seed across
+    versions (it promises no such thing for ``gauss()``), and ``random``
+    is loaded with numpy anyway, unlike the lazily imported
+    ``numpy.random``.
+    """
+    u = np.array([rng.random() for _ in range(2 * size)])
+    # 1 - u lies in (0, 1], so the logarithm is finite
+    return np.sqrt(-2.0 * np.log1p(-u[:size])) * np.cos(2.0 * math.pi * u[size:])
+
+
 def mu_lower(
     A: SupportSet,
     cfg: OptimizerConfig = OptimizerConfig(),
@@ -449,7 +463,7 @@ def mu_lower(
         return MuEstimate(1.0, certificate, 1, 0, True, (run,))
     kernel = _choose_kernel(A, cap)
     size = len(A)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
 
     starts: list[tuple[str, np.ndarray]] = [
         ("uniform", np.full(size, 1.0 / math.sqrt(size)))
@@ -459,9 +473,9 @@ def mu_lower(
             raise ValueError("extra start support does not match the set")
         starts.append(("extra", extra.normalize().coords))
     for _ in range(cfg.starts):
-        vec = rng.standard_normal(size)
+        vec = _gaussian(rng, size)
         while float(np.dot(vec, vec)) == 0.0:
-            vec = rng.standard_normal(size)
+            vec = _gaussian(rng, size)
         starts.append(("gaussian", vec))
 
     runs: list[AscentRun] = []

@@ -12,7 +12,6 @@ arithmetic end to end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -439,16 +438,17 @@ def conjecture_scan(
     n_max: int,
     cfg: OptimizerConfig | None = None,
     *,
-    threads: int = 1,
     dense_cap: int | None = None,
 ) -> list[ConjectureRecord]:
-    """Scan every sphere cell (n, k), n <= n_max, 1 <= k <= n/2.
+    """Scan every sphere cell (n, k), n <= n_max, 1 <= k <= n/2, in order.
 
     Each cell compares the ascent value against the exact energy ratio
     computed twice (quadruple counting and the closed-form chain); a
     mismatch between the exact routes or an ascent value measurably
     below the ratio raises instead of being recorded.  One pair table
-    per cell gives both the ratio and m(A).
+    per cell gives both the ratio and m(A).  The cells run in this
+    thread: each is thousands of small numpy calls that hold the
+    interpreter lock, so worker threads only queued on it.
     """
     cfg = cfg or OptimizerConfig()
     cells = [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
@@ -489,9 +489,6 @@ def conjecture_scan(
             certificate=certificate,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, cells))
     return [run(cell) for cell in cells]
 
 

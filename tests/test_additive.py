@@ -241,6 +241,14 @@ class TestSumset:
             assert list(sumset(B, C)) == expected
             assert len(sumset(B, C)) >= max(len(B), len(C))
 
+    def test_masks_past_int64(self):
+        # from 2^62 up the masks are python ints in object arrays
+        B = SupportSet(71, (3, 1 << 62, (1 << 62) | 3, 1 << 70))
+        C = SupportSet(71, (0, 3, (1 << 70) | 1))
+        expected = sorted({b ^ c for b in B for c in C})
+        assert list(sumset(B, C)) == expected
+        assert all(type(x) is int for x in sumset(B, C))
+
     def test_self_sumset_contains_zero(self, rng):
         A = random_support(rng, 5, 10)
         assert 0 in sumset(A, A)

@@ -41,6 +41,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    import cubequartic
+
+    src = str(Path(cubequartic.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestParseSetFile:
     def test_bitstrings_map_char_positions_to_bits(self, tmp_path):
         A = parse_set_file(write(tmp_path, "n=3\n100\n001\n"))
@@ -277,16 +285,12 @@ class TestAnalyze:
         assert convolved.count(22) == 1
 
     def test_stdout_does_not_depend_on_blas_threads(self, tmp_path):
-        import cubequartic
-
         path = write(tmp_path, "n=11\nsphere 11 4\n")
-        src = str(Path(cubequartic.__file__).resolve().parents[1])
         argv = [sys.executable, "-m", "cubequartic.cli", "analyze", path,
                 "--starts", "2", "--seed", "0"]
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = dict(fresh_env(), OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(argv, env=env, capture_output=True, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] != b""
@@ -396,6 +400,23 @@ class TestScan:
             assert code == EXIT_USAGE, flag
             assert out == ""
             assert "invalid request" in err
+
+    def test_bad_optimizer_values_exit_before_the_ascent(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.cli
+        import cubequartic.reports
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ascent ran")
+
+        monkeypatch.setattr(cubequartic.cli, "mu_lower", refuse)
+        monkeypatch.setattr(cubequartic.reports, "mu_lower", refuse)
+        path = write(tmp_path, "n=4\nsphere 4 2\n")
+        for head in (["scan", "--n-max", "3"], ["analyze", path]):
+            for flag in (["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"]):
+                code, out, err = run(capsys, head + flag)
+                assert code == EXIT_USAGE, (head, flag)
+                assert out == ""
+                assert "invalid request" in err
 
     def test_csv_rows(self, capsys):
         _, out, _ = run(capsys, ["scan", "--n-max", "4", "--format", "csv"] + FAST)
@@ -518,3 +539,36 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestImportHygiene:
+    """Commands do not load numpy modules they do not need.
+
+    numpy 2.x imports ``numpy.random`` and ``numpy.ma`` lazily, on first
+    use, and each costs a measurable share of a short command.
+    """
+
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "from cubequartic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+
+    def modules_after(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            env=fresh_env(), capture_output=True, check=True, text=True,
+        )
+        code, modules = json.loads(proc.stdout)
+        assert code == EXIT_OK, proc.stderr
+        return set(modules)
+
+    def test_ascent_commands_skip_numpy_random(self, tmp_path):
+        path = write(tmp_path, "n=5\nsphere 5 2\n")
+        for argv in (["analyze", path] + FAST, ["scan", "--n-max", "4", "--threads", "2"] + FAST):
+            assert "numpy.random" not in self.modules_after(argv), argv
+
+    def test_verify_skips_numpy_ma(self):
+        assert "numpy.ma" not in self.modules_after(["verify", "--suite", "additive"])

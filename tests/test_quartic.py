@@ -1,6 +1,8 @@
 """The quartic form, its optimiser, and the coordinate-split machinery."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from cubequartic.quartic import (
     _choose_kernel,
     _circle_argmax,
     _DenseKernel,
+    _gaussian,
     _SparseKernel,
 )
 
@@ -367,6 +370,21 @@ class TestMuLower:
         assert one.value == two.value
         assert np.array_equal(one.certificate.coords, two.certificate.coords)
 
+    def test_seeds_give_different_certificates(self, rng):
+        # on these 12 masks a gaussian start wins for both seeds
+        A = SupportSet.from_masks(8, [int(m) for m in rng.choice(256, 12, replace=False)])
+        cfg = OptimizerConfig(starts=8, max_iters=30)
+        one = mu_lower(A, cfg)
+        other = mu_lower(A, dataclasses.replace(cfg, seed=1))
+        gap = np.max(np.abs(one.certificate.coords - other.certificate.coords))
+        assert gap > 1e-3
+
+    def test_gaussian_draws_are_standard_normal(self):
+        draws = _gaussian(random.Random(0), 100_000)
+        assert draws.shape == (100_000,) and np.all(np.isfinite(draws))
+        assert abs(draws.mean()) < 0.02
+        assert abs(draws.var() - 1.0) < 0.02
+
     def test_extra_start_support_must_match(self):
         A = SupportSet.sphere(3, 1)
         wrong = SpectrumVector.uniform(SupportSet.sphere(3, 2))
@@ -435,6 +453,13 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tol=-1.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                OptimizerConfig(tol=tol)
+        # random.Random(-1) would silently equal seed 1
+        with pytest.raises(ValueError):
+            OptimizerConfig(seed=-1)
+        assert OptimizerConfig(starts=0, tol=0.0, seed=0).seed == 0
 
 
 class TestSplit:

@@ -245,11 +245,6 @@ class TestConjectureScan:
             assert rec.certificate is None
             assert rec.energy_ratio == energy_ratio(SupportSet.sphere(rec.n, rec.k))
 
-    def test_threads_do_not_change_results(self):
-        one = conjecture_scan(5, FAST, threads=1)
-        four = conjecture_scan(5, FAST, threads=4)
-        assert one == four
-
 
 class TestEnergyStep:
     def test_subspace_function(self):
