@@ -1,167 +1,26 @@
-"""Quartic-moment maximisation over Fourier support sets on the cube."""
+"""Quartic-moment maximisation over Fourier support sets on the cube.
 
-from .additive import (
-    HereditaryResult,
-    LevelSetDecomposition,
-    MultiplicityTable,
-    additive_energy,
-    dyadic_level_sets,
-    energy_ratio,
-    hereditary_energy,
-    m_bound,
-    pair_multiplicities,
-    sumset,
-)
-from .asymptotics import (
-    TWO_LOG2_3,
-    PsiEvaluation,
-    entropy,
-    f_combine,
-    phi,
-    phi_derivative,
-    psi,
-    psi_value,
-    r_of_x,
-)
-from .core import (
-    DEFAULT_DENSE_CAP,
-    CubeFunction,
-    CubePoint,
-    Moments,
-    Spectrum,
-    SpectrumVector,
-    SupportSet,
-    analyze,
-    moments,
-    support_of,
-    synthesize,
-    walsh_transform,
-)
-from .errors import (
-    CubeQuarticError,
-    DimensionMismatchError,
-    ResourceLimitError,
-    SetFileError,
-    UndefinedRatioError,
-)
-from .quartic import (
-    AscentRun,
-    BoundSet,
-    MuEstimate,
-    OptimizerConfig,
-    SplitPair,
-    big_f,
-    big_f_grad,
-    decompose_last,
-    g_curve,
-    g_curve_argmax,
-    g_curve_max,
-    mu_lower,
-    mu_upper,
-    shkredov_matrix,
-)
-from .reporting import BoundReport, Check, ConjectureRecord
-from .reports import (
-    ball_bound_report,
-    bracket_report,
-    conjecture_scan,
-    energy_lowerbound_step_check,
-    psi_envelope_report,
-    restricted_mass_check,
-    sphere_ratio_report,
-    sumset_bound_report,
-    tensorization_check,
-    uncertainty_report,
-)
-from .spheres import (
-    SphereParams,
-    SphereTableRow,
-    argmax_st,
-    r_exact,
-    ratio_st,
-    s_t_exact,
-    small_k_lower,
-    sphere_sum_bound,
-    sphere_table,
-    t1,
-    t2,
-)
+Each layer module names its public API in its ``__all__``; the package
+root re-exports exactly the union of those lists.
+"""
+
+from . import additive, asymptotics, core, errors, quartic, reporting, reports, spheres
+from .additive import *  # noqa: F401,F403
+from .asymptotics import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .quartic import *  # noqa: F401,F403
+from .reporting import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
+from .spheres import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_DENSE_CAP",
-    "TWO_LOG2_3",
-    "AscentRun",
-    "BoundReport",
-    "BoundSet",
-    "Check",
-    "ConjectureRecord",
-    "CubeFunction",
-    "CubePoint",
-    "CubeQuarticError",
-    "DimensionMismatchError",
-    "HereditaryResult",
-    "LevelSetDecomposition",
-    "Moments",
-    "MuEstimate",
-    "MultiplicityTable",
-    "OptimizerConfig",
-    "PsiEvaluation",
-    "ResourceLimitError",
-    "SetFileError",
-    "Spectrum",
-    "SpectrumVector",
-    "SphereParams",
-    "SphereTableRow",
-    "SplitPair",
-    "SupportSet",
-    "UndefinedRatioError",
-    "additive_energy",
-    "analyze",
-    "argmax_st",
-    "ball_bound_report",
-    "big_f",
-    "big_f_grad",
-    "bracket_report",
-    "conjecture_scan",
-    "decompose_last",
-    "dyadic_level_sets",
-    "energy_lowerbound_step_check",
-    "energy_ratio",
-    "entropy",
-    "f_combine",
-    "g_curve",
-    "g_curve_argmax",
-    "g_curve_max",
-    "hereditary_energy",
-    "m_bound",
-    "moments",
-    "mu_lower",
-    "mu_upper",
-    "pair_multiplicities",
-    "phi",
-    "phi_derivative",
-    "psi",
-    "psi_envelope_report",
-    "psi_value",
-    "r_exact",
-    "r_of_x",
-    "ratio_st",
-    "restricted_mass_check",
-    "s_t_exact",
-    "shkredov_matrix",
-    "small_k_lower",
-    "sphere_ratio_report",
-    "sphere_sum_bound",
-    "sphere_table",
-    "sumset",
-    "sumset_bound_report",
-    "support_of",
-    "synthesize",
-    "t1",
-    "t2",
-    "tensorization_check",
-    "uncertainty_report",
-    "__version__",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (additive, asymptotics, core, errors, quartic, reporting, reports, spheres)
+        for name in module.__all__
+    }
+    | {"__version__"}
+)

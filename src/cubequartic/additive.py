@@ -68,18 +68,6 @@ class MultiplicityTable:
             if c <= 0:
                 raise ValueError("multiplicity table must omit zero counts")
 
-    @property
-    def set_size(self) -> int:
-        # every ordered pair lands somewhere, so the total is |A|^2
-        total = sum(self.counts.values())
-        size = math.isqrt(total)
-        assert size * size == total
-        return size
-
-    def support(self) -> SupportSet:
-        """The sumset A + A."""
-        return SupportSet(self.n, tuple(sorted(self.counts)))
-
     def m_bound(self) -> int:
         """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
         return 1 + max((c for x, c in self.counts.items() if x != 0), default=0)

@@ -7,7 +7,7 @@ All logarithms are base 2.  The central objects:
     r(x)   = (3 - sqrt(1 + 8 (1-2x)^2)) / 8        on [0, 1/2]
     psi(x) = H(2r) + 4r + 2(1-2r) H((x-r)/(1-2r)) - 2H(x)
 
-psi is the exponent function: 2^(n psi(k/n)) upper-bounds the quartic
+psi (``psi_value``) is the exponent function: 2^(n psi(k/n)) upper-bounds the quartic
 ratio over the radius-k sphere (and ball) for k <= n/2.  phi is its
 fixed-ratio companion with phi(t1/n) = psi(k/n), and F(x, y) is the
 1-homogeneous combine function of the coordinate-split induction.
@@ -16,16 +16,13 @@ fixed-ratio companion with phi(t1/n) = psi(k/n), and F(x, y) is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .reporting import BoundReport, check_close, check_le, check_lt, soft_note
 from .spheres import SphereParams
 
 __all__ = [
-    "PsiEvaluation",
     "entropy",
     "r_of_x",
-    "psi",
     "psi_value",
     "phi",
     "phi_derivative",
@@ -62,7 +59,7 @@ def r_of_x(x: float) -> float:
 
 
 def psi_value(x: float) -> float:
-    """The bare psi(x) float; see psi() for the checked record."""
+    """psi(x) on [0, 1/2]."""
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"psi needs x in [0, 1/2], got {x}")
     r = r_of_x(x)
@@ -76,45 +73,6 @@ def psi_value(x: float) -> float:
         + 2.0 * (1.0 - 2.0 * r) * entropy(inner)
         - 2.0 * entropy(x)
     )
-
-
-@dataclass(frozen=True)
-class PsiEvaluation:
-    """psi at one point, with the intermediate r and finite-difference
-    derivative diagnostics (central stencil, shifted inward at the
-    domain endpoints)."""
-
-    x: float
-    r: float
-    psi: float
-    psi_prime_fd: float
-    psi_second_fd: float
-
-    def __post_init__(self) -> None:
-        if not -1e-15 <= self.r <= 0.25 + 1e-15:
-            raise ValueError(f"r out of range: {self.r}")
-        if self.r > self.x + 1e-12:
-            raise ValueError(f"r(x) must not exceed x, got r={self.r}, x={self.x}")
-        if not -1e-12 <= self.psi <= 1.0 + 1e-12:
-            raise ValueError(f"psi out of range: {self.psi}")
-
-
-_FD_STEP = 1e-6
-
-
-def psi(x: float) -> PsiEvaluation:
-    """Evaluate psi with invariant checks and derivative diagnostics."""
-    value = psi_value(x)
-    h = _FD_STEP
-    center = min(max(x, h), 0.5 - h)
-    plus, mid, minus = (
-        psi_value(center + h),
-        psi_value(center),
-        psi_value(center - h),
-    )
-    prime = (plus - minus) / (2.0 * h)
-    second = (plus - 2.0 * mid + minus) / (h * h)
-    return PsiEvaluation(x, r_of_x(x), value, prime, second)
 
 
 def phi(y: float, p: SphereParams) -> float:

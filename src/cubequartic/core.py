@@ -30,11 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ResourceLimitError,
-    UndefinedRatioError,
-)
+from .errors import ResourceLimitError, UndefinedRatioError
 
 DEFAULT_DENSE_CAP = 24
 
@@ -54,7 +50,6 @@ _HADAMARD = [
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "PAIR_ENUMERATION_LIMIT",
-    "CubePoint",
     "SupportSet",
     "PairIndex",
     "CubeFunction",
@@ -86,35 +81,6 @@ def _weight_masks(n: int, k: int) -> Iterator[int]:
 def _check_dimension(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
-
-
-@dataclass(frozen=True)
-class CubePoint:
-    """A point of {0,1}^n, stored as the bitmask integer ``mask``."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for n={self.n}")
-
-    @property
-    def weight(self) -> int:
-        """Hamming weight (number of ones)."""
-        return self.mask.bit_count()
-
-    def __xor__(self, other: "CubePoint") -> "CubePoint":
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"cannot add points of dimension {self.n} and {other.n}"
-            )
-        return CubePoint(self.n, self.mask ^ other.mask)
-
-    def bits(self) -> tuple[int, ...]:
-        """Coordinates as a tuple, coordinate i+1 = bit i of the mask."""
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -190,9 +156,6 @@ class SupportSet:
 
     def masks_array(self) -> np.ndarray:
         return _mask_array(self.elements)
-
-    def points(self) -> Iterator[CubePoint]:
-        return (CubePoint(self.n, m) for m in self.elements)
 
     def weights(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.elements)
@@ -319,9 +282,6 @@ class CubeFunction:
         _check_dimension(self.n)
         self.values = _as_dense(self.n, self.values)
 
-    def copy(self) -> "CubeFunction":
-        return CubeFunction(self.n, self.values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubeFunction):
             return NotImplemented
@@ -338,9 +298,6 @@ class Spectrum:
     def __post_init__(self) -> None:
         _check_dimension(self.n)
         self.coefficients = _as_dense(self.n, self.coefficients)
-
-    def copy(self) -> "Spectrum":
-        return Spectrum(self.n, self.coefficients)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CubeQuarticError",
+    "DimensionMismatchError",
+    "ResourceLimitError",
+    "UndefinedRatioError",
+    "SetFileError",
+]
+
 
 class CubeQuarticError(Exception):
     """Base class for all package-specific errors."""

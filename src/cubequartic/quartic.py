@@ -9,8 +9,7 @@ maximum of F over the unit sphere is exactly the fourth-moment ratio
 maximum over functions with spectrum in A.  This module computes F two
 independent ways (pair sums and the dense transform), certified lower
 bounds via multi-start ascent on the sphere, assembled upper bounds,
-the pair-sum matrix representation, and the coordinate-split machinery
-(split pair, the one-variable curve G, and its closed-form maximum).
+the pair-sum matrix representation, and the last-coordinate split.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import dyadic_level_sets, m_bound
-from .asymptotics import f_combine, psi_value
+from .asymptotics import psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
     CubeFunction,
     PairIndex,
     SpectrumVector,
     SupportSet,
-    moments,
     walsh_transform,
 )
 from .errors import ResourceLimitError
@@ -43,14 +41,10 @@ __all__ = [
     "BoundSet",
     "SplitPair",
     "big_f",
-    "big_f_grad",
     "mu_lower",
     "mu_upper",
     "shkredov_matrix",
     "decompose_last",
-    "g_curve",
-    "g_curve_argmax",
-    "g_curve_max",
 ]
 
 
@@ -168,19 +162,6 @@ def big_f(y: SpectrumVector) -> float:
         raise ValueError("F undefined on an empty support")
     sums = _pair_sums(y.support, y.coords)
     return float(np.dot(sums, sums))
-
-
-def big_f_grad(y: SpectrumVector) -> SpectrumVector:
-    """Gradient of F at y: 4 times the spectrum of f^3 restricted to A.
-
-    Uses the dense transform, so the dimension must sit within the
-    default dense cap.
-    """
-    if len(y.support) == 0:
-        raise ValueError("F undefined on an empty support")
-    kernel = _DenseKernel(y.support, DEFAULT_DENSE_CAP)
-    _, cube_values = kernel.evaluate(y.coords)
-    return SpectrumVector(y.support, kernel.gradient(cube_values))
 
 
 def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
@@ -546,16 +527,10 @@ def mu_upper(
 
 @dataclass
 class SplitPair:
-    """Last-coordinate split f = (g0 + g1, g0 - g1) with moment ratios.
-
-    R0/R1 are the fourth-moment ratios of the halves, None for an
-    identically zero half.
-    """
+    """Last-coordinate split f = (g0 + g1, g0 - g1)."""
 
     g0: CubeFunction
     g1: CubeFunction
-    R0: float | None
-    R1: float | None
 
     def __post_init__(self) -> None:
         if self.g0.n != self.g1.n:
@@ -579,74 +554,4 @@ def decompose_last(f: CubeFunction) -> SplitPair:
     high = f.values[half:]
     g0 = CubeFunction(f.n - 1, (low + high) / 2.0)
     g1 = CubeFunction(f.n - 1, (low - high) / 2.0)
-    r0 = moments(g0).ratio() if np.any(g0.values) else None
-    r1 = moments(g1).ratio() if np.any(g1.values) else None
-    return SplitPair(g0, g1, r0, r1)
-
-
-def _fourth_and_second(g: CubeFunction) -> tuple[float, float]:
-    m = moments(g)
-    return m.fourth, m.second
-
-
-def g_curve(g0: CubeFunction, g1: CubeFunction, x: float) -> float:
-    """The mixing curve
-
-        G(x) = (E g1^4 x^2 + 6 sqrt(E g0^4 E g1^4) x + E g0^4)
-               / (E g1^2 x + E g0^2)^2
-
-    whose supremum over x >= 0 upper-bounds the ratio of any f
-    splitting into (g0, g1).
-    """
-    if x < 0.0:
-        raise ValueError("the curve is defined for x >= 0")
-    if g0.n != g1.n:
-        raise ValueError("halves must share a dimension")
-    m4_0, m2_0 = _fourth_and_second(g0)
-    m4_1, m2_1 = _fourth_and_second(g1)
-    denominator = (m2_1 * x + m2_0) ** 2
-    if denominator == 0.0:
-        raise ValueError("curve undefined: denominator vanishes")
-    numerator = m4_1 * x * x + 6.0 * math.sqrt(m4_0 * m4_1) * x + m4_0
-    return numerator / denominator
-
-
-def g_curve_argmax(g0: CubeFunction, g1: CubeFunction) -> float:
-    """Interior maximiser of G in the regime 1/9 < R0/R1 < 9:
-
-        x* = sqrt(E g0^4 / E g1^4) * (3 sqrt(R1) - sqrt(R0))
-                                     / (3 sqrt(R0) - sqrt(R1))
-    """
-    split_r0 = moments(g0).ratio()
-    split_r1 = moments(g1).ratio()
-    if split_r0 >= 9.0 * split_r1 or split_r1 >= 9.0 * split_r0:
-        raise ValueError("no interior maximiser outside 1/9 < R0/R1 < 9")
-    m4_0 = moments(g0).fourth
-    m4_1 = moments(g1).fourth
-    s0, s1 = math.sqrt(split_r0), math.sqrt(split_r1)
-    return math.sqrt(m4_0 / m4_1) * (3.0 * s1 - s0) / (3.0 * s0 - s1)
-
-
-def g_curve_max(g0: CubeFunction, g1: CubeFunction) -> float:
-    """sup over x >= 0 of G(x), by the three-regime closed form.
-
-    R0 when R0 >= 9 R1 (the supremum sits at x = 0), R1 when
-    R1 >= 9 R0 (at infinity), otherwise the combine function
-    F(R0, R1) attained at the interior maximiser.  A single zero half
-    degenerates to the other half's ratio.
-    """
-    zero0 = not np.any(g0.values)
-    zero1 = not np.any(g1.values)
-    if zero0 and zero1:
-        raise ValueError("curve maximum undefined for two zero halves")
-    if zero1:
-        return moments(g0).ratio()
-    if zero0:
-        return moments(g1).ratio()
-    ratio0 = moments(g0).ratio()
-    ratio1 = moments(g1).ratio()
-    if ratio0 >= 9.0 * ratio1:
-        return ratio0
-    if ratio1 >= 9.0 * ratio0:
-        return ratio1
-    return f_combine(ratio0, ratio1)
+    return SplitPair(g0, g1)

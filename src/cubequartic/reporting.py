@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+__all__ = ["Check", "BoundReport", "ConjectureRecord"]
+
 
 @dataclass(frozen=True)
 class Check:

@@ -10,8 +10,8 @@ sphere divided by its squared size, which is the value of the quartic
 form at the uniform unit vector.  Every s_t shares the denominator
 C(n, k)^2, so r(n, k) and the argmax are read from integer numerators.
 Everything in this module is exact integer or rational arithmetic
-except the two stated float roots t1, t2 and the deliberately-float
-small-k estimate.
+except the float root t1 of the peak quadratic and the deliberately
+float small-k estimate.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "r_exact",
     "ratio_st",
     "t1",
-    "t2",
     "argmax_st",
     "sphere_sum_bound",
     "small_k_lower",
@@ -51,12 +50,6 @@ class SphereParams:
     @property
     def size(self) -> int:
         return math.comb(self.n, self.k)
-
-    def require_lower_half(self) -> None:
-        if 2 * self.k > self.n:
-            raise ValueError(
-                f"this quantity is defined for k <= n/2, got n={self.n}, k={self.k}"
-            )
 
 
 def s_t_exact(p: SphereParams, t: int) -> Fraction:
@@ -130,12 +123,6 @@ def t1(p: SphereParams) -> float:
     """
     n, k = p.n, p.k
     return (3.0 * n - math.sqrt(float(n * n + 8 * (n - 2 * k) ** 2))) / 8.0
-
-
-def t2(p: SphereParams) -> float:
-    """Larger root of the same quadratic; useful only as a sanity anchor."""
-    n, k = p.n, p.k
-    return (3.0 * n + math.sqrt(float(n * n + 8 * (n - 2 * k) ** 2))) / 8.0
 
 
 def argmax_st(p: SphereParams) -> int:

@@ -13,6 +13,7 @@ tests and in the report functions they call.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from .core import (
     moments,
     synthesize,
 )
-from .quartic import OptimizerConfig, decompose_last
+from .quartic import OptimizerConfig, _gaussian, decompose_last
 from .reporting import BoundReport, Check, check_close, check_ge, check_le
 from .reports import (
     ball_bound_report,
@@ -65,20 +66,19 @@ __all__ = [
 
 # --- seeded inputs -----------------------------------------------------
 
-def _random_support(rng: np.random.Generator, n: int, max_size: int) -> SupportSet:
-    size = int(rng.integers(1, max_size + 1))
-    masks = rng.choice(1 << n, size=min(size, 1 << n), replace=False)
-    return SupportSet.from_masks(n, [int(m) for m in masks])
+def _random_support(rng: random.Random, n: int, max_size: int) -> SupportSet:
+    size = rng.randint(1, max_size)
+    return SupportSet.from_masks(n, rng.sample(range(1 << n), min(size, 1 << n)))
 
 
-def _random_function(rng: np.random.Generator, n: int) -> CubeFunction:
-    return CubeFunction(n, rng.standard_normal(1 << n))
+def _random_function(rng: random.Random, n: int) -> CubeFunction:
+    return CubeFunction(n, _gaussian(rng, 1 << n))
 
 
-def _random_sparse(rng: np.random.Generator, n: int, size: int) -> CubeFunction:
+def _random_sparse(rng: random.Random, n: int, size: int) -> CubeFunction:
     A = _random_support(rng, n, size)
     values = np.zeros(1 << n)
-    values[A.masks_array()] = rng.standard_normal(len(A))
+    values[A.masks_array()] = _gaussian(rng, len(A))
     return synthesize(Spectrum(n, values))
 
 
@@ -89,22 +89,22 @@ def _spectrum_indicator(A: SupportSet) -> CubeFunction:
     return synthesize(Spectrum(A.n, values))
 
 
-def _random_span(rng: np.random.Generator, n: int) -> SupportSet:
-    gens = [int(g) for g in rng.choice(1 << n, size=3, replace=False) if g]
+def _random_span(rng: random.Random, n: int) -> SupportSet:
+    gens = [g for g in rng.sample(range(1 << n), 3) if g]
     return SupportSet.span(n, gens)
 
 
-def _ball_subset(rng: np.random.Generator, n: int, k: int) -> SupportSet:
+def _ball_subset(rng: random.Random, n: int, k: int) -> SupportSet:
     ball = SupportSet.ball(n, k).elements
-    size = int(rng.integers(1, len(ball) + 1))
-    return SupportSet.from_masks(n, rng.choice(ball, size=size, replace=False).tolist())
+    size = rng.randint(1, len(ball))
+    return SupportSet.from_masks(n, rng.sample(ball, size))
 
 
-def _ball_subsets(rng: np.random.Generator) -> tuple[SupportSet, SupportSet, int, int]:
+def _ball_subsets(rng: random.Random) -> tuple[SupportSet, SupportSet, int, int]:
     """Random subsets of two balls of one dimension, with their radii."""
-    n = int(rng.integers(4, 11))
-    k1 = int(rng.integers(0, n // 2 + 1))
-    k2 = int(rng.integers(0, n // 2 + 1))
+    n = rng.randint(4, 10)
+    k1 = rng.randint(0, n // 2)
+    k2 = rng.randint(0, n // 2)
     return _ball_subset(rng, n, k1), _ball_subset(rng, n, k2), k1, k2
 
 
@@ -121,15 +121,16 @@ class _Corpus(NamedTuple):
 
 def _corpus(seed: int) -> _Corpus:
     # one stream, drawn in a fixed order, so a suite's inputs do not
-    # depend on which other suites run
-    rng = np.random.default_rng(seed)
+    # depend on which other suites run; like the ascent's starts, it comes
+    # from the stdlib generator and never loads numpy.random
+    rng = random.Random(seed)
     return _Corpus(
         sparse=[_random_sparse(rng, 10, 30) for _ in range(3)],
         restricted=[(_random_sparse(rng, 10, 6), _random_support(rng, 10, 4)) for _ in range(5)],
         ball_subsets=[_ball_subsets(rng) for _ in range(10)],
         tensor_bases=[_random_function(rng, 4) for _ in range(2)],
         spans=[_random_span(rng, 10) for _ in range(2)],
-        split=[_random_function(rng, int(rng.integers(2, 9))) for _ in range(10)],
+        split=[_random_function(rng, rng.randint(2, 8)) for _ in range(10)],
     )
 
 
@@ -193,12 +194,12 @@ def _sphere_equivalence_report() -> BoundReport:
     return report
 
 
-def _peak_agreement_report(rng: np.random.Generator) -> BoundReport:
+def _peak_agreement_report(rng: random.Random) -> BoundReport:
     report = BoundReport(subject="curve value at the peak equals the envelope, sampled cells")
     worst = 0.0
     for _ in range(200):
-        n = int(rng.integers(4, 513))
-        k = int(rng.integers(1, n // 2 + 1))
+        n = rng.randint(4, 512)
+        k = rng.randint(1, n // 2)
         p = SphereParams(n, k)
         worst = max(worst, abs(phi(t1(p) / n, p) - psi_value(k / n)))
     report.checks.append(
@@ -282,7 +283,7 @@ def suite_asymptotics(seed: int = 0) -> list[BoundReport]:
         psi_concavity_check(),
         psi_linear_bound_check(),
         phi_derivative_report(),
-        _peak_agreement_report(np.random.default_rng(seed)),
+        _peak_agreement_report(random.Random(seed)),
     ]
 
 

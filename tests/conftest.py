@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cubequartic.core import CubeFunction, SupportSet
+from cubequartic.core import CubeFunction, Moments, SupportSet
 
 
 def character_transform(values) -> np.ndarray:
@@ -47,6 +47,14 @@ def brute_energy(masks) -> int:
         for b in masks:
             counts[a ^ b] = counts.get(a ^ b, 0) + 1
     return sum(c * c for c in counts.values())
+
+
+def split_curve(m0: Moments, m1: Moments, x: float) -> float:
+    """G(x) = (M4_1 x^2 + 6 sqrt(M4_0 M4_1) x + M4_0) / (M2_1 x + M2_0)^2 for
+    halves g0, g1 with moments m0, m1; its supremum over x >= 0 bounds the
+    ratio of every f that splits into (g0, g1)."""
+    numerator = m1.fourth * x * x + 6.0 * math.sqrt(m0.fourth * m1.fourth) * x + m0.fourth
+    return numerator / (m1.second * x + m0.second) ** 2
 
 
 def central_difference(func, x: np.ndarray, h: float) -> np.ndarray:

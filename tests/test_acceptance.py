@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from cubequartic.additive import energy_ratio
-from cubequartic.asymptotics import TWO_LOG2_3, phi, psi_value, r_of_x
+from cubequartic.asymptotics import TWO_LOG2_3, f_combine, phi, psi_value, r_of_x
 from cubequartic.cli import main
 from cubequartic.core import (
+    DEFAULT_DENSE_CAP,
     CubeFunction,
     SpectrumVector,
     SupportSet,
@@ -29,12 +30,9 @@ from cubequartic.core import (
 )
 from cubequartic.quartic import (
     OptimizerConfig,
+    _DenseKernel,
     big_f,
-    big_f_grad,
     decompose_last,
-    g_curve,
-    g_curve_argmax,
-    g_curve_max,
     mu_lower,
     mu_upper,
 )
@@ -48,7 +46,7 @@ from cubequartic.reports import (
 )
 from cubequartic.spheres import SphereParams, r_exact, t1
 
-from conftest import brute_energy, central_difference
+from conftest import brute_energy, central_difference, split_curve
 
 
 _CAPTURE = None
@@ -118,7 +116,8 @@ def test_03_gradient_correctness():
         masks = rng.choice(1 << n, size=size, replace=False)
         A = SupportSet.from_masks(n, [int(m) for m in masks])
         coords = rng.standard_normal(size)
-        grad = big_f_grad(SpectrumVector(A, coords)).coords
+        kernel = _DenseKernel(A, DEFAULT_DENSE_CAP)
+        grad = kernel.gradient(kernel.evaluate(coords)[1])
         fd = central_difference(lambda c: big_f(SpectrumVector(A, c)), coords, 1e-5)
         err = float(np.max(np.abs(grad - fd))) / max(1.0, float(np.max(np.abs(grad))))
         if err > 1e-6:
@@ -351,26 +350,31 @@ def test_11_split_and_tensorization():
     while found < 50 and trials < 2000:
         trials += 1
         n = int(rng.integers(2, 6))
-        g0 = CubeFunction(n, rng.standard_normal(1 << n))
-        g1 = CubeFunction(n, rng.standard_normal(1 << n))
-        r0, r1 = moments(g0).ratio(), moments(g1).ratio()
+        m0 = moments(CubeFunction(n, rng.standard_normal(1 << n)))
+        m1 = moments(CubeFunction(n, rng.standard_normal(1 << n)))
+        r0, r1 = m0.ratio(), m1.ratio()
         if not (r1 / 9.0 < r0 < 9.0 * r1):
             continue
         found += 1
-        peak = g_curve_max(g0, g1)
-        x_star = g_curve_argmax(g0, g1)
-        lo, hi = 0.0, 8.0 * x_star
-        xs = np.linspace(lo, hi, 2001)
-        best_i = int(np.argmax([g_curve(g0, g1, float(x)) for x in xs]))
-        lo = xs[max(0, best_i - 1)]
-        hi = xs[min(len(xs) - 1, best_i + 1)]
+        peak = f_combine(r0, r1)
+        # x = s u / (1 - u) sweeps [0, inf) as u sweeps [0, 1), and G is
+        # unimodal in u as in x
+        s = m0.second / m1.second
+
+        def G(u):
+            return split_curve(m0, m1, s * u / (1.0 - u))
+
+        us = np.linspace(0.0, 1.0, 2001)[:-1]
+        best_i = int(np.argmax([G(float(u)) for u in us]))
+        lo = us[max(0, best_i - 1)]
+        hi = us[min(len(us) - 1, best_i + 1)]
         for _ in range(120):  # ternary refinement on the unimodal peak
             third = (hi - lo) / 3.0
-            if g_curve(g0, g1, lo + third) < g_curve(g0, g1, hi - third):
+            if G(lo + third) < G(hi - third):
                 lo += third
             else:
                 hi -= third
-        grid_max = g_curve(g0, g1, (lo + hi) / 2.0)
+        grid_max = G((lo + hi) / 2.0)
         if abs(grid_max - peak) > 1e-8 * max(1.0, peak):
             failures.append(f"curve max off: grid {grid_max} vs closed {peak}")
     if found < 50:

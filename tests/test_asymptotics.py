@@ -11,7 +11,6 @@ from cubequartic.asymptotics import (
     phi,
     phi_derivative,
     phi_derivative_report,
-    psi,
     psi_concavity_check,
     psi_linear_bound_check,
     psi_value,
@@ -78,14 +77,6 @@ class TestPsi:
             psi_value(-0.01)
         with pytest.raises(ValueError):
             psi_value(0.51)
-
-    def test_evaluation_record(self):
-        rec = psi(0.3)
-        assert rec.x == 0.3
-        assert math.isclose(rec.r, r_of_x(0.3), rel_tol=1e-15)
-        assert math.isclose(rec.psi, psi_value(0.3), rel_tol=1e-15)
-        assert rec.psi_second_fd < 0.0
-        assert 0.0 < rec.psi_prime_fd < TWO_LOG2_3
 
     def test_below_linear_cap_inside(self):
         for i in range(1, 50):

@@ -570,5 +570,9 @@ class TestImportHygiene:
         for argv in (["analyze", path] + FAST, ["scan", "--n-max", "4", "--threads", "2"] + FAST):
             assert "numpy.random" not in self.modules_after(argv), argv
 
+    def test_verify_skips_numpy_random(self):
+        # the seeded corpus draws from random.Random, like the ascent
+        assert "numpy.random" not in self.modules_after(["verify", "--suite", "all"] + FAST)
+
     def test_verify_skips_numpy_ma(self):
         assert "numpy.ma" not in self.modules_after(["verify", "--suite", "additive"])

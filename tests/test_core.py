@@ -8,7 +8,6 @@ import pytest
 from cubequartic import core
 from cubequartic.core import (
     CubeFunction,
-    CubePoint,
     Moments,
     PairIndex,
     Spectrum,
@@ -20,11 +19,7 @@ from cubequartic.core import (
     synthesize,
     walsh_transform,
 )
-from cubequartic.errors import (
-    DimensionMismatchError,
-    ResourceLimitError,
-    UndefinedRatioError,
-)
+from cubequartic.errors import ResourceLimitError, UndefinedRatioError
 
 from conftest import brute_energy, character_transform, random_function
 
@@ -222,19 +217,6 @@ class TestSupportSetPairs:
         assert convolved == [10]
 
 
-class TestCubePoint:
-    def test_weight_and_xor(self):
-        p = CubePoint(4, 0b1010)
-        q = CubePoint(4, 0b0110)
-        assert p.weight == 2
-        assert (p ^ q).mask == 0b1100
-        assert p.bits() == (0, 1, 0, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CubePoint(2, 4)
-
-
 class TestSpectrumVector:
     def test_uniform_norm(self):
         y = SpectrumVector.uniform(SupportSet.sphere(4, 1))
@@ -289,12 +271,25 @@ class TestSupportOf:
         with pytest.raises(ValueError):
             CubeFunction(3, np.zeros(4))
 
-    def test_point_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            CubePoint(2, 1) ^ CubePoint(3, 1)
-
     def test_dense_cap(self):
         with pytest.raises(ResourceLimitError):
             SupportSet.from_masks(30, [1]).indicator()
         # a raised cap lets the same call through on a feasible size
         SupportSet.from_masks(16, [1]).indicator(dense_cap=16)
+
+
+class TestPublicSurface:
+    LAYERS = ("core", "additive", "quartic", "spheres", "asymptotics", "reports", "reporting", "errors")
+
+    def test_root_exports_the_union_of_the_layer_lists(self):
+        import importlib
+
+        import cubequartic
+
+        layers = [importlib.import_module(f"cubequartic.{name}") for name in self.LAYERS]
+        union = {name for layer in layers for name in layer.__all__}
+        assert sorted(cubequartic.__all__) == sorted(union | {"__version__"})
+        for layer in layers:
+            for name in layer.__all__:
+                # getattr on the layer raises if a listed name is not defined there
+                assert getattr(cubequartic, name) is getattr(layer, name), (layer.__name__, name)

@@ -18,7 +18,6 @@ from cubequartic.spheres import (
     sphere_sum_bound,
     sphere_table,
     t1,
-    t2,
 )
 
 
@@ -43,11 +42,6 @@ class TestParams:
 
     def test_size(self):
         assert SphereParams(6, 2).size == 15
-
-    def test_lower_half_guard(self):
-        SphereParams(6, 3).require_lower_half()
-        with pytest.raises(ValueError):
-            SphereParams(6, 4).require_lower_half()
 
 
 class TestMasses:
@@ -172,14 +166,14 @@ class TestPeak:
             n = int(rng.integers(2, 200))
             k = int(rng.integers(0, n // 2 + 1))
             p = SphereParams(n, k)
-            for root in (t1(p), t2(p)):
-                residual = 4.0 * root * root - 3.0 * n * root + 2.0 * k * (n - k)
-                assert abs(residual) <= 1e-7 * max(1.0, n * n)
+            root = t1(p)
+            residual = 4.0 * root * root - 3.0 * n * root + 2.0 * k * (n - k)
+            assert abs(residual) <= 1e-7 * max(1.0, n * n)
 
     def test_root_symmetry(self):
         p = SphereParams(50, 13)
-        assert math.isclose(t1(p) + t2(p), 3.0 * 50 / 4.0, rel_tol=1e-14)
-        assert math.isclose(t1(p) * t2(p), 13 * 37 / 2.0, rel_tol=1e-13)
+        # Vieta: the other root is 3n/4 - t1, and the product is k(n-k)/2
+        assert math.isclose(t1(p) * (3.0 * 50 / 4.0 - t1(p)), 13 * 37 / 2.0, rel_tol=1e-13)
 
     def test_argmax_tracks_t1(self):
         # the discrete peak stays within one step of the continuous root
