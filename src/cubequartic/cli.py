@@ -23,7 +23,7 @@ from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
-from .spheres import SphereParams, sphere_table, t1
+from .spheres import SphereParams, mass_chain, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
@@ -283,10 +283,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sphere_table(args: argparse.Namespace) -> int:
     p = SphereParams(args.n, args.k)
-    rows = sphere_table(p)
-    t_lo = 0 if args.t_min is None else max(0, args.t_min)
-    t_hi = args.k if args.t_max is None else min(args.k, args.t_max)
-    selected = [row for row in rows if t_lo <= row.t <= t_hi]
+    chain = mass_chain(p)
+    selected = sphere_table(p, args.t_min or 0, args.t_max, chain=chain)
     exact_mode = args.values == "exact"
 
     def render(value):
@@ -304,10 +302,11 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
         for row in selected
     ]
     footer = {
-        "total": render(rows[-1].cumulative),
+        # r(n, k), as r_exact reads it from the chain
+        "total": render(Fraction(sum(chain), chain[0])),
         "peak_location": t1(p),
-        # first row of the largest mass: argmax_st's tie rule, smallest t
-        "argmax": max(rows, key=lambda row: row.mass).t,
+        # first index of the largest mass: argmax_st's tie rule, smallest t
+        "argmax": chain.index(max(chain)),
     }
     if 2 * args.k <= args.n:
         footer["psi"] = psi_value(args.k / args.n)

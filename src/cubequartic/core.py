@@ -369,26 +369,32 @@ class SpectrumVector:
 
 
 def walsh_transform(values: np.ndarray) -> np.ndarray:
-    """Unnormalised in-place Walsh-Hadamard transform, O(n 2^n).
+    """Unnormalised in-place Walsh-Hadamard transform along the last axis,
+    O(n 2^n) per row.
 
-    Float and complex arrays go through blocked matrix products: the n
-    index bits split into ceil(n / _BLOCK_BITS) blocks of near-equal
-    size, and each block is one product with the Hadamard matrix of its
-    order (the lowest block as a single matrix product, the others as a
-    stack of them).  That is a few BLAS calls where the butterfly makes
-    n numpy passes that each copy half the array.  Sums run in a
-    different order from the butterfly, so the last bits can differ.
+    An array of more than one axis is a stack of rows, each transformed
+    alone, so one call serves every start of the ascent.  Float and
+    complex arrays go through blocked matrix products: the n index bits
+    split into ceil(n / _BLOCK_BITS) blocks of near-equal size, and each
+    block is one product with the Hadamard matrix of its order (the
+    lowest block as one matrix product per row, the others as a stack of
+    them).  That is a few BLAS calls where the butterfly makes n numpy
+    passes that each copy half the array.  Sums run in a different order
+    from the butterfly, so the last bits can differ; a row's result does
+    not depend on the rows stacked with it, because every product has
+    the same shape whatever the number of rows.
 
     Integer and object arrays keep the butterfly and stay in their dtype,
     which the exact int64 convolution relies on: integer matrix products
     have no BLAS kernel and are slower than the butterfly.
 
     The input array is modified and also returned.  Applying it twice
-    multiplies by 2^n.
+    multiplies each row by 2^n.
     """
-    size = values.shape[0]
+    lead, size = values.shape[:-1], values.shape[-1]
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
+    # every reshape below splits the last axis only, so it is a view
     if values.dtype.kind in "fc":
         n = size.bit_length() - 1
         blocks = -(-n // _BLOCK_BITS)
@@ -398,19 +404,19 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
             hadamard = _HADAMARD[bits]
             if done == 0:
                 # H is symmetric, so the lowest bits are one product on the right
-                rows = values.reshape(-1, 1 << bits)
+                rows = values.reshape(lead + (-1, 1 << bits))
                 rows[...] = rows @ hadamard
             else:
-                stack = values.reshape(-1, 1 << bits, 1 << done)
+                stack = values.reshape(lead + (-1, 1 << bits, 1 << done))
                 stack[...] = hadamard @ stack
             done += bits
         return values
     h = 1
     while h < size:
-        view = values.reshape(-1, 2, h)
-        top = view[:, 0, :].copy()
-        view[:, 0, :] += view[:, 1, :]
-        view[:, 1, :] = top - view[:, 1, :]
+        view = values.reshape(lead + (-1, 2, h))
+        top = view[..., 0, :].copy()
+        view[..., 0, :] += view[..., 1, :]
+        view[..., 1, :] = top - view[..., 1, :]
         h *= 2
     return values
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,110 +186,178 @@ def _require_transform_cap(n: int, cap: int) -> None:
         )
 
 
+# a stack of ascent starts holds at most this many entries of kernel
+# state (rows times the kernel's width), so a large transform climbs
+# one start at a time
+_STACK_ENTRIES = 1 << 18
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b.
+
+    A stacked matrix product runs one BLAS dot per row, which is faster
+    than the ufunc reductions and equals ``np.dot`` on each row.  Every
+    product in the ascent keeps one matrix per row like this one, never
+    one product over all rows, so that a row's result does not depend
+    on the rows stacked with it.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+# where the circle coefficients sit in a flattened 2 x 3 Gram matrix
+# [u; w] [u, v, w]' of the kernels (m2 needs one more term on the sparse one)
+_GRAM_2X3 = np.array([0, 1, 2, 4, 5])
+
+
 class _DenseKernel:
     """Fast F and gradient evaluation through the dense transform.
 
-    ``evaluate`` returns F and a state that ``gradient``, ``circle``
-    and ``move`` take back: here the point values of the synthesized f.
+    Every method takes a stack of vectors, one per row (rows x |A|), and
+    returns one result per row.  ``evaluate`` returns F and a state that
+    ``gradient``, ``circle`` and ``move`` take back: a tuple of arrays
+    whose first axis is the row, so the ascent drops a row by indexing
+    each.  Here it is the point values f of the synthesized functions
+    (rows x 2^n) and a buffer (rows x 3 x 2^n) whose first row holds f^2.
     """
 
     def __init__(self, support: SupportSet, cap: int) -> None:
         _require_transform_cap(support.n, cap)
         self.n = support.n
         self.masks = support.masks_array()
-        self.size = 1 << support.n
-        self.scale = 1.0 / self.size
+        # the length of a row of point values, 2^n
+        self.width = 1 << support.n
+        self.scale = 1.0 / self.width
 
-    def evaluate(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        """Returns (F(coords), dense point values of the synthesized f)."""
-        dense = np.zeros(self.size)
-        dense[self.masks] = coords
+    def _at(
+        self, point_values: np.ndarray, powers: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """F = mean(f^4) and the state at the given point values, with f^2
+        written into the first row of the buffer ``powers``."""
+        sq = np.multiply(point_values, point_values, out=powers[..., 0, :])
+        return _row_dots(sq, sq) * self.scale, (point_values, powers)
+
+    def evaluate(self, coords: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Returns (F of each row, the state of each synthesized f)."""
+        dense = np.zeros(coords.shape[:-1] + (self.width,))
+        dense[..., self.masks] = coords
         walsh_transform(dense)
-        sq = dense * dense
-        return float(np.mean(sq * sq)), dense
+        return self._at(dense, np.empty(dense.shape[:-1] + (3, self.width)))
 
-    def gradient(self, point_values: np.ndarray) -> np.ndarray:
-        """4 * analyze(f^3) on the support, given f's point values."""
-        cube = point_values * point_values * point_values
+    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """4 * analyze(f^3) on the support, given f and f^2."""
+        point_values, powers = state
+        cube = powers[..., 0, :] * point_values
         walsh_transform(cube)
-        cube *= self.scale
-        return 4.0 * cube[self.masks]
+        # take keeps the rows C-contiguous, as the BLAS row dots need
+        return np.take(cube, self.masks, axis=-1) * (4.0 * self.scale)
 
     def circle(
-        self, point_values: np.ndarray, direction: np.ndarray
+        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """F along cos(t) y + sin(t) d, and the point values b of d.
 
         With a the point values of y, F = mean((c a + s b)^4), so the
-        coefficients are the means of a^(4-i) b^i for i = 0..4.
+        coefficients are the means of a^(4-i) b^i for i = 0..4.  As
+        a^2.b^2 = ab.ab, all five are entries of one stacked product
+        [a^2; b^2] [a^2, ab, b^2]'; ab and b^2 go into the state's buffer
+        next to a^2.
         """
-        b = np.zeros(self.size)
-        b[self.masks] = direction
+        point_values, powers = state
+        b = np.zeros(direction.shape[:-1] + (self.width,))
+        b[..., self.masks] = direction
         walsh_transform(b)
-        a2 = point_values * point_values
-        b2 = b * b
-        ab = point_values * b
-        coefficients = np.array(
-            [a2 @ a2, a2 @ ab, a2 @ b2, ab @ b2, b2 @ b2]
-        ) * self.scale
-        return coefficients, b
-
-    def move(
-        self, point_values: np.ndarray, b: np.ndarray, c: float, s: float
-    ) -> tuple[float, np.ndarray]:
-        """F and the state at cos(t) y + sin(t) d, with no transform."""
-        f = c * point_values + s * b
-        sq = f * f
-        return float(np.mean(sq * sq)), f
-
-
-class _SparseKernel:
-    """F and gradient from the pair index, at cost |A|^2 per call.
-
-    With s_x the pair sums, F = s.s and grad F = 4 T y for the pair-sum
-    matrix T[i, j] = s at a_i ^ a_j; the state passed from ``evaluate``
-    to the other methods is (y, s).
-    """
-
-    def __init__(self, index: PairIndex) -> None:
-        self.index = index
-
-    def evaluate(self, coords: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        sums = self.index.pair_sums(coords)
-        return float(np.dot(sums, sums)), (coords, sums)
-
-    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        coords, sums = state
-        return 4.0 * (sums[self.index.inverse] @ coords)
-
-    def circle(
-        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """F along cos(t) y + sin(t) d, and the pair sums needed to move.
-
-        With P, Q and R the pair sums of y(x)y, y(x)d and d(x)d, the
-        pair sums on the circle are c^2 P + 2cs Q + s^2 R.
-        """
-        coords, p = state
-        q = self.index.pair_sums(coords, direction)
-        r = self.index.pair_sums(direction)
-        coefficients = np.array(
-            [p @ p, p @ q, (2.0 * (q @ q) + p @ r) / 3.0, q @ r, r @ r]
-        )
-        return coefficients, (direction, q, r)
+        np.multiply(point_values, b, out=powers[..., 1, :])
+        np.multiply(b, b, out=powers[..., 2, :])
+        gram = powers[..., ::2, :] @ np.swapaxes(powers, -1, -2)
+        # [a2.a2, a2.ab, a2.b2, b2.a2, b2.ab, b2.b2] without the repeat
+        coefficients = gram.reshape(gram.shape[:-2] + (6,))[..., _GRAM_2X3]
+        return coefficients * self.scale, b
 
     def move(
         self,
         state: tuple[np.ndarray, np.ndarray],
-        arc: tuple[np.ndarray, np.ndarray, np.ndarray],
-        c: float,
-        s: float,
-    ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        b: np.ndarray,
+        c: np.ndarray,
+        s: np.ndarray,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """F and the state at cos(t) y + sin(t) d, with no transform.
+
+        The new state reuses the buffer of the given one, which the
+        ascent never reads again, and s b goes through the row that held
+        ab, so a step allocates no more than the point values: near the
+        dense cap a row is 2^24 entries.
+        """
+        point_values, powers = state
+        f = c[..., None] * point_values
+        f += np.multiply(s[..., None], b, out=powers[..., 1, :])
+        return self._at(f, powers)
+
+
+class _SparseKernel:
+    """F and gradient from the pair index, at cost |A|^2 per row.
+
+    With s_x the pair sums, F = s.s and grad F = 4 T y for the pair-sum
+    matrix T[i, j] = s at a_i ^ a_j.  The methods take stacks like the
+    dense kernel's; the state passed from ``evaluate`` to the other
+    methods is y (rows x |A|) and a buffer (rows x 3 x |A+A|) whose
+    first row holds s.  The pair sums and T y are formed one row at a
+    time, so no buffer holds rows x |A|^2 entries; the rest is batched
+    over the rows.
+    """
+
+    def __init__(self, index: PairIndex) -> None:
+        self.index = index
+        self.width = len(index.sums)
+
+    def evaluate(
+        self, coords: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        sums = np.empty((len(coords), 3, self.width))
+        for row, y in enumerate(coords):
+            sums[row, 0] = self.index.pair_sums(y)
+        return _row_dots(sums[:, 0], sums[:, 0]), (coords, sums)
+
+    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        coords, sums = state
+        inverse = self.index.inverse
+        return 4.0 * np.array([p[inverse] @ y for y, p in zip(coords, sums[:, 0])])
+
+    def circle(
+        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """F along cos(t) y + sin(t) d; the pair sums needed to move go
+        into the state's buffer.
+
+        With P, Q and R the pair sums of y(x)y, y(x)d and d(x)d, the
+        pair sums on the circle are c^2 P + 2cs Q + s^2 R, so the
+        coefficients are P.P, P.Q, (2 Q.Q + P.R) / 3, Q.R and R.R: all
+        but Q.Q are entries of one stacked product [P; R] [P, Q, R]'.
+        """
+        coords, sums = state
+        for row, (y, d) in enumerate(zip(coords, direction)):
+            sums[row, 1] = self.index.pair_sums(y, d)
+            sums[row, 2] = self.index.pair_sums(d)
+        gram = sums[:, ::2] @ sums.transpose(0, 2, 1)
+        coefficients = gram.reshape(-1, 6)[:, _GRAM_2X3]
+        q = sums[:, 1]
+        coefficients[:, 2] = (2.0 * _row_dots(q, q) + coefficients[:, 2]) / 3.0
+        return coefficients, direction
+
+    def move(
+        self,
+        state: tuple[np.ndarray, np.ndarray],
+        direction: np.ndarray,
+        c: np.ndarray,
+        s: np.ndarray,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """F and the state at cos(t) y + sin(t) d, with no enumeration."""
-        coords, p = state
-        direction, q, r = arc
-        sums = (c * c) * p + (2.0 * c * s) * q + (s * s) * r
-        return float(np.dot(sums, sums)), (c * coords + s * direction, sums)
+        coords, sums = state
+        c, s = c[:, None], s[:, None]
+        moved = np.empty_like(sums)
+        # c^2 P + 2cs Q + s^2 R, one row-by-row product
+        weights = np.concatenate((c * c, 2.0 * c * s, s * s), axis=1)[:, None]
+        p = np.matmul(weights, sums, out=moved[:, :1])[:, 0]
+        return _row_dots(p, p), (c * coords + s * direction, moved)
 
 
 def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
@@ -309,96 +376,150 @@ def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
 _WINDOW = 50
 
 
-def _circle_argmax(coefficients: np.ndarray) -> tuple[float, float] | None:
-    """(cos t, sin t) at the maximum of F over the great circle.
+# m1 times the companion matrix of g, flattened, is m @ _COMPANION: its
+# first row is the coefficients of g over m1 times m1, its subdiagonal m1
+_COMPANION = np.zeros((5, 16))
+_COMPANION[[0, 2, 1, 3, 2, 4, 3], [0, 0, 1, 1, 2, 2, 3]] = [1.0, -3.0, 3.0, -3.0, 3.0, -1.0, 1.0]
+_COMPANION[1, [4, 9, 14]] = 1.0
+
+
+def _circle_argmax(
+    coefficients: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos t, sin t) at the maximum of F over each row's great circle.
 
     F(cos(t) y + sin(t) d) = sum_i C(4, i) m_i cos^(4-i)(t) sin^i(t)
-    for the coefficients m.  With v = cot t this is sin^4(t) p(v) for
-    p(v) = sum_i C(4, i) m_i v^(4-i), and its derivative in t is
-    -sin^4(t) g(v) with g(v) = (1 + v^2) p'(v) - 4v p(v), a quartic
-    whose degree-5 terms cancel.  F has period pi in t and rises from
-    t = 0 at rate 4 m1, so when m1 > 0 its maximum sits at a root of g
-    in (0, pi); the roots are the eigenvalues of the companion matrix.
-    Complex roots are kept by their real part: every candidate is a
-    point of the circle, and the best one wins.  Returns None when
-    m1 <= 0, i.e. F does not rise along d at float resolution.
+    for the coefficients m, one row of five per circle.  With v = cot t
+    this is sin^4(t) p(v) for p(v) = sum_i C(4, i) m_i v^(4-i), and its
+    derivative in t is -sin^4(t) g(v) with g(v) = (1 + v^2) p'(v) -
+    4v p(v), a quartic whose degree-5 terms cancel.  F has period pi in
+    t and rises from t = 0 at rate 4 m1, so when m1 > 0 its maximum
+    sits at a root of g in (0, pi).  The roots are the eigenvalues of
+    the companion matrix over m1: one stacked ``eigvals`` call solves
+    every row's 4 x 4 matrix, scaled by m1 so that no row divides by
+    zero.  Complex roots are kept by their real part: every candidate is
+    a point of the circle, and the best one (the first on ties) wins.
+    The four candidates of a row are scored in Python floats: for stacks
+    of up to a few dozen rows that costs less than the dozen numpy calls
+    of a vectorised scoring.
+
+    Returns c, s and the uphill mask, one entry per row.  A row is not
+    uphill when m1 <= 0, i.e. F does not rise along d at float
+    resolution; its c and s are 1 and 0, the start of the circle.
     """
-    m0, m1, m2, m3, m4 = coefficients.tolist()
-    if m1 <= 0.0:
-        return None
-    companion = np.array(
-        [
-            [(m0 - 3.0 * m2) / m1, 3.0 * (m1 - m3) / m1, (3.0 * m2 - m4) / m1, m3 / m1],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    best, step = -math.inf, None
-    for v in np.linalg.eigvals(companion).real.tolist():
-        h = math.hypot(1.0, v)
-        c, s = v / h, 1.0 / h
-        cc, ss = c * c, s * s
-        value = cc * (cc * m0 + 4.0 * c * s * m1 + 6.0 * ss * m2) + ss * (
-            4.0 * c * s * m3 + ss * m4
-        )
-        if value > best:
-            best, step = value, (c, s)
-    return step
+    scaled = (coefficients[:, None] @ _COMPANION).reshape(-1, 4, 4)
+    roots = np.linalg.eigvals(scaled).real.tolist()
+    c, s, uphill = [], [], []
+    for (m0, m1, m2, m3, m4), row_roots in zip(coefficients.tolist(), roots):
+        best, step = -math.inf, None
+        if m1 > 0.0:
+            for w in row_roots:
+                v = w / m1
+                h = math.hypot(1.0, v)
+                cc, ss = v / h, 1.0 / h
+                c2, s2 = cc * cc, ss * ss
+                value = c2 * (c2 * m0 + 4.0 * cc * ss * m1 + 6.0 * s2 * m2) + s2 * (
+                    4.0 * cc * ss * m3 + s2 * m4
+                )
+                if value > best:
+                    best, step = value, (cc, ss)
+        c.append(1.0 if step is None else step[0])
+        s.append(0.0 if step is None else step[1])
+        uphill.append(step is not None)
+    return np.array(c), np.array(s), np.array(uphill)
 
 
 def _ascend(
-    kernel: _DenseKernel | _SparseKernel, start: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, float, int, str]:
-    """Monotone ascent of F on the unit sphere by exact great-circle steps.
+    kernel: _DenseKernel | _SparseKernel, starts: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Monotone ascent of F on the unit sphere by exact great-circle
+    steps, for a stack of starts (rows x |A|) in lockstep.
 
     Each step takes the unit projected gradient d at y and moves to the
     maximum of F over the great circle cos(t) y + sin(t) d.  Along it F
     is a quartic form in (cos t, sin t) with five coefficients, which
     the kernel returns together with what it needs to form the new
     point without a fresh evaluation; ``_circle_argmax`` finds the
-    maximum exactly.  The dense kernel thus runs two Walsh transforms
-    of length 2^n per step (the gradient and the transform of d), the
-    sparse one two bincounts over the pair index.  A step is taken only
-    if F does not fall; otherwise the run stops.  A shifted power step
-    normalize(grad F + alpha y), for any alpha > 0, lies on the same
-    circle, so no step gains less than it would.
+    maximum exactly.  A step is taken only if F does not fall;
+    otherwise the run stops.  A shifted power step normalize(grad F +
+    alpha y), for any alpha > 0, lies on the same circle, so no step
+    gains less than it would.
 
-    Returns the last point, its value, the iterations and the exit
-    reason (see ``AscentRun``).
+    Every kernel call serves all rows still climbing: the dense kernel
+    runs two stacked Walsh transforms of length 2^n per step (the
+    gradients and the transforms of the directions), the sparse one two
+    bincounts per row over the pair index.  A row leaves the stack when
+    its run ends, so each row follows the path it would follow alone.
+
+    Returns, one entry per row: the last points, their values, the
+    iterations and the exit reasons (see ``AscentRun``).
     """
-    y = start / math.sqrt(float(np.dot(start, start)))
+    y = starts / np.sqrt(_row_dots(starts, starts))[:, None]
     value, state = kernel.evaluate(y)
-    window: deque[float] = deque([value], maxlen=_WINDOW + 1)
+    rows = len(y)
+    out_y, out_value = np.empty_like(y), np.empty(rows)
+    out_iterations, out_exit = np.zeros(rows, dtype=int), [""] * rows
+    live = np.arange(rows)
+    # ring[:, j % (_WINDOW + 1)] holds each row's value after iteration j
+    ring = np.empty((rows, _WINDOW + 1))
+    ring[:, 0] = value
+
+    def finish(done: np.ndarray, iterations: int, reason: str) -> np.ndarray:
+        """Record the rows ``done`` as ended and return the mask of the rest."""
+        for row, point, reached in zip(live[done], y[done], value[done]):
+            out_y[row], out_value[row] = point, reached
+            out_iterations[row], out_exit[row] = iterations, reason
+        return ~done
+
     for iterations in range(1, cfg.max_iters + 1):
         grad = kernel.gradient(state)
-        radial = float(np.dot(grad, y))
-        tangent = grad - radial * y
-        norm = math.sqrt(float(np.dot(tangent, tangent)))
-        if norm <= 1e-14 * max(1.0, abs(radial)):
-            return y, value, iterations, "stationary"
+        # radial = grad.y = 4F, and F = E f^4 >= (E f^2)^2 = 1 on the unit
+        # sphere, so the relative test needs no floor at 1; nor does the
+        # window's below
+        radial = _row_dots(grad, y)
+        tangent = grad - radial[:, None] * y
+        stationary = np.sqrt(_row_dots(tangent, tangent)) <= 1e-14 * radial
+        if np.count_nonzero(stationary):
+            keep = finish(stationary, iterations, "stationary")
+            if not np.count_nonzero(keep):
+                break
+            live, y, value, tangent = live[keep], y[keep], value[keep], tangent[keep]
+            state, ring = tuple(part[keep] for part in state), ring[keep]
         # a second projection: near a stationary point the first leaves
         # a radial part of relative size eps |grad| / |tangent|, which
         # would tilt the circle off the sphere and let F grow with |y|
-        tangent -= float(np.dot(tangent, y)) * y
-        direction = tangent / math.sqrt(float(np.dot(tangent, tangent)))
+        tangent -= _row_dots(tangent, y)[:, None] * y
+        direction = tangent / np.sqrt(_row_dots(tangent, tangent))[:, None]
         coefficients, arc = kernel.circle(state, direction)
-        step = _circle_argmax(coefficients)
-        if step is None:
-            return y, value, iterations, "no-uphill"
-        c, s = step
+        c, s, uphill = _circle_argmax(coefficients)
         value_new, state_new = kernel.move(state, arc, c, s)
-        if value_new < value:
-            # no uphill point on the circle at float resolution
-            return y, value, iterations, "no-uphill"
-        y, value, state = c * y + s * direction, value_new, state_new
-        window.append(value)
-        if (
-            len(window) == window.maxlen
-            and value - window[0] <= cfg.tol * max(1.0, abs(value))
-        ):
-            return y, value, iterations, "window"
-    return y, value, cfg.max_iters, "iteration-cap"
+        # the dense arc is rows x 2^n: drop it before the next gradient
+        del arc
+        # no uphill point on the circle at float resolution
+        stuck = ~uphill | (value_new < value)
+        if np.count_nonzero(stuck):
+            keep = finish(stuck, iterations, "no-uphill")
+            if not np.count_nonzero(keep):
+                break
+            live, y, value, direction = live[keep], y[keep], value[keep], direction[keep]
+            c, s, value_new = c[keep], s[keep], value_new[keep]
+            state_new = tuple(part[keep] for part in state_new)
+            ring = ring[keep]
+        y = c[:, None] * y + s[:, None] * direction
+        value, state = value_new, state_new
+        ring[:, iterations % (_WINDOW + 1)] = value
+        if iterations >= _WINDOW:
+            oldest = ring[:, (iterations + 1) % (_WINDOW + 1)]
+            flat = value - oldest <= cfg.tol * value
+            if np.count_nonzero(flat):
+                keep = finish(flat, iterations, "window")
+                if not np.count_nonzero(keep):
+                    break
+                live, y, value = live[keep], y[keep], value[keep]
+                state, ring = tuple(part[keep] for part in state), ring[keep]
+    else:
+        finish(np.ones(len(live), dtype=bool), cfg.max_iters, "iteration-cap")
+    return out_y, out_value, out_iterations, out_exit
 
 
 def _gaussian(rng: random.Random, size: int) -> np.ndarray:
@@ -461,14 +582,23 @@ def mu_lower(
 
     runs: list[AscentRun] = []
     best_y, best = None, None
+    # each phase climbs as one stack, split only where the kernel's state
+    # for every row would pass _STACK_ENTRIES
+    stack_rows = max(1, _STACK_ENTRIES // kernel.width)
 
     def run(batch: list[tuple[str, np.ndarray]]) -> None:
         nonlocal best_y, best
-        for kind, start in batch:
-            y, value, iters, exit_reason = _ascend(kernel, start, cfg)
-            runs.append(AscentRun(kind, value, iters, exit_reason))
-            if best is None or value > best.value:
-                best_y, best = y, runs[-1]
+        for lo in range(0, len(batch), stack_rows):
+            chunk = batch[lo : lo + stack_rows]
+            ys, values, iterations, exits = _ascend(
+                kernel, np.array([start for _, start in chunk]), cfg
+            )
+            for (kind, _), y, value, iters, exit_reason in zip(
+                chunk, ys, values.tolist(), iterations.tolist(), exits
+            ):
+                runs.append(AscentRun(kind, value, iters, exit_reason))
+                if best is None or value > best.value:
+                    best_y, best = y, runs[-1]
 
     run(starts)
     # second phase: indicator starts on the dyadic slices of the leader
@@ -487,7 +617,7 @@ def mu_lower(
 
     certificate = SpectrumVector(A, best_y).normalize()
     return MuEstimate(
-        value=kernel.evaluate(certificate.coords)[0],
+        value=float(kernel.evaluate(certificate.coords[None])[0][0]),
         certificate=certificate,
         starts_used=len(runs),
         iterations=sum(r.iterations for r in runs),

@@ -26,6 +26,7 @@ __all__ = [
     "s_t_exact",
     "r_exact",
     "ratio_st",
+    "mass_chain",
     "t1",
     "argmax_st",
     "sphere_sum_bound",
@@ -90,7 +91,7 @@ def ratio_st(p: SphereParams, t: int) -> Fraction:
     return Fraction(*_ratio_terms(n, k, t))
 
 
-def _mass_chain(p: SphereParams) -> list[int]:
+def mass_chain(p: SphereParams) -> list[int]:
     """[N_0, ..., N_{min(k, n-k)}] with N_t = s_t * C(n, k)^2, an integer.
 
     Built by the ratio recurrence from N_0 = C(n, k)^2 in integers; the
@@ -108,7 +109,7 @@ def _mass_chain(p: SphereParams) -> list[int]:
 
 def r_exact(p: SphereParams) -> Fraction:
     """r(n, k) = sum_t s_t(n, k), exact."""
-    chain = _mass_chain(p)
+    chain = mass_chain(p)
     return Fraction(sum(chain), chain[0])
 
 
@@ -127,7 +128,7 @@ def t1(p: SphereParams) -> float:
 
 def argmax_st(p: SphereParams) -> int:
     """The t maximising s_t(n, k); smallest such t on exact ties."""
-    chain = _mass_chain(p)
+    chain = mass_chain(p)
     return chain.index(max(chain))
 
 
@@ -168,21 +169,38 @@ class SphereTableRow:
             raise ValueError("inconsistent table row")
 
 
-def sphere_table(p: SphereParams) -> list[SphereTableRow]:
-    """Rows t = 0 .. k with masses, step ratios and partial sums.
+def sphere_table(
+    p: SphereParams,
+    t_min: int = 0,
+    t_max: int | None = None,
+    *,
+    chain: list[int] | None = None,
+) -> list[SphereTableRow]:
+    """Rows t = t_min .. t_max (clamped to 0 .. k) with masses, step
+    ratios and partial sums; every row by default.
 
-    The final cumulative value is exactly r(n, k); ratio_to_prev on row
-    t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  Each mass
-    is the previous one times its row's ratio, from s_0 = 1;
-    ``s_t_exact`` is the independent route that tests compare them with.
+    The cumulative value of row k is exactly r(n, k); ratio_to_prev on
+    row t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  Each
+    mass is N_t / N_0 from the integer chain ``mass_chain(p)``, which a
+    caller that already holds it passes as ``chain``, and the partial
+    sums are integer prefix sums over the same denominator, so only the
+    rows asked for build fractions; ``s_t_exact`` is the independent
+    route that tests compare them with.
     """
+    if chain is None:
+        chain = mass_chain(p)
+    lo = max(0, t_min)
+    hi = p.k if t_max is None else min(p.k, t_max)
+    # masses past the chain are zero
+    numerators = chain + [0] * (p.k + 1 - len(chain))
+    running = sum(numerators[:lo])
     rows: list[SphereTableRow] = []
-    mass, running = Fraction(1), Fraction(0)
-    for t in range(p.k + 1):
-        ratio = None
-        if t > 0 and mass:
-            ratio = ratio_st(p, t - 1)
-            mass *= ratio
+    for t in range(lo, hi + 1):
+        mass = numerators[t]
         running += mass
-        rows.append(SphereTableRow(t, mass, ratio, running))
+        previous = numerators[t - 1] if t > 0 else 0
+        ratio = Fraction(mass, previous) if previous else None
+        rows.append(
+            SphereTableRow(t, Fraction(mass, chain[0]), ratio, Fraction(running, chain[0]))
+        )
     return rows

@@ -63,6 +63,28 @@ class TestWalshTransform:
         assert np.allclose(base[::2], expected, atol=1e-10)
         assert np.array_equal(base[1::2], skipped)
 
+    def test_rows_of_a_stack_match_the_row_transform(self, rng):
+        # floats across one, two and three Hadamard blocks; int64 on the butterfly
+        for n in (0, 1, 4, 6, 7, 12, 13):
+            floats = rng.standard_normal((5, 1 << n))
+            stacked = walsh_transform(floats.copy())
+            ints = rng.integers(-9, 10, size=(3, 1 << n))
+            stacked_ints = walsh_transform(ints.copy())
+            assert stacked_ints.dtype == np.int64
+            for row in range(5):
+                alone = walsh_transform(floats[row].copy())
+                assert np.allclose(stacked[row], alone, rtol=1e-12, atol=1e-12 * (1 << n))
+            for row in range(3):
+                assert np.array_equal(stacked_ints[row], walsh_transform(ints[row].copy()))
+
+    def test_non_contiguous_stack_is_transformed_in_place(self, rng):
+        base = rng.standard_normal((4, 1 << 9))
+        view, skipped = base[::2, ::2], base[:, 1::2].copy()
+        expected = [character_transform(row) for row in view]
+        assert walsh_transform(view) is view
+        assert np.allclose(base[::2, ::2], expected, atol=1e-10)
+        assert np.array_equal(base[:, 1::2], skipped)
+
     def test_returns_its_input(self, rng):
         for values in (rng.standard_normal(1 << 8), rng.integers(-9, 10, size=1 << 8)):
             assert walsh_transform(values) is values

@@ -159,15 +159,18 @@ class TestKernels:
         for A in sets:
             sparse = _SparseKernel(PairIndex.of(A.elements))
             dense = _DenseKernel(A, DEFAULT_DENSE_CAP)
-            for _ in range(3):
-                y = rng.standard_normal(len(A))
-                f_sparse, s_state = sparse.evaluate(y)
-                f_dense, d_state = dense.evaluate(y)
-                assert math.isclose(f_sparse, f_dense, rel_tol=1e-12)
-                g_sparse = sparse.gradient(s_state)
-                g_dense = dense.gradient(d_state)
-                scale = float(np.max(np.abs(g_dense)))
-                assert np.max(np.abs(g_sparse - g_dense)) <= 1e-12 * scale
+            # one stack of three vectors, compared row by row
+            y = rng.standard_normal((3, len(A)))
+            f_sparse, s_state = sparse.evaluate(y)
+            f_dense, d_state = dense.evaluate(y)
+            assert f_sparse.shape == f_dense.shape == (3,)
+            g_sparse = sparse.gradient(s_state)
+            g_dense = dense.gradient(d_state)
+            assert g_sparse.shape == g_dense.shape == y.shape
+            for row in range(3):
+                assert math.isclose(f_sparse[row], f_dense[row], rel_tol=1e-12)
+                scale = float(np.max(np.abs(g_dense[row])))
+                assert np.max(np.abs(g_sparse[row] - g_dense[row])) <= 1e-12 * scale
 
     def test_choice_follows_pair_count_against_transform_size(self):
         cases = [
@@ -196,32 +199,39 @@ def circle_quartic(coefficients, theta):
 class _RecordingKernel:
     """Forwards to a kernel and records every great-circle step of an ascent.
 
-    It follows the ascent's point y from the start and through every step
-    with F(new) >= F(old); the test checks the ascent ends where it does.
+    Its state carries each row's point y and value ahead of the kernel's
+    own arrays, so the ascent drops a row from all of them at once.  It
+    records every step the ascent takes (F rises along d and
+    F(new) >= F(old)) and every point reached; the test checks each row
+    ends at a point it reached.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.steps = []  # (y, d, value reached)
+        self.reached = []  # (y, value) of every start and every step
 
     def evaluate(self, coords):
         value, state = self.kernel.evaluate(coords)
-        self.y, self.value = coords, value
-        return value, state
+        self.reached += zip(coords, value)
+        return value, (coords, value) + state
 
     def gradient(self, state):
-        return self.kernel.gradient(state)
+        return self.kernel.gradient(state[2:])
 
     def circle(self, state, direction):
-        self.direction = direction
-        return self.kernel.circle(state, direction)
+        coefficients, arc = self.kernel.circle(state[2:], direction)
+        return coefficients, (direction, coefficients[:, 1] > 0.0, arc)
 
     def move(self, state, arc, c, s):
-        value, new_state = self.kernel.move(state, arc, c, s)
-        if value >= self.value:
-            self.steps.append((self.y, self.direction, value))
-            self.y, self.value = c * self.y + s * self.direction, value
-        return value, new_state
+        y, value = state[:2]
+        direction, uphill, inner_arc = arc
+        value_new, inner_new = self.kernel.move(state[2:], inner_arc, c, s)
+        y_new = c[:, None] * y + s[:, None] * direction
+        for row in np.nonzero(uphill & (value_new >= value))[0]:
+            self.steps.append((y[row], direction[row], value_new[row]))
+            self.reached.append((y_new[row], value_new[row]))
+        return value_new, (y_new, value_new) + inner_new
 
 
 class TestLineSearch:
@@ -231,20 +241,22 @@ class TestLineSearch:
         sets += [SupportSet.sphere(6, 3), SupportSet.sphere(10, 1)]
         thetas = np.linspace(-math.pi / 2, math.pi / 2, 16)
         for A in sets:
-            y = random_unit(rng, len(A))
-            d = rng.standard_normal(len(A))
+            # a stack of two circles, checked row by row
+            y = np.array([random_unit(rng, len(A)) for _ in range(2)])
+            d = rng.standard_normal((2, len(A)))
             for kernel in both_kernels(A):
                 _, state = kernel.evaluate(y)
                 coefficients, arc = kernel.circle(state, d)
+                assert coefficients.shape == (2, 5)
                 for theta in thetas:
                     c, s = math.cos(theta), math.sin(theta)
-                    expected = quartic_oracle(A, c * y + s * d)
-                    assert math.isclose(
-                        circle_quartic(coefficients, theta), expected, rel_tol=1e-10
-                    )
-                    assert math.isclose(
-                        kernel.move(state, arc, c, s)[0], expected, rel_tol=1e-10
-                    )
+                    moved = kernel.move(state, arc, np.full(2, c), np.full(2, s))[0]
+                    for row in range(2):
+                        expected = quartic_oracle(A, c * y[row] + s * d[row])
+                        assert math.isclose(
+                            circle_quartic(coefficients[row], theta), expected, rel_tol=1e-10
+                        )
+                        assert math.isclose(moved[row], expected, rel_tol=1e-10)
 
     def test_each_step_reaches_the_circle_maximum(self, rng):
         grid = np.arange(720) * (math.pi / 720)  # F has period pi on the circle
@@ -252,8 +264,12 @@ class TestLineSearch:
         for A in (random_support(rng, 5, 14), random_support(rng, 6, 18)):
             for kernel in both_kernels(A):
                 recorder = _RecordingKernel(kernel)
-                y_end, value_end, _, _ = _ascend(recorder, rng.standard_normal(len(A)), cfg)
-                assert np.array_equal(recorder.y, y_end) and recorder.value == value_end
+                y_end, value_end, _, _ = _ascend(recorder, rng.standard_normal((3, len(A))), cfg)
+                for row in range(3):
+                    assert any(
+                        np.array_equal(y, y_end[row]) and value == value_end[row]
+                        for y, value in recorder.reached
+                    )
                 assert recorder.steps
                 for y, d, value in recorder.steps:
                     best = max(
@@ -263,43 +279,100 @@ class TestLineSearch:
                     assert value >= best - 1e-12 * best
 
     def test_no_step_when_f_does_not_rise_along_d(self):
-        # F = cos^4 + sin^4 on the circle: flat at t = 0, so no uphill step
-        assert _circle_argmax(np.array([1.0, 0.0, 0.0, 0.0, 1.0])) is None
-        # near t = 0, F = 1 + 4e-3 t - 2 t^2 + O(t^3): the top is near t = 1e-3
-        c, s = _circle_argmax(np.array([1.0, 1e-3, 0.0, 0.0, 1.0]))
-        assert c > 0.0 and abs(s - 1e-3) < 1e-5
+        # row 0: F = cos^4 + sin^4 on the circle, flat at t = 0, so no uphill
+        # step; row 1: near t = 0, F = 1 + 4e-3 t - 2 t^2 + O(t^3), so the
+        # top is near t = 1e-3; both in one stack
+        c, s, uphill = _circle_argmax(
+            np.array([[1.0, 0.0, 0.0, 0.0, 1.0], [1.0, 1e-3, 0.0, 0.0, 1.0]])
+        )
+        assert uphill.tolist() == [False, True]
+        assert c[1] > 0.0 and abs(s[1] - 1e-3) < 1e-5
+        # a stack of one is the same rule
+        assert not _circle_argmax(np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]))[2][0]
 
-    def _count_transforms(self, monkeypatch, A):
+    def _count_transforms(self, monkeypatch, A, cfg=FAST):
+        """mu_lower on A, and the number of rows of each transform call."""
         import cubequartic.quartic
 
         calls = []
 
         def counted(values):
-            calls.append(len(values))
+            calls.append(values.size // values.shape[-1])
             return walsh_transform(values)
 
         monkeypatch.setattr(cubequartic.quartic, "walsh_transform", counted)
-        return mu_lower(A, FAST), calls
+        return mu_lower(A, cfg), calls
 
     def test_dense_route_runs_two_transforms_per_step(self, monkeypatch):
         A = SupportSet.sphere(7, 3)
         assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _DenseKernel
         est, calls = self._count_transforms(monkeypatch, A)
-        # per start: one to evaluate it, then the gradient and the
-        # transform of the direction in each iteration, except the last
-        # iteration of a run that stops at a stationary point, which
-        # only computes the gradient; and one for the certificate
+        # transformed rows, per start: one to evaluate it, then the
+        # gradient and the transform of the direction in each iteration,
+        # except the last iteration of a run that stops at a stationary
+        # point, which only computes the gradient; and one for the
+        # certificate
         expected = 1 + sum(
             1 + 2 * run.iterations - (run.exit == "stationary") for run in est.runs
         )
-        assert len(calls) == expected
+        assert sum(calls) == expected
         assert any(run.exit != "stationary" for run in est.runs)
+
+    def test_each_phase_runs_as_one_stack(self, monkeypatch):
+        # one evaluation and at most two transforms per step for the whole
+        # stack of a phase, plus the certificate's: the call count follows
+        # the longest run of each phase, not the number of starts
+        A = SupportSet.sphere(7, 3)
+        for starts in (4, 32):
+            cfg = dataclasses.replace(FAST, starts=starts)
+            with monkeypatch.context() as patch:
+                est, calls = self._count_transforms(patch, A, cfg)
+            first = [run.iterations for run in est.runs if run.kind != "level"]
+            level = [run.iterations for run in est.runs if run.kind == "level"]
+            assert len(first) == 1 + starts
+            assert len(calls) <= 2 * (max(first) + max(level, default=0)) + 3
 
     def test_sparse_route_runs_no_transform(self, monkeypatch):
         A = SupportSet.sphere(12, 2)
         assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _SparseKernel
         est, calls = self._count_transforms(monkeypatch, A)
         assert calls == [] and est.iterations > 0
+
+
+class TestStackedAscent:
+    # sets on both kernels: spheres, a span and random masks
+    SETS = [
+        SupportSet.sphere(6, 3),
+        SupportSet.sphere(7, 3),
+        SupportSet.sphere(10, 1),
+        SupportSet.sphere(9, 2),
+        SupportSet.span(6, [3, 12, 48]),
+    ]
+
+    def test_each_row_ends_as_its_start_alone(self):
+        rng = np.random.default_rng(12)
+        sets = self.SETS + [random_support(rng, n, 24) for n in (5, 7, 9)]
+        cfg = OptimizerConfig(max_iters=400)
+        kinds = set()
+        for A in sets:
+            kernel = _choose_kernel(A, DEFAULT_DENSE_CAP)
+            kinds.add(type(kernel))
+            starts = np.vstack([np.ones(len(A)), rng.standard_normal((6, len(A)))])
+            _, values, _, exits = _ascend(kernel, starts, cfg)
+            for row, start in enumerate(starts):
+                _, alone, _, alone_exit = _ascend(kernel, start[None], cfg)
+                assert exits[row] == alone_exit[0], (A, row)
+                assert math.isclose(values[row], alone[0], rel_tol=1e-12), (A, row)
+        assert kinds == {_DenseKernel, _SparseKernel}
+
+    def test_stack_size_is_capped(self, monkeypatch):
+        import cubequartic.quartic
+
+        A = SupportSet.sphere(7, 3)
+        # 4 rows of 2^7 entries fit under a cap of 512 entries
+        monkeypatch.setattr(cubequartic.quartic, "_STACK_ENTRIES", 512)
+        est, calls = TestLineSearch()._count_transforms(monkeypatch, A)
+        assert max(calls) == 4 and len(est.runs) > 4
 
 
 class TestMuLower:

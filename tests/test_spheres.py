@@ -11,6 +11,7 @@ from cubequartic.spheres import (
     SphereParams,
     SphereTableRow,
     argmax_st,
+    mass_chain,
     r_exact,
     ratio_st,
     s_t_exact,
@@ -260,6 +261,15 @@ class TestTable:
         monkeypatch.setattr(cubequartic.spheres, "s_t_exact", refuse)
         p = SphereParams(40, 25)
         assert sphere_table(p)[-1].cumulative == r_exact(p)
+
+    def test_row_range_matches_the_full_table(self):
+        # the printed window of the CLI, clamped to 0..k, from a given chain
+        for n, k in ((9, 4), (12, 9), (30, 20), (1, 1)):
+            p = SphereParams(n, k)
+            full = sphere_table(p)
+            for lo, hi in ((0, None), (2, 3), (-4, 1), (3, 99), (5, 2)):
+                window = sphere_table(p, lo, hi, chain=mass_chain(p))
+                assert window == [row for row in full if lo <= row.t <= (k if hi is None else hi)]
 
     def test_ratio_column_consistent(self):
         rows = sphere_table(SphereParams(9, 4))
