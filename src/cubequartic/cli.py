@@ -23,7 +23,7 @@ from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
-from .spheres import SphereParams, mass_chain, sphere_table, t1
+from .spheres import SphereParams, argmax_st, mass_chain, r_exact, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
@@ -302,11 +302,9 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
         for row in selected
     ]
     footer = {
-        # r(n, k), as r_exact reads it from the chain
-        "total": render(Fraction(sum(chain), chain[0])),
+        "total": render(r_exact(p, chain=chain)),
         "peak_location": t1(p),
-        # first index of the largest mass: argmax_st's tie rule, smallest t
-        "argmax": chain.index(max(chain)),
+        "argmax": argmax_st(p, chain=chain),
     }
     if 2 * args.k <= args.n:
         footer["psi"] = psi_value(args.k / args.n)

@@ -464,12 +464,22 @@ def _ascend(
     ring = np.empty((rows, _WINDOW + 1))
     ring[:, 0] = value
 
-    def finish(done: np.ndarray, iterations: int, reason: str) -> np.ndarray:
-        """Record the rows ``done`` as ended and return the mask of the rest."""
-        for row, point, reached in zip(live[done], y[done], value[done]):
+    def finish(
+        done: np.ndarray, iterations: int, reason: str | np.ndarray, *extra: np.ndarray
+    ) -> list[np.ndarray]:
+        """Record the rows ``done`` as ended, with ``reason`` (one string or
+        one per row), and drop them from every per-row array: live, y,
+        value, state and ring here, and the ``extra`` arrays live at the
+        call, which it returns."""
+        nonlocal live, y, value, state, ring
+        reasons = np.broadcast_to(np.asarray(reason), done.shape)[done].tolist()
+        for row, point, reached, why in zip(live[done], y[done], value[done], reasons):
             out_y[row], out_value[row] = point, reached
-            out_iterations[row], out_exit[row] = iterations, reason
-        return ~done
+            out_iterations[row], out_exit[row] = iterations, why
+        keep = ~done
+        live, y, value, ring = live[keep], y[keep], value[keep], ring[keep]
+        state = tuple(part[keep] for part in state)
+        return [part[keep] for part in extra]
 
     for iterations in range(1, cfg.max_iters + 1):
         grad = kernel.gradient(state)
@@ -480,11 +490,9 @@ def _ascend(
         tangent = grad - radial[:, None] * y
         stationary = np.sqrt(_row_dots(tangent, tangent)) <= 1e-14 * radial
         if np.count_nonzero(stationary):
-            keep = finish(stationary, iterations, "stationary")
-            if not np.count_nonzero(keep):
+            (tangent,) = finish(stationary, iterations, "stationary", tangent)
+            if not len(live):
                 break
-            live, y, value, tangent = live[keep], y[keep], value[keep], tangent[keep]
-            state, ring = tuple(part[keep] for part in state), ring[keep]
         # a second projection: near a stationary point the first leaves
         # a radial part of relative size eps |grad| / |tangent|, which
         # would tilt the circle off the sphere and let F grow with |y|
@@ -492,31 +500,25 @@ def _ascend(
         direction = tangent / np.sqrt(_row_dots(tangent, tangent))[:, None]
         coefficients, arc = kernel.circle(state, direction)
         c, s, uphill = _circle_argmax(coefficients)
-        value_new, state_new = kernel.move(state, arc, c, s)
+        value_new, state = kernel.move(state, arc, c, s)
         # the dense arc is rows x 2^n: drop it before the next gradient
         del arc
-        # no uphill point on the circle at float resolution
+        # no uphill point on the circle at float resolution: the row ends
+        # where it stands
         stuck = ~uphill | (value_new < value)
+        y_new = c[:, None] * y + s[:, None] * direction
         if np.count_nonzero(stuck):
-            keep = finish(stuck, iterations, "no-uphill")
-            if not np.count_nonzero(keep):
-                break
-            live, y, value, direction = live[keep], y[keep], value[keep], direction[keep]
-            c, s, value_new = c[keep], s[keep], value_new[keep]
-            state_new = tuple(part[keep] for part in state_new)
-            ring = ring[keep]
-        y = c[:, None] * y + s[:, None] * direction
-        value, state = value_new, state_new
+            y_new[stuck], value_new[stuck] = y[stuck], value[stuck]
+        y, value = y_new, value_new
         ring[:, iterations % (_WINDOW + 1)] = value
+        done = stuck
         if iterations >= _WINDOW:
             oldest = ring[:, (iterations + 1) % (_WINDOW + 1)]
-            flat = value - oldest <= cfg.tol * value
-            if np.count_nonzero(flat):
-                keep = finish(flat, iterations, "window")
-                if not np.count_nonzero(keep):
-                    break
-                live, y, value = live[keep], y[keep], value[keep]
-                state, ring = tuple(part[keep] for part in state), ring[keep]
+            done = stuck | (value - oldest <= cfg.tol * value)
+        if np.count_nonzero(done):
+            finish(done, iterations, np.where(stuck, "no-uphill", "window"))
+            if not len(live):
+                break
     else:
         finish(np.ones(len(live), dtype=bool), cfg.max_iters, "iteration-cap")
     return out_y, out_value, out_iterations, out_exit

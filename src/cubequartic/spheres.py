@@ -107,9 +107,11 @@ def mass_chain(p: SphereParams) -> list[int]:
     return chain
 
 
-def r_exact(p: SphereParams) -> Fraction:
-    """r(n, k) = sum_t s_t(n, k), exact."""
-    chain = mass_chain(p)
+def r_exact(p: SphereParams, *, chain: list[int] | None = None) -> Fraction:
+    """r(n, k) = sum_t s_t(n, k), exact; from ``chain`` when the caller
+    already holds ``mass_chain(p)``."""
+    if chain is None:
+        chain = mass_chain(p)
     return Fraction(sum(chain), chain[0])
 
 
@@ -126,9 +128,11 @@ def t1(p: SphereParams) -> float:
     return (3.0 * n - math.sqrt(float(n * n + 8 * (n - 2 * k) ** 2))) / 8.0
 
 
-def argmax_st(p: SphereParams) -> int:
-    """The t maximising s_t(n, k); smallest such t on exact ties."""
-    chain = mass_chain(p)
+def argmax_st(p: SphereParams, *, chain: list[int] | None = None) -> int:
+    """The t maximising s_t(n, k); smallest such t on exact ties.  From
+    ``chain`` when the caller already holds ``mass_chain(p)``."""
+    if chain is None:
+        chain = mass_chain(p)
     return chain.index(max(chain))
 
 

@@ -199,39 +199,59 @@ def circle_quartic(coefficients, theta):
 class _RecordingKernel:
     """Forwards to a kernel and records every great-circle step of an ascent.
 
-    Its state carries each row's point y and value ahead of the kernel's
-    own arrays, so the ascent drops a row from all of them at once.  It
-    records every step the ascent takes (F rises along d and
-    F(new) >= F(old)) and every point reached; the test checks each row
-    ends at a point it reached.
+    Its state carries each row's id, point y and value ahead of the
+    kernel's own arrays, so the ascent drops a row from all of them at
+    once.  It follows each row's point from its start and through every
+    step the ascent takes (F rises along d and F(new) >= F(old)); the
+    test checks each row ends where it does.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.steps = []  # (y, d, value reached)
-        self.reached = []  # (y, value) of every start and every step
+        self.last = {}  # row id -> (y, value) of its start or last step
 
     def evaluate(self, coords):
         value, state = self.kernel.evaluate(coords)
-        self.reached += zip(coords, value)
-        return value, (coords, value) + state
+        ids = np.arange(len(coords))
+        self.last = {row: (coords[row], value[row]) for row in ids.tolist()}
+        return value, (ids, coords, value) + state
 
     def gradient(self, state):
-        return self.kernel.gradient(state[2:])
+        return self.kernel.gradient(state[3:])
 
     def circle(self, state, direction):
-        coefficients, arc = self.kernel.circle(state[2:], direction)
+        coefficients, arc = self.kernel.circle(state[3:], direction)
         return coefficients, (direction, coefficients[:, 1] > 0.0, arc)
 
     def move(self, state, arc, c, s):
-        y, value = state[:2]
+        ids, y, value = state[:3]
         direction, uphill, inner_arc = arc
-        value_new, inner_new = self.kernel.move(state[2:], inner_arc, c, s)
+        value_new, inner_new = self.kernel.move(state[3:], inner_arc, c, s)
         y_new = c[:, None] * y + s[:, None] * direction
         for row in np.nonzero(uphill & (value_new >= value))[0]:
             self.steps.append((y[row], direction[row], value_new[row]))
-            self.reached.append((y_new[row], value_new[row]))
-        return value_new, (y_new, value_new) + inner_new
+            self.last[int(ids[row])] = (y_new[row], value_new[row])
+        return value_new, (ids, y_new, value_new) + inner_new
+
+
+class _FallingKernel:
+    """Forwards to a kernel, except that its move number ``fall_at``
+    reports F = 1/2 on every row, below F's minimum of 1 on the unit
+    sphere, so that no row may take that step."""
+
+    def __init__(self, kernel, fall_at):
+        self.kernel, self.fall_at, self.moves = kernel, fall_at, 0
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def move(self, state, arc, c, s):
+        value, new_state = self.kernel.move(state, arc, c, s)
+        self.moves += 1
+        if self.moves == self.fall_at:
+            value = np.full_like(value, 0.5)
+        return value, new_state
 
 
 class TestLineSearch:
@@ -266,10 +286,8 @@ class TestLineSearch:
                 recorder = _RecordingKernel(kernel)
                 y_end, value_end, _, _ = _ascend(recorder, rng.standard_normal((3, len(A))), cfg)
                 for row in range(3):
-                    assert any(
-                        np.array_equal(y, y_end[row]) and value == value_end[row]
-                        for y, value in recorder.reached
-                    )
+                    y_last, value_last = recorder.last[row]
+                    assert np.array_equal(y_last, y_end[row]) and value_last == value_end[row]
                 assert recorder.steps
                 for y, d, value in recorder.steps:
                     best = max(
@@ -277,6 +295,21 @@ class TestLineSearch:
                         for t in grid
                     )
                     assert value >= best - 1e-12 * best
+
+    def test_a_step_that_lowers_f_ends_the_run(self, rng):
+        cfg = OptimizerConfig(max_iters=6)
+        A = random_support(rng, 6, 18)
+        for kernel in both_kernels(A):
+            recorder = _RecordingKernel(_FallingKernel(kernel, fall_at=3))
+            y_end, value_end, iterations, exits = _ascend(
+                recorder, rng.standard_normal((3, len(A))), cfg
+            )
+            assert exits == ["no-uphill"] * 3 and iterations.tolist() == [3] * 3
+            # each row ends at its second step, not at the rejected third
+            assert len(recorder.steps) == 6
+            for row in range(3):
+                y_last, value_last = recorder.last[row]
+                assert np.array_equal(y_last, y_end[row]) and value_last == value_end[row]
 
     def test_no_step_when_f_does_not_rise_along_d(self):
         # row 0: F = cos^4 + sin^4 on the circle, flat at t = 0, so no uphill
@@ -358,11 +391,14 @@ class TestStackedAscent:
             kernel = _choose_kernel(A, DEFAULT_DENSE_CAP)
             kinds.add(type(kernel))
             starts = np.vstack([np.ones(len(A)), rng.standard_normal((6, len(A)))])
-            _, values, _, exits = _ascend(kernel, starts, cfg)
+            ys, values, iterations, exits = _ascend(kernel, starts, cfg)
             for row, start in enumerate(starts):
-                _, alone, _, alone_exit = _ascend(kernel, start[None], cfg)
+                y, value, alone_iterations, alone_exit = _ascend(kernel, start[None], cfg)
                 assert exits[row] == alone_exit[0], (A, row)
-                assert math.isclose(values[row], alone[0], rel_tol=1e-12), (A, row)
+                assert iterations[row] == alone_iterations[0], (A, row)
+                assert math.isclose(values[row], value[0], rel_tol=1e-12), (A, row)
+                # unit vectors, so an absolute bound is relative to the norm
+                assert np.allclose(ys[row], y[0], rtol=0.0, atol=1e-12), (A, row)
         assert kinds == {_DenseKernel, _SparseKernel}
 
     def test_stack_size_is_capped(self, monkeypatch):

@@ -262,7 +262,7 @@ class TestTable:
         p = SphereParams(40, 25)
         assert sphere_table(p)[-1].cumulative == r_exact(p)
 
-    def test_row_range_matches_the_full_table(self):
+    def test_row_range_and_footer_match_the_full_table(self):
         # the printed window of the CLI, clamped to 0..k, from a given chain
         for n, k in ((9, 4), (12, 9), (30, 20), (1, 1)):
             p = SphereParams(n, k)
@@ -270,6 +270,9 @@ class TestTable:
             for lo, hi in ((0, None), (2, 3), (-4, 1), (3, 99), (5, 2)):
                 window = sphere_table(p, lo, hi, chain=mass_chain(p))
                 assert window == [row for row in full if lo <= row.t <= (k if hi is None else hi)]
+            # the footer's total and argmax from the same chain
+            assert r_exact(p, chain=mass_chain(p)) == full[-1].cumulative
+            assert argmax_st(p, chain=mass_chain(p)) == max(full, key=lambda row: row.mass).t
 
     def test_ratio_column_consistent(self):
         rows = sphere_table(SphereParams(9, 4))
