@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +32,9 @@ GREEDY_LIMIT = 300
 # would run for hours; a request above it is refused before any work
 EXHAUSTIVE_LIMIT = 26
 
-# the exhaustive search holds 2^h x |A + A| tables of pair counts; the
-# low block size h is the largest that keeps them within this many
-# entries (about half a megabyte of int32)
+# the exhaustive search transforms its 2^|A| subset codes in chunks of at
+# most this many entries (a quarter of a megabyte of int16), which keeps
+# its peak memory flat in |A|
 _BLOCK_ENTRIES = 1 << 17
 
 __all__ = [
@@ -167,75 +166,94 @@ class HereditaryResult:
             raise ValueError("hereditary result needs a non-empty subset")
 
 
-def _union_counts(
-    inverse: np.ndarray, table: np.ndarray, low: np.ndarray, high: Sequence[int]
-) -> np.ndarray:
-    """Pair counts of L | H for every subset L of ``low``, with H = ``high``.
+def _zero_quadruples(index: PairIndex) -> np.ndarray:
+    """Subset codes of the 4-subsets of A whose XOR is 0, each listed once.
 
-    ``table[L]`` holds the counts of L alone; row L of the result is
-    c(L | H) = c(L) + c(H) + 2 cross(L), where cross(L) counts the pairs
-    (l, k) in L x H by sum.  cross is built by doubling over the bits of
-    L from one row per low element, which writes each entry once.
+    Element i sits at bit m - 1 - i of a code.  Two distinct pairs of
+    distinct elements with the same sum are disjoint, so every two such
+    pairs sharing a sum make a 4-subset with XOR 0.  Each such {a < b < c < d} splits into pairs of
+    equal sum in three ways; it is listed from the split {a, b}, {c, d}.
     """
-    width = table.shape[1]
-    block = inverse[np.ix_(high, low)]
-    rows = np.bincount(
-        (block + np.arange(len(low)) * width).ravel(), minlength=len(low) * width
-    )
-    rows = (2 * rows).astype(np.int32).reshape(len(low), width)
-    out = np.empty_like(table)
-    out[0] = np.bincount(inverse[np.ix_(high, high)].ravel(), minlength=width)
-    for bit, row in enumerate(rows):
-        np.add(out[: 1 << bit], row, out=out[1 << bit : 2 << bit])
-    out += table
-    return out
+    m = len(index.inverse)
+    rows, cols = np.triu_indices(m, 1)
+    sums = index.inverse[rows, cols]
+    order = np.argsort(sums, kind="stable")
+    sums, rows, cols = sums[order], rows[order], cols[order]
+    codes = (1 << (m - 1 - rows)) | (1 << (m - 1 - cols))
+    found = [np.zeros(0, dtype=codes.dtype)]
+    # the pairs of one sum are consecutive, in increasing order of their
+    # smaller element; ``gap`` walks every distance within a group
+    for gap in range(1, len(sums)):
+        same = sums[:-gap] == sums[gap:]
+        if not same.any():
+            break
+        keep = same & (cols[:-gap] < rows[gap:])
+        found.append(codes[:-gap][keep] | codes[gap:][keep])
+    return np.concatenate(found)
 
 
 def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
     """The exact maximum of E2(B, B) / |B|^2 over all non-empty B.
 
-    The m elements split into a low block of h and a high block of
-    m - h.  A table of pair counts over A + A for all 2^h low subsets L
-    is built once; each high subset H then gets the counts of every
-    L | H in a few passes over a 2^h x |A + A| int32 table (see
-    ``_union_counts``), and their squares sum to the energies.  h is the
-    largest block whose table stays within ``_BLOCK_ENTRIES`` entries.
+    An ordered quadruple of B with XOR 0 either pairs up two values (the
+    3|B|^2 - 2|B| quadruples with a = b, c = d or a permutation of that)
+    or holds four distinct elements; none holds exactly three.  So
+    E2(B, B) = 3|B|^2 - 2|B| + 24 Q(B), where Q(B) counts the 4-subsets
+    of B with XOR 0 (``_zero_quadruples``), and for each size the best
+    subset is the one with the most such 4-subsets.  Q over all 2^m
+    subsets is the subset-sum (zeta) transform of their indicator, which
+    costs about m 2^m int16 additions; Q <= C(26, 4) fits int16 below
+    the size cap.
 
-    For each size the best subset is kept as one int64 key: the energy
-    shifted left by m bits, OR-ed with the subset code whose bit order is
-    reversed (element 0 in the top bit).  Among equal energies the larger
-    key is the subset holding the least element of the symmetric
-    difference, i.e. the lexicographically smaller mask tuple (masks
-    are sorted).  Across sizes the higher ratio wins, then the smaller
-    subset.
+    The subset codes, with element i at bit m - 1 - i, are walked in
+    chunks of at most ``_BLOCK_ENTRIES`` entries with the top bits fixed
+    per chunk: the chunk of top code T transforms the 4-subsets whose
+    top part lies within T over the low bits.  The high half of the low
+    bits is transformed in place, the low half after a transpose, so no
+    pass runs over short strided runs.
+
+    For each size the best subset is one integer key, Q shifted left by
+    m bits, OR-ed with its code.  Among equal Q the larger key is the
+    subset holding the least element of the symmetric difference, i.e.
+    the lexicographically smaller mask tuple (masks are sorted).  Across
+    sizes the higher ratio wins, then the smaller subset.
     """
-    inverse = index.inverse
-    m, width = len(inverse), len(index.sums)
-    h = min(m, (_BLOCK_ENTRIES // width).bit_length() - 1)
-    table = np.zeros((1, width), dtype=np.int32)
-    for j in range(h):
-        grown = _union_counts(inverse, table, np.arange(j), [j])
-        table = np.concatenate((table, grown))
-    codes = np.arange(1 << h)
-    bits = [(codes >> i) & 1 for i in range(h)]
-    sizes = sum(bits, np.zeros_like(codes))
-    low_keys = sum((b << (m - 1 - i) for i, b in enumerate(bits)), np.zeros_like(codes))
-    by_size = np.argsort(sizes, kind="stable")
-    size_starts = np.searchsorted(sizes[by_size], np.arange(h + 1))
+    m = len(index.inverse)
+    quads = _zero_quadruples(index)
+    low = min(m, _BLOCK_ENTRIES.bit_length() - 1)
+    split = low // 2
+    low_mask = (1 << low) - 1
+    tops, lows = quads >> low, quads & low_mask
+    # a transposed chunk holds code l1 * 2^split + l0 at (l0, l1); its
+    # entries are read in order of popcount (built by doubling), and
+    # in order of position within one popcount
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(low):
+        sizes = np.concatenate((sizes, sizes + 1))
+    where = np.argsort(sizes.reshape(-1, 1 << split).T.ravel(), kind="stable")
+    codes = (where & ((1 << (low - split)) - 1)) << split | where >> (low - split)
+    size_starts = np.cumsum([0] + [math.comb(low, k) for k in range(low)])
     best = np.zeros(m + 1, dtype=np.int64)
-    low = np.arange(h)
-    for code in range(1 << (m - h)):
-        high = [h + k for k in range(m - h) if code >> k & 1]
-        counts = _union_counts(inverse, table, low, high)
-        # counts <= |B|^2 and energies <= |B|^3 fit int32 below the size cap
-        energy = np.einsum("ij,ij->i", counts, counts).astype(np.int64)
-        top = np.maximum.reduceat(((energy << m) | low_keys)[by_size], size_starts)
-        top |= sum(1 << (m - 1 - k) for k in high)
-        window = best[len(high) : len(high) + h + 1]
-        np.maximum(window, top, out=window)
-    best_size, best_ratio = 1, Fraction(int(best[1]) >> m)
+    for top in range(1 << (m - low)):
+        block = np.bincount(lows[(tops & ~top) == 0], minlength=1 << low)
+        block = block.astype(np.int16)
+        for bit in range(split, low):
+            pairs = block.reshape(-1, 2, 1 << bit)
+            pairs[:, 1] += pairs[:, 0]
+        block = block.reshape(-1, 1 << split).T.copy()
+        for bit in range(split):
+            pairs = block.reshape(-1, 2, (1 << bit) * block.shape[1])
+            pairs[:, 1] += pairs[:, 0]
+        keys = block.ravel()[where].astype(np.int64) << low | codes
+        keys = np.maximum.reduceat(keys, size_starts)
+        keys = (keys >> low << m) | (keys & low_mask) | top << low
+        size = bin(top).count("1")
+        window = best[size : size + low + 1]
+        np.maximum(window, keys, out=window)
+    best_size, best_ratio = 1, Fraction(1)
     for size in range(2, m + 1):
-        ratio = Fraction(int(best[size]) >> m, size * size)
+        energy = 3 * size * size - 2 * size + 24 * (int(best[size]) >> m)
+        ratio = Fraction(energy, size * size)
         if ratio > best_ratio:
             best_size, best_ratio = size, ratio
     key = int(best[best_size])

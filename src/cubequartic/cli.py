@@ -287,22 +287,29 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
     selected = sphere_table(p, args.t_min or 0, args.t_max, chain=chain)
     exact_mode = args.values == "exact"
 
-    def render(value):
+    def render(value, name):
         if value is None:
             return None
-        return _exact(value) if exact_mode else float(value)
+        if exact_mode:
+            return _exact(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} is out of float range; use --values exact"
+            ) from None
 
     payload_rows = [
         {
             "t": row.t,
-            "mass": render(row.mass),
-            "ratio_to_prev": render(row.ratio_to_prev),
-            "cumulative": render(row.cumulative),
+            "mass": render(row.mass, f"mass at t={row.t}"),
+            "ratio_to_prev": render(row.ratio_to_prev, f"ratio_to_prev at t={row.t}"),
+            "cumulative": render(row.cumulative, f"cumulative at t={row.t}"),
         }
         for row in selected
     ]
     footer = {
-        "total": render(r_exact(p, chain=chain)),
+        "total": render(r_exact(p, chain=chain), "total"),
         "peak_location": t1(p),
         "argmax": argmax_st(p, chain=chain),
     }

@@ -322,16 +322,40 @@ class TestHereditaryEnergy:
         assert index.masks.dtype == object
         assert _exhaustive_hereditary(index) == exhaustive_hereditary_oracle(masks)
 
-    @pytest.mark.parametrize("block", [1 << 6, 1 << 17])
+    @pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 17])
     def test_exhaustive_on_both_sides_of_the_block_split(self, monkeypatch, block):
-        # |A + A| <= 32 in n = 5: a 2^6-entry table holds at most 2^1 low
-        # subsets, so most elements fall in the high block; 2^17 entries
-        # hold every subset of up to 12 elements in the low block
+        # chunks of 2^3 and 2^6 subset codes split every set of more than
+        # 3 or 6 elements into 2^9 or 2^6 chunks at 12 elements; one chunk
+        # of 2^17 holds every subset of up to 12 elements
         monkeypatch.setattr(additive, "_BLOCK_ENTRIES", block)
         masks = (0, 3, 5, 6, 9, 12, 17, 20, 23, 26, 29, 30)
         for size in range(1, len(masks) + 1):
             got = _exhaustive_hereditary(PairIndex.of(masks[:size]))
             assert got == exhaustive_hereditary_oracle(masks[:size])
+
+    def test_energy_from_zero_quadruples_matches_pair_table(self, rng):
+        # E2(B, B) = 3|B|^2 - 2|B| + 24 Q(B), Q(B) the listed 4-subsets within B
+        for _ in range(40):
+            A = random_support(rng, int(rng.integers(2, 8)), 16)
+            m = len(A)
+            quads = additive._zero_quadruples(PairIndex.of(A.elements))
+            codes = [(1 << m) - 1] + [int(c) for c in rng.integers(1, 1 << m, 8)]
+            for code in codes:
+                B = [A.elements[i] for i in range(m) if code >> (m - 1 - i) & 1]
+                q = int(np.count_nonzero((quads & ~code) == 0))
+                energy = sum(c * c for c in _pairs_table(B).values())
+                assert energy == 3 * len(B) ** 2 - 2 * len(B) + 24 * q
+
+    def test_exhaustive_at_the_size_cap(self):
+        # 26 of the 64 points of n = 6 hold 250 XOR-zero 4-subsets; the best
+        # subset has 19 elements
+        masks = np.random.default_rng(26).choice(1 << 6, size=EXHAUSTIVE_LIMIT, replace=False)
+        A = SupportSet.from_masks(6, [int(m) for m in masks])
+        res = hereditary_energy(A, exact_limit=EXHAUSTIVE_LIMIT)
+        assert res.exact and len(A) == 26
+        assert res.ratio == energy_ratio(res.best)
+        assert all(m in A for m in res.best)
+        assert res.ratio >= _greedy_hereditary(A.pairs)[1]
 
     def test_exhaustive_on_the_sphere_s63(self):
         A = SupportSet.sphere(6, 3)

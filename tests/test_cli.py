@@ -336,6 +336,14 @@ class TestSphereTable:
         rows = json.loads(out)["results"]["rows"]
         assert math.isclose(rows[1]["mass"], 8.0 / 3.0, rel_tol=1e-15)
 
+    def test_float_values_out_of_range_exit_usage(self, capsys):
+        argv = ["sphere-table", "2048", "1024", "--t-min", "1016", "--values", "float"]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "cumulative at t=1016 is out of float range" in err
+        assert "--values exact" in err
+
     def test_t_window(self, capsys):
         _, out, _ = run(capsys, ["sphere-table", "12", "4", "--t-min", "1", "--t-max", "2"])
         rows = json.loads(out)["results"]["rows"]
