@@ -69,8 +69,9 @@ class AscentRun:
 
     kind is where the start came from: "uniform", "extra", "gaussian"
     or "level".  exit is "stationary" (the projected gradient
-    vanished), "no-uphill" (the best point of the great circle did not
-    raise F), "window" (the last _WINDOW steps gained less than tol) or
+    vanished), "no-uphill" (F did not rise along the step's search
+    direction, or the best point of its great circle did not raise F),
+    "window" (the last _WINDOW steps gained less than tol) or
     "iteration-cap".
     """
 
@@ -86,13 +87,15 @@ class AscentRun:
 
 @dataclass
 class MuEstimate:
-    """Certified lower bound on the sphere maximum of F.
+    """Lower bound on the sphere maximum of F, found by ascent.
 
-    value is F evaluated at the (feasible, normalized) certificate, so
-    it is a true lower bound regardless of convergence; converged
-    reports whether the run that produced the best value met the
-    stopping criterion rather than the iteration cap.  runs holds one
-    record per start, in the order the starts ran.
+    value is F evaluated in floats at the (feasible, normalized)
+    certificate, so it is a lower bound regardless of convergence, but
+    only up to the rounding of that evaluation: on sphere 11 4 it can
+    read 1e-13 above r(11,4) = 3736/33 (ROADMAP item 1, exact lower
+    certificates).  converged reports whether the run that produced the
+    best value met the stopping criterion rather than the iteration cap.
+    runs holds one record per start, in the order the starts ran.
     """
 
     value: float
@@ -375,6 +378,10 @@ def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
 # relative window improvement below which an ascent run stops
 _WINDOW = 50
 
+# Powell's restart threshold on |g.g_| / |g|^2 for the tangent gradients
+# g and g_ of two successive steps (see _ascend)
+_RESTART = 0.1
+
 
 # m1 times the companion matrix of g, flattened, is m @ _COMPANION: its
 # first row is the coefficients of g over m1 times m1, its subdiagonal m1
@@ -433,17 +440,28 @@ def _ascend(
     kernel: _DenseKernel | _SparseKernel, starts: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Monotone ascent of F on the unit sphere by exact great-circle
-    steps, for a stack of starts (rows x |A|) in lockstep.
+    steps along conjugate directions, for a stack of starts (rows x |A|)
+    in lockstep.
 
-    Each step takes the unit projected gradient d at y and moves to the
-    maximum of F over the great circle cos(t) y + sin(t) d.  Along it F
-    is a quartic form in (cos t, sin t) with five coefficients, which
-    the kernel returns together with what it needs to form the new
-    point without a fresh evaluation; ``_circle_argmax`` finds the
-    maximum exactly.  A step is taken only if F does not fall;
-    otherwise the run stops.  A shifted power step normalize(grad F +
-    alpha y), for any alpha > 0, lies on the same circle, so no step
-    gains less than it would.
+    Each step moves from y to the maximum of F over the great circle
+    cos(t) y + sin(t) d, for the unit search direction d = p / |p|.
+    Along it F is a quartic form in (cos t, sin t) with five
+    coefficients, which the kernel returns together with what it needs
+    to form the new point without a fresh evaluation;
+    ``_circle_argmax`` finds the maximum exactly.  A step is taken only
+    if F does not fall; otherwise the run stops.
+
+    The search vector is p = g + beta p_ for the tangent gradient g at
+    y, with p_ the previous search vector carried to y along its circle
+    as |p_| (cos(t) d_ - sin(t) y_), the circle's tangent there.  beta
+    = max(0, (g.g - g.g_) / |g_|^2) (Polak-Ribiere+) is 0, a gradient
+    step, on a row's first step, when |g.g_| >= _RESTART |g|^2
+    (Powell's restart) and when g.p <= 0.  g is orthogonal to y, so
+    g.g_ needs no projection of g_.  On a gradient step a shifted power
+    step normalize(grad F + alpha y), for any alpha > 0, lies on the
+    same circle, so that step gains no less than it would.  beta is
+    formed per row in Python floats, so a row's path does not depend on
+    the rows stacked with it.
 
     Every kernel call serves all rows still climbing: the dense kernel
     runs two stacked Walsh transforms of length 2^n per step (the
@@ -463,21 +481,26 @@ def _ascend(
     # ring[:, j % (_WINDOW + 1)] holds each row's value after iteration j
     ring = np.empty((rows, _WINDOW + 1))
     ring[:, 0] = value
+    # each row's tangent gradient, its squared norm and its search vector
+    # carried to the current point, from the previous step
+    last_grad, last_norm2, last_search = np.zeros_like(y), np.ones(rows), np.zeros_like(y)
 
     def finish(
         done: np.ndarray, iterations: int, reason: str | np.ndarray, *extra: np.ndarray
     ) -> list[np.ndarray]:
         """Record the rows ``done`` as ended, with ``reason`` (one string or
         one per row), and drop them from every per-row array: live, y,
-        value, state and ring here, and the ``extra`` arrays live at the
-        call, which it returns."""
-        nonlocal live, y, value, state, ring
+        value, state, ring and the previous step's vectors here, and the
+        ``extra`` arrays live at the call, which it returns."""
+        nonlocal live, y, value, state, ring, last_grad, last_norm2, last_search
         reasons = np.broadcast_to(np.asarray(reason), done.shape)[done].tolist()
         for row, point, reached, why in zip(live[done], y[done], value[done], reasons):
             out_y[row], out_value[row] = point, reached
             out_iterations[row], out_exit[row] = iterations, why
         keep = ~done
         live, y, value, ring = live[keep], y[keep], value[keep], ring[keep]
+        last_grad, last_norm2 = last_grad[keep], last_norm2[keep]
+        last_search = last_search[keep]
         state = tuple(part[keep] for part in state)
         return [part[keep] for part in extra]
 
@@ -497,7 +520,25 @@ def _ascend(
         # a radial part of relative size eps |grad| / |tangent|, which
         # would tilt the circle off the sphere and let F grow with |y|
         tangent -= _row_dots(tangent, y)[:, None] * y
-        direction = tangent / np.sqrt(_row_dots(tangent, tangent))[:, None]
+        norm2 = _row_dots(tangent, tangent)
+        search = tangent
+        if iterations > 1:
+            beta = []
+            for g2, last2, cross, slope in zip(
+                norm2.tolist(),
+                last_norm2.tolist(),
+                _row_dots(tangent, last_grad).tolist(),
+                _row_dots(tangent, last_search).tolist(),
+            ):
+                b = (g2 - cross) / last2
+                # Powell's test also catches every b <= 0, where g.g_ >= g.g;
+                # g.p = g.g + b g.p_
+                if abs(cross) >= _RESTART * g2 or g2 + b * slope <= 0.0:
+                    b = 0.0
+                beta.append(b)
+            search = tangent + np.array(beta)[:, None] * last_search
+        length = np.sqrt(_row_dots(search, search))[:, None]
+        direction = search / length
         coefficients, arc = kernel.circle(state, direction)
         c, s, uphill = _circle_argmax(coefficients)
         value_new, state = kernel.move(state, arc, c, s)
@@ -506,7 +547,10 @@ def _ascend(
         # no uphill point on the circle at float resolution: the row ends
         # where it stands
         stuck = ~uphill | (value_new < value)
-        y_new = c[:, None] * y + s[:, None] * direction
+        c, s = c[:, None], s[:, None]
+        y_new = c * y + s * direction
+        last_grad, last_norm2 = tangent, norm2
+        last_search = length * (c * direction - s * y)
         if np.count_nonzero(stuck):
             y_new[stuck], value_new[stuck] = y[stuck], value[stuck]
         y, value = y_new, value_new
@@ -549,8 +593,9 @@ def mu_lower(
     The start list is, in order: the uniform vector on A, any caller
     extras, cfg.starts seeded gaussian vectors, and indicator vectors
     of each dyadic level set of the best first-phase iterate.  Every
-    reported value is F at a feasible point, hence a certified lower
-    bound; the uniform start pins it at or above the energy ratio of A.
+    reported value is F at a feasible point, hence a lower bound up to
+    float rounding (see ``MuEstimate``); the uniform start pins it at or
+    above the energy ratio of A.
 
     F and its gradient come from the pair index ``A.pairs`` when
     |A|^2 <= n 2^n and |A|^2 is within the pair cap, else from the dense

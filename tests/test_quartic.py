@@ -32,6 +32,7 @@ from cubequartic.quartic import (
     _circle_argmax,
     _DenseKernel,
     _gaussian,
+    _row_dots,
     _SparseKernel,
 )
 
@@ -235,6 +236,34 @@ class _RecordingKernel:
         return value_new, (ids, y_new, value_new) + inner_new
 
 
+class _DirectionRecorder(_RecordingKernel):
+    """A ``_RecordingKernel`` that also records, for every row of every
+    move, the row's id, its point y, the tangent gradient g at y, the
+    search direction d and the step's cos t and sin t."""
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.moves = []  # (row id, y, g, d, c, s)
+
+    def gradient(self, state):
+        grad = super().gradient(state)
+        ids, y = state[:2]
+        # the ascent's own products, twice: near a stationary point any other
+        # rounding moves the tangent by eps |grad| relative to its size
+        tangent = grad
+        for _ in range(2):
+            tangent = tangent - _row_dots(tangent, y)[:, None] * y
+        self.tangents = dict(zip(ids.tolist(), tangent))
+        return grad
+
+    def move(self, state, arc, c, s):
+        ids, y = state[:2]
+        for row, row_id in enumerate(ids.tolist()):
+            step = (y[row], self.tangents[row_id], arc[0][row], c[row], s[row])
+            self.moves.append((row_id,) + step)
+        return super().move(state, arc, c, s)
+
+
 class _FallingKernel:
     """Forwards to a kernel, except that its move number ``fall_at``
     reports F = 1/2 on every row, below F's minimum of 1 on the unit
@@ -295,6 +324,44 @@ class TestLineSearch:
                         for t in grid
                     )
                     assert value >= best - 1e-12 * best
+
+    def test_search_direction_follows_the_restart_rule(self, rng):
+        cfg = OptimizerConfig(max_iters=40)
+        restarts = conjugate = 0
+        for A in (random_support(rng, 5, 14), random_support(rng, 6, 18), SupportSet.sphere(6, 3)):
+            for kernel in both_kernels(A):
+                recorder = _DirectionRecorder(kernel)
+                _ascend(recorder, rng.standard_normal((3, len(A))), cfg)
+                # row id -> its last g and search vector p carried to its
+                # point, or None once the row has been left unchecked
+                last = {}
+                for row_id, y, g, d, c, s in recorder.moves:
+                    assert abs(np.dot(d, d) - 1.0) <= 1e-12
+                    assert abs(np.dot(d, y)) <= 1e-12
+                    assert np.dot(g, d) > 0.0
+                    g2, p, atol = np.dot(g, g), g, 1e-12
+                    if row_id in last:
+                        if last[row_id] is None:
+                            continue
+                        g_last, p_last = last[row_id]
+                        cross = np.dot(g, g_last)
+                        beta = (g2 - cross) / np.dot(g_last, g_last)
+                        slope = g2 + beta * np.dot(g, p_last)
+                        # a row whose rule sits within rounding of its boundary
+                        # is left unchecked from there on
+                        if min(abs(abs(cross) - 0.1 * g2), abs(slope)) <= 1e-9 * g2:
+                            last[row_id] = None
+                            continue
+                        if abs(cross) >= 0.1 * g2 or slope <= 0.0:
+                            restarts += 1
+                        else:
+                            # PR+: beta > 0 here, as g.g_ < 0.1 g.g
+                            p, atol = g + beta * p_last, 1e-10
+                            conjugate += 1
+                    assert np.allclose(d, p / np.linalg.norm(p), rtol=0.0, atol=atol)
+                    last[row_id] = g, np.linalg.norm(p) * (c * d - s * y)
+        # both rules are exercised
+        assert restarts and conjugate
 
     def test_a_step_that_lowers_f_ends_the_run(self, rng):
         cfg = OptimizerConfig(max_iters=6)
@@ -436,6 +503,16 @@ class TestMuLower:
             assert math.isclose(est.value, best.value, rel_tol=1e-12)
             # two iterations leave the best run of this set at the cap
             assert est.converged == (cfg is FAST)
+
+    def test_conjugate_directions_shorten_the_uniform_run(self):
+        # the 72 random masks in n = 14 of the benchmark's analyze-sparse
+        # workload, drawn the same way; the uniform start took 123
+        # iterations by steepest ascent and takes about 25 by conjugate
+        # directions, with room left for other numpy versions
+        masks = random.Random("0:14:72").sample(range(1 << 14), 72)
+        est = mu_lower(SupportSet.from_masks(14, masks), OptimizerConfig(starts=0))
+        assert est.runs[0].kind == "uniform"
+        assert est.runs[0].iterations <= 40
 
     def test_subspace_reaches_its_size(self):
         V = SupportSet.span(4, [3, 5])
