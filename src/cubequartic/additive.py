@@ -23,9 +23,11 @@ from .core import DEFAULT_DENSE_CAP, PAIR_ENUMERATION_LIMIT, PairIndex, SupportS
 from .core import SpectrumVector
 from .errors import DimensionMismatchError, ResourceLimitError
 
-# the greedy removal sweep gathers O(|A|^3) pair counts in numpy over
-# all its rounds; above this size only the full set and the certificate
-# level sets are scored
+# the greedy removal sweep costs O(|A|^2) numpy work (its row sums once,
+# then one row of the pair index per round); above this size only the
+# full set and the certificate level sets are scored.  Raising the limit
+# would change the reported hereditary bound of larger sets, such as
+# sphere 11 4 (330 elements)
 GREEDY_LIMIT = 300
 
 # the exhaustive search visits all 2^|A| subsets, so past this size it
@@ -91,18 +93,25 @@ def pair_multiplicities(
     size = len(A)
     if size == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
-    # the convolution's int64 sums reach 2^n |A|^2 < 2^(n + 2 bitlen |A|)
+    # the convolution's sums reach 2^n |A|^2 < 2^(n + 2 bitlen |A|)
     fits_int64 = A.n + 2 * size.bit_length() < 62
     conv_ok = A.n <= cap and fits_int64
     if A.pairs_within_cap():
-        table = A.pairs.table()
-        if conv_ok and table != A.convolution:
-            raise RuntimeError(
-                "pair multiplicity cross-check failed between "
-                "enumeration and convolution"
-            )
+        index = A.pairs
+        if conv_ok:
+            sums, counts = A.convolution
+            if not (
+                np.array_equal(index.sums, sums)
+                and np.array_equal(index.counts, counts)
+            ):
+                raise RuntimeError(
+                    "pair multiplicity cross-check failed between "
+                    "enumeration and convolution"
+                )
+        table = index.table()
     elif conv_ok:
-        table = dict(A.convolution)
+        sums, counts = A.convolution
+        table = dict(zip(sums.tolist(), counts.tolist()))
     else:
         raise ResourceLimitError(
             f"pair stage: the {size * size} pairs of a {size}-element set in "
@@ -267,28 +276,39 @@ def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
     With c the pair counts of the current set B, removing a lowers
     E2(B, B) by (2 c_0 - 1) + sum over b in B, b != a, of (4 c_{a^b} - 4)
     = 4 r_a - 6|B| + 3, where r_a = sum over b in B of c_{a^b}.  So each
-    round removes the first a (in mask order) with the least row sum
-    r_a; the counts stay exact int64 throughout.
+    round removes the first a (in mask order) with the least row sum r_a.
+
+    The row sums are computed once.  Removing p changes the counts to
+    c'_x = c_x - 2 [p ^ x in B] + [x = 0], so every remaining row moves
+    by r'_a = r_a - 3 c_{a^p} + 3 with the counts before the removal:
+    one round reads row p of the index, O(|B|) work, and the whole
+    sweep costs O(|A|^2).  Counts and row sums stay exact int64, and
+    ratios are compared by cross-multiplying python ints.
     """
     counts = index.counts.copy()
-    active = np.arange(len(index.masks))
-    size = len(active)
+    rows = np.arange(len(index.masks))
+    row_sums = counts[index.inverse].sum(axis=1)
+    size = len(rows)
     energy = index.energy()
-    best_rows, best_ratio = active, Fraction(energy, size * size)
+    best_rows, best_energy, best_size = rows, energy, size
     while size > 1:
-        block = index.inverse[np.ix_(active, active)]
-        row_sums = counts[block].sum(axis=1)
         pick = int(np.argmin(row_sums))
         energy -= 4 * int(row_sums[pick]) - 6 * size + 3
-        # a ^ b is distinct for distinct b; the pair (a, a) counts once
-        counts[block[pick]] -= 2
-        counts[block[pick, pick]] += 1
-        active = np.delete(active, pick)
+        # a ^ p is distinct for distinct a.  c_0 is read only by the row
+        # of p itself, so the +1 at x = 0 need not be applied
+        row_p = index.inverse[rows[pick], rows]
+        c = counts[row_p]
+        row_sums -= 3 * c - 3
+        counts[row_p] = c - 2
+        rows = np.delete(rows, pick)
+        row_sums = np.delete(row_sums, pick)
         size -= 1
-        ratio = Fraction(energy, size * size)
-        if ratio > best_ratio:
-            best_rows, best_ratio = active, ratio
-    return tuple(index.masks[best_rows].tolist()), best_ratio
+        if energy * best_size * best_size > best_energy * size * size:
+            best_rows, best_energy, best_size = rows, energy, size
+    return (
+        tuple(index.masks[best_rows].tolist()),
+        Fraction(best_energy, best_size * best_size),
+    )
 
 
 def check_exhaustive_cap(size: int, exact_limit: int) -> None:

@@ -439,12 +439,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(
-            f"invalid request: --threads must be at least 1, got {args.threads}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    for flag, value, least in (
+        ("--threads", args.threads, 1),
+        ("--dense-cap", args.dense_cap, 0),
+        ("--exact-limit", args.exact_limit, 0),
+    ):
+        if value < least:
+            print(
+                f"invalid request: {flag} must be at least {least}, got {value}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     try:
         return args.func(args)
     except SetFileError as exc:

@@ -199,12 +199,17 @@ class SupportSet:
         return index
 
     @cached_property
-    def convolution(self) -> dict[int, int]:
-        """x -> |M_x| from the dense XOR self-convolution, computed on
-        first use and kept for the set's lifetime; its readers share the
-        dict, so they copy it.  The caller checks the dense cap and that
-        2^n |A|^2 fits int64 (see ``_convolution_table``)."""
-        return _convolution_table(self)
+    def convolution(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sums, counts) of the dense XOR self-convolution, in the layout
+        of ``PairIndex``: the x with |M_x| > 0 in increasing order and
+        their |M_x|.  Computed on first use and kept for the set's
+        lifetime; its readers share the arrays, so they are read-only.
+        The caller checks the dense cap and that 2^n |A|^2 fits int64
+        (see ``_convolution_table``)."""
+        sums, counts = _convolution_table(self)
+        sums.flags.writeable = False
+        counts.flags.writeable = False
+        return sums, counts
 
 
 def _mask_array(masks: Sequence[int]) -> np.ndarray:
@@ -421,23 +426,34 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _convolution_table(A: SupportSet) -> dict[int, int]:
-    """|M_x| via the convolution theorem on the integer indicator.
+def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
+    """|M_x| via the convolution theorem on the indicator of A.
 
     wht(1_A)^2 transformed back and divided by 2^n is the XOR
-    self-convolution; all arithmetic stays in int64 (the butterfly
-    route of ``walsh_transform``), which is safe as long as 2^n |A|^2
-    fits (checked by the caller).  Read it through ``A.convolution``.
+    self-convolution.  Every value on the way is an integer: after the
+    first transform at most |A| in size, after squaring at most |A|^2,
+    and every partial sum of the second transform at most 2^n |A|^2,
+    below 2^(n + 2 bitlen|A|).  While that is below 2^53 each sum and
+    product is exact in float64, so the blocked float route of
+    ``walsh_transform`` (BLAS products with entries +-1) returns the
+    exact integers, in any summation order.  Above it (within the
+    default dense cap only sets past the pair cap get there) the int64
+    butterfly carries the work, exact while the bound fits int64
+    (checked by the caller).  Returns (sums, counts) in the layout of
+    ``PairIndex``; read it through ``A.convolution``.
     """
-    ind = np.zeros(1 << A.n, dtype=np.int64)
+    exact_in_float = A.n + 2 * len(A).bit_length() < 53
+    ind = np.zeros(1 << A.n, dtype=np.float64 if exact_in_float else np.int64)
     ind[A.masks_array()] = 1
     walsh_transform(ind)
     ind *= ind
     walsh_transform(ind)
+    if exact_in_float:
+        ind = np.rint(ind).astype(np.int64)
     quotient, remainder = np.divmod(ind, 1 << A.n)
     assert not remainder.any(), "convolution output not divisible by 2^n"
-    nz = np.nonzero(quotient)[0]
-    return {int(x): int(quotient[x]) for x in nz}
+    sums = np.flatnonzero(quotient)
+    return sums, quotient[sums]
 
 
 def analyze(f: CubeFunction, *, dense_cap: int | None = None) -> Spectrum:

@@ -8,6 +8,7 @@ import pytest
 from cubequartic import additive, core
 from cubequartic.additive import (
     EXHAUSTIVE_LIMIT,
+    GREEDY_LIMIT,
     MultiplicityTable,
     PairIndex,
     _exhaustive_hereditary,
@@ -66,6 +67,33 @@ def greedy_hereditary_oracle(masks):
             best_ratio = pick_ratio
             best_set = tuple(current)
     return best_set, best_ratio
+
+
+def greedy_rescan_oracle(index):
+    """The greedy sweep that rescans every row sum in each round.
+
+    Each round gathers the counts of all |B|^2 pairs of the current set
+    B, sums them by row and removes the first least row, so the sweep is
+    O(|A|^3) work; it must pick what the incremental sweep picks.
+    """
+    counts = index.counts.copy()
+    active = np.arange(len(index.masks))
+    size = len(active)
+    energy = index.energy()
+    best_rows, best_ratio = active, Fraction(energy, size * size)
+    while size > 1:
+        block = index.inverse[np.ix_(active, active)]
+        row_sums = counts[block].sum(axis=1)
+        pick = int(np.argmin(row_sums))
+        energy -= 4 * int(row_sums[pick]) - 6 * size + 3
+        counts[block[pick]] -= 2
+        counts[block[pick, pick]] += 1
+        active = np.delete(active, pick)
+        size -= 1
+        ratio = Fraction(energy, size * size)
+        if ratio > best_ratio:
+            best_rows, best_ratio = active, ratio
+    return tuple(index.masks[best_rows].tolist()), best_ratio
 
 
 def exhaustive_hereditary_oracle(masks):
@@ -144,6 +172,21 @@ class TestPairMultiplicities:
         table = pair_multiplicities(A)
         assert table.counts[0] == 4
         assert table.counts[3] == 2
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_cross_check_catches_a_wrong_convolution(self, monkeypatch, part):
+        # one wrong sum or one wrong count fails the comparison
+        original = core._convolution_table
+
+        def corrupted(A):
+            arrays = list(original(A))
+            arrays[part] = arrays[part].copy()
+            arrays[part][-1] += 1
+            return tuple(arrays)
+
+        monkeypatch.setattr(core, "_convolution_table", corrupted)
+        with pytest.raises(RuntimeError, match="cross-check failed"):
+            pair_multiplicities(SupportSet.sphere(5, 2))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -385,6 +428,21 @@ class TestHereditaryEnergy:
         tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
         assert _greedy_hereditary(PairIndex.of(tie)) == (tie, Fraction(4))
         assert greedy_hereditary_oracle(tie) == (tie, Fraction(4))
+        # 106 elements, where every round rescores many rows
+        B = SupportSet.ball(14, 2)
+        assert _greedy_hereditary(B.pairs) == greedy_hereditary_oracle(B.elements)
+
+    def test_greedy_matches_the_rescanning_sweep(self):
+        # a random set at GREEDY_LIMIT, and two sets on which every first
+        # row sum ties, so the first least row decides each early round
+        masks = np.random.default_rng(300).choice(1 << 12, size=GREEDY_LIMIT, replace=False)
+        sets = [
+            SupportSet.from_masks(12, [int(m) for m in masks]),
+            SupportSet.sphere(9, 3),
+            SupportSet.ball(10, 2),
+        ]
+        for A in sets:
+            assert _greedy_hereditary(A.pairs) == greedy_rescan_oracle(A.pairs)
 
     def test_greedy_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))

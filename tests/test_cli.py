@@ -203,6 +203,50 @@ class TestAnalyze:
         assert out == ""
         assert "hereditary stage" in err
 
+    def test_negative_exact_limit_exits_usage_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ascent ran")
+
+        monkeypatch.setattr(cubequartic.cli, "mu_lower", refuse)
+        path = write(tmp_path, "n=4\nsphere 4 2\n")
+        code, out, err = run(capsys, ["analyze", path, "--exact-limit", "-1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "invalid request: --exact-limit must be at least 0, got -1" in err
+
+    # the exact fields of the benchmark's sparse sets and S(11, 3): the pair
+    # table, m(A) and the subset the greedy sweep keeps
+    @pytest.mark.parametrize(
+        "text, additive, hereditary",
+        [
+            ("n=14\nsphere 14 2\n", (96733, 25, "1063/91"), (91, "1063/91")),
+            ("n=14\nball 14 2\n", (142696, 29, "35674/2809"), (106, "35674/2809")),
+            (None, (16968, 7, "707/216"), (6, "14/3")),
+            ("n=11\nsphere 11 3\n", (1079265, 73, "6541/165"), (165, "6541/165")),
+        ],
+        ids=["S14_2", "B14_2", "R14_72", "S11_3"],
+    )
+    def test_exact_fields_are_pinned(self, tmp_path, capsys, text, additive, hereditary):
+        import random
+
+        if text is None:
+            # 72 random masks in n = 14, drawn as the benchmark draws them
+            masks = random.Random("0:14:72").sample(range(1 << 14), 72)
+            rows = ("".join("1" if m >> i & 1 else "0" for i in range(14)) for m in masks)
+            text = "n=14\n" + "\n".join(rows) + "\n"
+        path = write(tmp_path, text)
+        code, out, _ = run(capsys, ["analyze", path, "--starts", "2", "--seed", "0"])
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        energy, m, ratio = additive
+        assert results["additive"] == {
+            "energy": energy, "multiplicity_bound": m, "energy_ratio": ratio
+        }
+        size, best = hereditary
+        assert results["hereditary"] == {"size": size, "ratio": best, "exact": False}
+
     def test_one_pair_table_per_command(self, tmp_path, capsys, monkeypatch):
         import cubequartic.additive
         import cubequartic.cli
@@ -408,6 +452,12 @@ class TestScan:
             assert code == EXIT_USAGE, flag
             assert out == ""
             assert "invalid request" in err
+
+    def test_negative_dense_cap_exits_usage(self, capsys):
+        code, out, err = run(capsys, ["scan", "--n-max", "4", "--dense-cap", "-5"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "invalid request: --dense-cap must be at least 0, got -5" in err
 
     def test_bad_optimizer_values_exit_before_the_ascent(self, tmp_path, capsys, monkeypatch):
         import cubequartic.cli

@@ -235,8 +235,34 @@ class TestSupportSetPairs:
         monkeypatch.setattr(core, "_convolution_table", counted)
         A = SupportSet.sphere(5, 2)
         assert A.convolution is A.convolution
-        assert A.convolution == A.pairs.table()
+        sums, counts = A.convolution
+        assert np.array_equal(sums, A.pairs.sums)
+        assert np.array_equal(counts, A.pairs.counts)
         assert convolved == [10]
+        for array in (sums, counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("n, dim, dtype", [(20, 15, np.float64), (21, 15, np.int64)])
+    def test_convolution_of_a_subspace_on_both_routes(self, monkeypatch, n, dim, dtype):
+        # |M_x| = |V| for every x in a subspace V; n + 2 bitlen|V| is 52 for
+        # the float route and 53 for the int64 butterfly
+        transformed = []
+        original = core.walsh_transform
+
+        def recorded(values):
+            transformed.append(values.dtype)
+            return original(values)
+
+        monkeypatch.setattr(core, "walsh_transform", recorded)
+        generators = [1 << i | (7 * i % (1 << (n - dim))) << dim for i in range(dim)]
+        V = SupportSet.span(n, generators)
+        assert len(V) == 1 << dim
+        sums, counts = V.convolution
+        assert transformed == [dtype, dtype]
+        assert sums.dtype == counts.dtype == np.int64
+        assert np.array_equal(sums, V.masks_array())
+        assert np.array_equal(counts, np.full(len(V), len(V)))
 
 
 class TestSpectrumVector:
