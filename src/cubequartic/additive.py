@@ -93,9 +93,9 @@ def pair_multiplicities(
     size = len(A)
     if size == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
-    # the convolution's sums reach 2^n |A|^2 < 2^(n + 2 bitlen |A|)
-    fits_int64 = A.n + 2 * size.bit_length() < 62
-    conv_ok = A.n <= cap and fits_int64
+    # the convolution's partial sums reach 2^n |A| < 2^(n + bitlen |A|)
+    exact_in_float = A.n + size.bit_length() <= 53
+    conv_ok = A.n <= cap and exact_in_float
     if A.pairs_within_cap():
         index = A.pairs
         if conv_ok:
@@ -116,7 +116,7 @@ def pair_multiplicities(
         raise ResourceLimitError(
             f"pair stage: the {size * size} pairs of a {size}-element set in "
             f"dimension {A.n} exceed the enumeration cap, and the dense "
-            f"convolution needs n <= {cap} and n + 2 bitlen|A| < 62"
+            f"convolution needs n <= {cap} and n + bitlen|A| <= 53"
         )
     return MultiplicityTable(A.n, table)
 

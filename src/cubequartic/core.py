@@ -204,7 +204,7 @@ class SupportSet:
         of ``PairIndex``: the x with |M_x| > 0 in increasing order and
         their |M_x|.  Computed on first use and kept for the set's
         lifetime; its readers share the arrays, so they are read-only.
-        The caller checks the dense cap and that 2^n |A|^2 fits int64
+        The caller checks the dense cap and that 2^n |A| is at most 2^53
         (see ``_convolution_table``)."""
         sums, counts = _convolution_table(self)
         sums.flags.writeable = False
@@ -389,9 +389,9 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     not depend on the rows stacked with it, because every product has
     the same shape whatever the number of rows.
 
-    Integer and object arrays keep the butterfly and stay in their dtype,
-    which the exact int64 convolution relies on: integer matrix products
-    have no BLAS kernel and are slower than the butterfly.
+    Integer and object arrays keep the butterfly and stay in their
+    dtype: integer matrix products have no BLAS kernel and are slower
+    than the butterfly.
 
     The input array is modified and also returned.  Applying it twice
     multiplies each row by 2^n.
@@ -431,26 +431,21 @@ def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
 
     wht(1_A)^2 transformed back and divided by 2^n is the XOR
     self-convolution.  Every value on the way is an integer: after the
-    first transform at most |A| in size, after squaring at most |A|^2,
-    and every partial sum of the second transform at most 2^n |A|^2,
-    below 2^(n + 2 bitlen|A|).  While that is below 2^53 each sum and
-    product is exact in float64, so the blocked float route of
-    ``walsh_transform`` (BLAS products with entries +-1) returns the
-    exact integers, in any summation order.  Above it (within the
-    default dense cap only sets past the pair cap get there) the int64
-    butterfly carries the work, exact while the bound fits int64
-    (checked by the caller).  Returns (sums, counts) in the layout of
-    ``PairIndex``; read it through ``A.convolution``.
+    first transform at most |A| in size, after squaring at most |A|^2.
+    Every partial sum of the second transform, in any order and in any
+    block of the BLAS products (entries +-1), is a signed sum of some of
+    the squares, which are all >= 0 and by Parseval add up to 2^n |A|;
+    so no value exceeds 2^n |A| < 2^(n + bitlen|A|).  While that is at
+    most 2^53 (checked by the caller) every sum is exact in float64, and
+    the result is rounded to int64.  Returns (sums, counts) in the
+    layout of ``PairIndex``; read it through ``A.convolution``.
     """
-    exact_in_float = A.n + 2 * len(A).bit_length() < 53
-    ind = np.zeros(1 << A.n, dtype=np.float64 if exact_in_float else np.int64)
+    ind = np.zeros(1 << A.n, dtype=np.float64)
     ind[A.masks_array()] = 1
     walsh_transform(ind)
     ind *= ind
     walsh_transform(ind)
-    if exact_in_float:
-        ind = np.rint(ind).astype(np.int64)
-    quotient, remainder = np.divmod(ind, 1 << A.n)
+    quotient, remainder = np.divmod(np.rint(ind).astype(np.int64), 1 << A.n)
     assert not remainder.any(), "convolution output not divisible by 2^n"
     sums = np.flatnonzero(quotient)
     return sums, quotient[sums]

@@ -243,10 +243,10 @@ class TestSupportSetPairs:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
-    @pytest.mark.parametrize("n, dim, dtype", [(20, 15, np.float64), (21, 15, np.int64)])
-    def test_convolution_of_a_subspace_on_both_routes(self, monkeypatch, n, dim, dtype):
-        # |M_x| = |V| for every x in a subspace V; n + 2 bitlen|V| is 52 for
-        # the float route and 53 for the int64 butterfly
+    @pytest.mark.parametrize("n, dim", [(20, 15), (21, 15)])
+    def test_convolution_of_a_subspace(self, monkeypatch, n, dim):
+        # |M_x| = |V| for every x in a subspace V, computed on the float
+        # transform
         transformed = []
         original = core.walsh_transform
 
@@ -259,7 +259,7 @@ class TestSupportSetPairs:
         V = SupportSet.span(n, generators)
         assert len(V) == 1 << dim
         sums, counts = V.convolution
-        assert transformed == [dtype, dtype]
+        assert transformed == [np.float64, np.float64]
         assert sums.dtype == counts.dtype == np.int64
         assert np.array_equal(sums, V.masks_array())
         assert np.array_equal(counts, np.full(len(V), len(V)))
