@@ -188,6 +188,24 @@ class TestPairMultiplicities:
         with pytest.raises(RuntimeError, match="cross-check failed"):
             pair_multiplicities(SupportSet.sphere(5, 2))
 
+    def test_convolution_needs_n_plus_bitlen_at_most_53(self, monkeypatch):
+        # past the pair cap the convolution is the only route, and it is
+        # exact in float64 only while n + bitlen|A| <= 53; a raised dense
+        # cap does not lift that bound
+        class Convolved(Exception):
+            pass
+
+        def convolved(A):
+            raise Convolved
+
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+        monkeypatch.setattr(core, "_convolution_table", convolved)
+        masks = [i << 40 for i in range(16)]
+        with pytest.raises(Convolved):
+            pair_multiplicities(SupportSet.from_masks(48, masks), dense_cap=60)
+        with pytest.raises(ResourceLimitError, match="n \\+ bitlen\\|A\\| <= 53"):
+            pair_multiplicities(SupportSet.from_masks(49, masks), dense_cap=60)
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             pair_multiplicities(SupportSet(3, ()))
