@@ -85,7 +85,8 @@ def pair_multiplicities(
 
     Two independent routes exist: direct pair enumeration (any n, cost
     |A|^2, read off ``A.pairs``) and dense XOR self-convolution (cost
-    n 2^n, needs the dense cap, read off ``A.convolution``).  Each is
+    d 2^d for the affine rank d, which must be within the dense cap, read
+    off ``A.convolution``).  Each is
     computed at most once per set.  When both are affordable the results
     are cross-checked against each other before being returned.
     """
@@ -93,9 +94,10 @@ def pair_multiplicities(
     size = len(A)
     if size == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
-    # the convolution's partial sums reach 2^n |A| < 2^(n + bitlen |A|)
-    exact_in_float = A.n + size.bit_length() <= 53
-    conv_ok = A.n <= cap and exact_in_float
+    rank = A.affine.rank
+    # the convolution's partial sums reach 2^d |A| < 2^(d + bitlen |A|)
+    exact_in_float = rank + size.bit_length() <= 53
+    conv_ok = rank <= cap and exact_in_float
     if A.pairs_within_cap():
         index = A.pairs
         if conv_ok:
@@ -114,9 +116,9 @@ def pair_multiplicities(
         table = dict(zip(sums.tolist(), counts.tolist()))
     else:
         raise ResourceLimitError(
-            f"pair stage: the {size * size} pairs of a {size}-element set in "
-            f"dimension {A.n} exceed the enumeration cap, and the dense "
-            f"convolution needs n <= {cap} and n + bitlen|A| <= 53"
+            f"pair stage: the {size * size} pairs of a {size}-element set of "
+            f"affine rank d={rank} exceed the enumeration cap, and the dense "
+            f"convolution needs d <= {cap} and d + bitlen|A| <= 53"
         )
     return MultiplicityTable(A.n, table)
 

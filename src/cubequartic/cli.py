@@ -28,7 +28,7 @@ from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _EXACT_INT_LIMIT = 1 << 53  # past this, JSON numbers stop being exact in doubles
 
@@ -222,9 +222,13 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     A = parse_set_file(args.set_file)
-    if A.n > args.dense_cap:
+    # the dense stages run in the smallest coset holding A, so the cap
+    # applies to its rank
+    rank = A.affine.rank
+    if rank > args.dense_cap:
         raise ResourceLimitError(
-            f"estimation stage: n={A.n} exceeds the dense cap {args.dense_cap}"
+            f"estimation stage: affine rank {rank} (n={A.n}) exceeds the "
+            f"dense cap {args.dense_cap}"
         )
     check_exhaustive_cap(len(A), args.exact_limit)
     cfg = _optimizer_config(args)
@@ -239,7 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     hered = hereditary_energy(A, exact_limit=args.exact_limit, certificate=est.certificate)
     total = 1 << A.n
     results = {
-        "set": {"n": A.n, "size": len(A)},
+        "set": {"n": A.n, "size": len(A), "affine_rank": rank},
         "mu_lower": {
             "value": est.value,
             "starts_used": est.starts_used,

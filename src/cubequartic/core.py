@@ -16,7 +16,10 @@ Conventions used by every module in this package:
 
 Dense work refuses dimensions above a configurable cap (default 24,
 sixteen million cells) instead of degrading silently; see
-:class:`~cubequartic.errors.ResourceLimitError`.
+:class:`~cubequartic.errors.ResourceLimitError`.  The quartic ascent and
+the XOR self-convolution of a support set run in the smallest coset that
+holds it (``SupportSet.affine``), so their cap applies to its affine
+rank, not to n.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "PAIR_ENUMERATION_LIMIT",
     "SupportSet",
+    "AffineFrame",
     "PairIndex",
     "CubeFunction",
     "Spectrum",
@@ -89,8 +93,8 @@ class SupportSet:
 
     Construct through :meth:`from_masks` (which sorts and rejects
     duplicates) or one of the named families below.  The set holds its
-    pair index (``pairs``) and its convolution table (``convolution``)
-    once a reader asks for them.
+    affine frame (``affine``), its pair index (``pairs``) and its
+    convolution table (``convolution``) once a reader asks for them.
     """
 
     n: int
@@ -199,13 +203,23 @@ class SupportSet:
         return index
 
     @cached_property
+    def affine(self) -> "AffineFrame":
+        """The smallest coset holding the set, with each element's
+        coordinates in it (see ``AffineFrame``); built on first use and
+        kept for the set's lifetime, so its coordinates are read-only."""
+        frame = _affine_frame(self.masks_array())
+        frame.coords.flags.writeable = False
+        return frame
+
+    @cached_property
     def convolution(self) -> tuple[np.ndarray, np.ndarray]:
         """(sums, counts) of the dense XOR self-convolution, in the layout
         of ``PairIndex``: the x with |M_x| > 0 in increasing order and
-        their |M_x|.  Computed on first use and kept for the set's
-        lifetime; its readers share the arrays, so they are read-only.
-        The caller checks the dense cap and that 2^n |A| is at most 2^53
-        (see ``_convolution_table``)."""
+        their |M_x|.  It runs over the 2^d points of the affine frame and
+        maps its sums back to masks.  Computed on first use and kept for
+        the set's lifetime; its readers share the arrays, so they are
+        read-only.  The caller checks the dense cap against the rank d and
+        that 2^d |A| is at most 2^53 (see ``_convolution_table``)."""
         sums, counts = _convolution_table(self)
         sums.flags.writeable = False
         counts.flags.writeable = False
@@ -219,16 +233,91 @@ def _mask_array(masks: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class AffineFrame:
+    """Coordinates of a set in the smallest coset of F_2^n that holds it.
+
+    The coset is c + V, for c the smallest mask and V spanned by the
+    differences a ^ c.  ``basis`` is the reduced row-echelon basis of V,
+    one vector per coordinate bit: basis[j] has its highest bit at the
+    j-th smallest pivot, and no other basis vector has that bit set.  So
+    element i is c ^ (the XOR of basis[j] over the set bits j of
+    coords[i]), and coords[i] is the bits of (element ^ c) at the
+    pivots; coords are in element order, int64 while the rank is below
+    63.
+
+    Every quantity of the quartic problem (F, E(A), each |M_x|, m(A))
+    is unchanged by an affine bijection x -> Lx ^ c, so dense work on the
+    coordinates runs on arrays of 2^rank entries instead of 2^n; a
+    Hamming sphere S(n, k) with 0 < k < n has rank n - 1.
+    """
+
+    rank: int
+    basis: tuple[int, ...]
+    coords: np.ndarray
+
+    def linear_masks(self, coords: np.ndarray) -> np.ndarray:
+        """The vectors of V with the given coordinates, such as XOR sums of
+        elements: the XOR of basis[j] over the set bits j, untranslated.
+        A leading bit of a vector of V is always a pivot, so increasing
+        coordinates give increasing masks."""
+        wide = len(self.basis) > 0 and max(self.basis) >= 1 << 62
+        out = np.zeros(len(coords), dtype=object if wide else np.int64)
+        for j, vector in enumerate(self.basis):
+            out ^= ((coords >> j) & 1).astype(out.dtype) * vector
+        return out
+
+
+def _affine_frame(masks: np.ndarray) -> AffineFrame:
+    """The ``AffineFrame`` of a sorted array of masks, in at most 2 rank
+    vectorised passes over the elements (one per pivot to find the basis,
+    one per pivot to read the coordinates) and no per-element loop."""
+    if len(masks) == 0:
+        return AffineFrame(0, (), np.zeros(0, dtype=np.int64))
+    differences = masks ^ masks[0]
+    work = differences.copy()
+    pivots: list[int] = []
+    vectors: list[int] = []
+    top = int(work.max())
+    while top:
+        # every entry is at most top, so its pivot bit is set exactly in
+        # the entries >= 2^pivot; clearing it lowers the maximum
+        pivot = top.bit_length() - 1
+        hit = work >= 1 << pivot
+        work[hit] ^= top
+        pivots.append(pivot)
+        vectors.append(top)
+        top = int(work.max())
+    # pivots fall with the index, and vectors[j] has no bit above its own
+    # pivot; clear each pivot from the vectors before it
+    for j, pivot in enumerate(pivots):
+        for i in range(j):
+            if vectors[i] >> pivot & 1:
+                vectors[i] ^= vectors[j]
+    pivots.reverse()
+    vectors.reverse()
+    rank = len(pivots)
+    coords = np.zeros(len(masks), dtype=np.int64 if rank < 63 else object)
+    for j, pivot in enumerate(pivots):
+        coords |= ((differences >> pivot) & 1).astype(coords.dtype) << j
+    return AffineFrame(rank, tuple(vectors), coords)
+
+
+@dataclass(frozen=True, eq=False)
 class PairIndex:
     """Every ordered pair of a set of masks, grouped by its XOR sum.
 
     ``sums`` holds the distinct values of A + A in increasing order and
     ``counts[k]`` = |M_x| for x = sums[k]; ``inverse[i, j]`` is the
     position in ``sums`` of masks[i] ^ masks[j].  Building it costs one
-    sort of the |A|^2 pair sums, after which the pair table, the sparse
+    pass over the |A|^2 pair sums, after which the pair table, the sparse
     quartic kernel and the hereditary searches read it directly; a
     support set builds its own once, as ``SupportSet.pairs``.  Masks are
     int64, or python ints (object arrays) from 2^62 up.
+
+    The pass is a histogram of the sums when it is no longer than the
+    list of pairs, i.e. 2^bitlen(max mask) <= |A|^2, and a sort
+    (``np.unique``) otherwise and on object arrays; both give the same
+    arrays with the same dtypes.
     """
 
     masks: np.ndarray
@@ -239,12 +328,17 @@ class PairIndex:
     @classmethod
     def of(cls, masks: Sequence[int]) -> "PairIndex":
         arr = _mask_array(masks)
-        sums, inverse, counts = np.unique(
-            (arr[:, None] ^ arr[None, :]).ravel(),
-            return_inverse=True,
-            return_counts=True,
-        )
-        return cls(arr, sums, counts, inverse.reshape(len(arr), len(arr)))
+        size = len(arr)
+        xors = (arr[:, None] ^ arr[None, :]).ravel()
+        if size and arr.dtype != object and 1 << int(arr.max()).bit_length() <= size * size:
+            histogram = np.bincount(xors)
+            sums = np.flatnonzero(histogram)
+            counts = histogram[sums]
+            # the position of each hit sum among the hit sums
+            inverse = (np.cumsum(histogram > 0) - 1)[xors]
+        else:
+            sums, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
+        return cls(arr, sums, counts, inverse.reshape(size, size))
 
     def table(self) -> dict[int, int]:
         return dict(zip(self.sums.tolist(), self.counts.tolist()))
@@ -427,28 +521,35 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
 
 
 def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
-    """|M_x| via the convolution theorem on the indicator of A.
+    """|M_x| via the convolution theorem on the indicator of A, taken
+    over the 2^d coordinates of its affine frame (rank d).
 
-    wht(1_A)^2 transformed back and divided by 2^n is the XOR
+    wht(1_A)^2 transformed back and divided by 2^d is the XOR
     self-convolution.  Every value on the way is an integer: after the
     first transform at most |A| in size, after squaring at most |A|^2.
     Every partial sum of the second transform, in any order and in any
     block of the BLAS products (entries +-1), is a signed sum of some of
-    the squares, which are all >= 0 and by Parseval add up to 2^n |A|;
-    so no value exceeds 2^n |A| < 2^(n + bitlen|A|).  While that is at
+    the squares, which are all >= 0 and by Parseval add up to 2^d |A|;
+    so no value exceeds 2^d |A| < 2^(d + bitlen|A|).  While that is at
     most 2^53 (checked by the caller) every sum is exact in float64, and
-    the result is rounded to int64.  Returns (sums, counts) in the
-    layout of ``PairIndex``; read it through ``A.convolution``.
+    the result is rounded to int64.  The translation cancels in a ^ b,
+    so the coordinates of the sums map back to masks by the basis alone.
+    Returns (sums, counts) in the layout of ``PairIndex``; read it
+    through ``A.convolution``.
     """
-    ind = np.zeros(1 << A.n, dtype=np.float64)
-    ind[A.masks_array()] = 1
+    frame = A.affine
+    ind = np.zeros(1 << frame.rank, dtype=np.float64)
+    ind[frame.coords] = 1
     walsh_transform(ind)
     ind *= ind
     walsh_transform(ind)
-    quotient, remainder = np.divmod(np.rint(ind).astype(np.int64), 1 << A.n)
-    assert not remainder.any(), "convolution output not divisible by 2^n"
-    sums = np.flatnonzero(quotient)
-    return sums, quotient[sums]
+    # only the nonzero entries are converted: at the dense cap the array
+    # holds 2^24 floats, and |A + A| is usually far fewer
+    np.rint(ind, out=ind)
+    sums = np.flatnonzero(ind)
+    counts, remainder = np.divmod(ind[sums].astype(np.int64), 1 << frame.rank)
+    assert not remainder.any(), "convolution output not divisible by 2^d"
+    return frame.linear_masks(sums), counts
 
 
 def analyze(f: CubeFunction, *, dense_cap: int | None = None) -> Spectrum:

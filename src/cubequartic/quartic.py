@@ -91,8 +91,8 @@ class MuEstimate:
 
     value is F evaluated in floats at the (feasible, normalized)
     certificate, so it is a lower bound regardless of convergence, but
-    only up to the rounding of that evaluation: on sphere 11 4 it can
-    read 1e-13 above r(11,4) = 3736/33 (ROADMAP item 1, exact lower
+    only up to the rounding of that evaluation: on sphere 11 4 it reads
+    4.0e-13 above r(11,4) = 3736/33 (ROADMAP item 1, exact lower
     certificates).  converged reports whether the run that produced the
     best value met the stopping criterion rather than the iteration cap.
     runs holds one record per start, in the order the starts ran.
@@ -181,10 +181,10 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
     return A.pairs.pair_sums(y.coords)[A.pairs.inverse]
 
 
-def _require_transform_cap(n: int, cap: int) -> None:
-    if n > min(cap, 62):
+def _require_transform_cap(rank: int, cap: int) -> None:
+    if rank > min(cap, 62):
         raise ResourceLimitError(
-            f"dimension {n} exceeds the dense cap {min(cap, 62)} "
+            f"affine rank {rank} exceeds the dense cap {min(cap, 62)} "
             f"required by the transform path"
         )
 
@@ -215,20 +215,25 @@ _GRAM_2X3 = np.array([0, 1, 2, 4, 5])
 class _DenseKernel:
     """Fast F and gradient evaluation through the dense transform.
 
+    The transform runs over the 2^d coordinates of the set's affine frame
+    (rank d), where F, the gradient and the circle coefficients take the
+    same values as over the masks in 2^n: each coefficient y_a sits at
+    the coordinate of a, and the results come back in element order.
+
     Every method takes a stack of vectors, one per row (rows x |A|), and
     returns one result per row.  ``evaluate`` returns F and a state that
     ``gradient``, ``circle`` and ``move`` take back: a tuple of arrays
     whose first axis is the row, so the ascent drops a row by indexing
     each.  Here it is the point values f of the synthesized functions
-    (rows x 2^n) and a buffer (rows x 3 x 2^n) whose first row holds f^2.
+    (rows x 2^d) and a buffer (rows x 3 x 2^d) whose first row holds f^2.
     """
 
     def __init__(self, support: SupportSet, cap: int) -> None:
-        _require_transform_cap(support.n, cap)
-        self.n = support.n
-        self.masks = support.masks_array()
-        # the length of a row of point values, 2^n
-        self.width = 1 << support.n
+        frame = support.affine
+        _require_transform_cap(frame.rank, cap)
+        self.masks = frame.coords
+        # the length of a row of point values, 2^d
+        self.width = 1 << frame.rank
         self.scale = 1.0 / self.width
 
     def _at(
@@ -365,12 +370,13 @@ class _SparseKernel:
 
 def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
     """The cheaper kernel for A: one call costs about |A|^2 on the pair
-    index and n 2^n on the dense transform.
+    index and d 2^d on the dense transform, for the affine rank d.
 
     The dense cap bounds both routes, so it is checked first.
     """
-    _require_transform_cap(A.n, cap)
-    if len(A) * len(A) <= A.n << A.n and A.pairs_within_cap():
+    rank = A.affine.rank
+    _require_transform_cap(rank, cap)
+    if len(A) * len(A) <= rank << rank and A.pairs_within_cap():
         return _SparseKernel(A.pairs)
     return _DenseKernel(A, cap)
 
@@ -464,7 +470,7 @@ def _ascend(
     the rows stacked with it.
 
     Every kernel call serves all rows still climbing: the dense kernel
-    runs two stacked Walsh transforms of length 2^n per step (the
+    runs two stacked Walsh transforms of length 2^d per step (the
     gradients and the transforms of the directions), the sparse one two
     bincounts per row over the pair index.  A row leaves the stack when
     its run ends, so each row follows the path it would follow alone.
@@ -574,9 +580,17 @@ def _gaussian(rng: random.Random, size: int) -> np.ndarray:
     Python fixes the ``random()`` stream of an integer seed across
     versions (it promises no such thing for ``gauss()``), and ``random``
     is loaded with numpy anyway, unlike the lazily imported
-    ``numpy.random``.
+    ``numpy.random``.  The uniforms are read in bulk and are the same
+    floats as 2 * size calls of ``random()``, which leaves the generator
+    where those calls would: ``random()`` is (a 2^26 + b) / 2^53 for the
+    next two 32-bit outputs w1, w2 of the generator, a = w1 >> 5 and
+    b = w2 >> 6, and ``getrandbits(64 m)`` holds 2m successive outputs
+    as little-endian 32-bit words.
     """
-    u = np.array([rng.random() for _ in range(2 * size)])
+    count = 2 * size
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    w = np.frombuffer(words, dtype="<u4").astype(np.int64)
+    u = ((w[0::2] >> 5) * (1 << 26) + (w[1::2] >> 6)) / float(1 << 53)
     # 1 - u lies in (0, 1], so the logarithm is finite
     return np.sqrt(-2.0 * np.log1p(-u[:size])) * np.cos(2.0 * math.pi * u[size:])
 
@@ -598,20 +612,24 @@ def mu_lower(
     above the energy ratio of A.
 
     F and its gradient come from the pair index ``A.pairs`` when
-    |A|^2 <= n 2^n and |A|^2 is within the pair cap, else from the dense
-    transform; either way n must be within the dense cap.  The reported
-    value is F at the normalized certificate through the same kernel;
-    ``big_f`` is the independent route that tests compare it with.
+    |A|^2 <= d 2^d for the affine rank d and |A|^2 is within the pair
+    cap, else from the dense transform over the affine frame; either way
+    d must be within the dense cap.  The reported value is F at the
+    normalized certificate through the same kernel; ``big_f`` is the
+    independent route that tests compare it with.
+
+    When |A| = 2^d, A is a coset of a subspace, and F <= |A| on the unit
+    sphere (the cardinality bound) with equality at the uniform vector:
+    that start is returned as exact, with no kernel and no iteration.
     """
-    if len(A) == 0:
-        raise ValueError("cannot optimise over an empty support")
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if len(A) == 1:
-        certificate = SpectrumVector(A, np.ones(1), normalized=True)
-        run = AscentRun("uniform", 1.0, 0, "stationary")
-        return MuEstimate(1.0, certificate, 1, 0, True, (run,))
-    kernel = _choose_kernel(A, cap)
     size = len(A)
+    if size == 0:
+        raise ValueError("cannot optimise over an empty support")
+    if size == 1 << A.affine.rank:
+        run = AscentRun("uniform", float(size), 0, "stationary")
+        return MuEstimate(float(size), SpectrumVector.uniform(A), 1, 0, True, (run,))
+    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
+    kernel = _choose_kernel(A, cap)
     rng = random.Random(cfg.seed)
 
     starts: list[tuple[str, np.ndarray]] = [

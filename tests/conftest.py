@@ -9,6 +9,7 @@ are counted with nested loops.  Slow and boring on purpose.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ def random_support(rng: np.random.Generator, n: int, max_size: int) -> SupportSe
     size = int(rng.integers(1, min(max_size, 1 << n) + 1))
     masks = rng.choice(1 << n, size=size, replace=False)
     return SupportSet.from_masks(n, [int(m) for m in masks])
+
+
+def wide_random(seed: int, n: int, size: int) -> SupportSet:
+    """size distinct random masks of n bits, for any n (numpy's choice
+    would enumerate 2^n values)."""
+    draw = random.Random(seed)
+    masks: set[int] = set()
+    while len(masks) < size:
+        masks.add(draw.getrandbits(n))
+    return SupportSet.from_masks(n, sorted(masks))
 
 
 def random_unit(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -166,11 +166,17 @@ class TestPairMultiplicities:
             table = pair_multiplicities(A)
             assert sum(table.counts.values()) == len(A) ** 2
 
-    def test_enumeration_only_path(self):
-        # n above the dense cap forces the pair-enumeration route
-        A = SupportSet.from_masks(30, [1, 2, 4, 1 << 29])
+    def test_enumeration_only_path(self, monkeypatch):
+        # an affine rank above the dense cap forces the pair-enumeration
+        # route: the origin and the 30 unit vectors have rank 30
+        def refuse(A):
+            raise AssertionError("convolved a set of rank above the cap")
+
+        monkeypatch.setattr(core, "_convolution_table", refuse)
+        A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
+        assert A.affine.rank == 30
         table = pair_multiplicities(A)
-        assert table.counts[0] == 4
+        assert table.counts[0] == 31
         assert table.counts[3] == 2
 
     @pytest.mark.parametrize("part", [0, 1])
@@ -190,8 +196,9 @@ class TestPairMultiplicities:
 
     def test_convolution_needs_n_plus_bitlen_at_most_53(self, monkeypatch):
         # past the pair cap the convolution is the only route, and it is
-        # exact in float64 only while n + bitlen|A| <= 53; a raised dense
-        # cap does not lift that bound
+        # exact in float64 only while d + bitlen|A| <= 53 for the affine
+        # rank d; a raised dense cap does not lift that bound.  Both sets
+        # hold 56 masks (bitlen 6) in n = 60, of rank 47 and 48
         class Convolved(Exception):
             pass
 
@@ -200,11 +207,15 @@ class TestPairMultiplicities:
 
         monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
         monkeypatch.setattr(core, "_convolution_table", convolved)
-        masks = [i << 40 for i in range(16)]
+        units = [0] + [1 << i for i in range(47)]
+        within = SupportSet.from_masks(60, units + [3 << i for i in range(8)])
+        past = SupportSet.from_masks(60, units + [3 << i for i in range(7)] + [1 << 50])
+        assert len(within) == len(past) == 56
+        assert (within.affine.rank, past.affine.rank) == (47, 48)
         with pytest.raises(Convolved):
-            pair_multiplicities(SupportSet.from_masks(48, masks), dense_cap=60)
-        with pytest.raises(ResourceLimitError, match="n \\+ bitlen\\|A\\| <= 53"):
-            pair_multiplicities(SupportSet.from_masks(49, masks), dense_cap=60)
+            pair_multiplicities(within, dense_cap=60)
+        with pytest.raises(ResourceLimitError, match="d \\+ bitlen\\|A\\| <= 53"):
+            pair_multiplicities(past, dense_cap=60)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -227,6 +238,39 @@ class TestPairIndex:
             for i, a in enumerate(A.elements):
                 for j, b in enumerate(A.elements):
                     assert index.sums[index.inverse[i, j]] == a ^ b
+
+    def test_histogram_and_sort_routes_agree(self, rng):
+        # the histogram route runs while 2^bitlen(max mask) <= |A|^2, the
+        # sort route (np.unique, here the oracle) otherwise; both give the
+        # same arrays with the same dtypes
+        sets = [
+            SupportSet.sphere(11, 4),
+            SupportSet.sphere(12, 6),
+            SupportSet.sphere(6, 3),
+            SupportSet.ball(8, 2),
+            SupportSet.sphere(14, 2),
+            SupportSet.ball(14, 2),
+            SupportSet.sphere(9, 1),
+            SupportSet.from_masks(5, [0]),
+        ]
+        for n, size in [(6, 30), (8, 40), (8, 15), (12, 30), (14, 72), (20, 72)]:
+            sets.append(SupportSet.from_masks(n, [int(m) for m in rng.choice(1 << n, size, replace=False)]))
+        sides = set()
+        for A in sets:
+            arr = A.masks_array()
+            sides.add(1 << int(arr.max()).bit_length() <= len(A) ** 2)
+            index = PairIndex.of(A.elements)
+            sums, inverse, counts = np.unique(
+                (arr[:, None] ^ arr[None, :]).ravel(), return_inverse=True, return_counts=True
+            )
+            for got, want in (
+                (index.sums, sums),
+                (index.counts, counts),
+                (index.inverse, inverse.reshape(len(A), len(A))),
+            ):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert sides == {True, False}
 
     def test_masks_beyond_int64(self):
         masks = (3, 1 << 62, (1 << 62) | 3, 1 << 70)

@@ -41,6 +41,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def records(n, masks) -> str:
+    """A set file of explicit masks, bit i of a mask at column i."""
+    rows = ("".join("1" if m >> i & 1 else "0" for i in range(n)) for m in masks)
+    return f"n={n}\n" + "\n".join(rows) + "\n"
+
+
 def fresh_env() -> dict:
     """The environment of a fresh interpreter that imports this package."""
     import cubequartic
@@ -145,7 +151,7 @@ class TestAnalyze:
         assert doc["config"]["starts"] == 6
         assert "threads" not in doc["config"]
         results = doc["results"]
-        assert results["set"] == {"n": 3, "size": 3}
+        assert results["set"] == {"n": 3, "size": 3, "affine_rank": 2}
         assert results["additive"]["energy_ratio"] == "7/3"
         assert results["additive"]["energy"] == 21
         assert results["additive"]["multiplicity_bound"] == 3
@@ -175,6 +181,64 @@ class TestAnalyze:
         assert code == EXIT_RESOURCE
         assert "resource cap" in err
         assert "estimation stage" in err
+
+    def test_dense_cap_applies_to_the_affine_rank(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.cli
+        import cubequartic.core
+
+        # 13 masks of rank 10 spread over n = 30 run under a cap of 10
+        masks = [0] + [1 << (3 * i) for i in range(9)] + [1 << 29, 1 | 8, 8 | (1 << 29)]
+        path = write(tmp_path, records(30, masks))
+        code, out, err = run(capsys, ["analyze", path, "--dense-cap", "10"] + FAST)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["results"]["set"] == {"n": 30, "size": 13, "affine_rank": 10}
+
+        # one more unit vector raises the rank to 11: refused before any
+        # pair or transform work
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran past the dense cap")
+
+        monkeypatch.setattr(cubequartic.cli, "mu_lower", refuse)
+        monkeypatch.setattr(cubequartic.cli, "pair_multiplicities", refuse)
+        monkeypatch.setattr(cubequartic.core, "walsh_transform", refuse)
+        monkeypatch.setattr(cubequartic.core.PairIndex, "of", refuse)
+        path = write(tmp_path, records(30, masks + [1 << 28]), name="rank11.txt")
+        code, out, err = run(capsys, ["analyze", path, "--dense-cap", "10"] + FAST)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "estimation stage: affine rank 11 (n=30) exceeds the dense cap 10" in err
+
+    def test_random_masks_in_n_40_run_at_their_rank(self, tmp_path, capsys):
+        import random
+
+        # 20 random masks in n = 40 have rank 19: with default flags the
+        # dense stages run on 2^19 entries, not 2^40
+        masks = random.Random(1).sample(range(2**40), 20)
+        path = write(tmp_path, records(40, masks))
+        code, out, err = run(capsys, ["analyze", path])
+        assert code == EXIT_OK and err == ""
+        results = json.loads(out)["results"]
+        assert results["set"] == {"n": 40, "size": 20, "affine_rank": 19}
+        assert results["hereditary"]["exact"] is True
+
+    @pytest.mark.parametrize(
+        "n, generators, shift",
+        [(40, [], 5 << 30), (6, [3, 12, 48], 5), (20, [3, 1 << 19, 6, 96, 1 << 10], 77), (40, [7 << 30, 5, 1 << 39, 6, 3 << 20], 9)],
+    )
+    def test_cosets_report_mu_exactly(self, tmp_path, capsys, n, generators, shift):
+        from cubequartic.core import SupportSet
+
+        V = SupportSet.span(n, generators)
+        path = write(tmp_path, records(n, [m ^ shift for m in V]))
+        code, out, err = run(capsys, ["analyze", path])
+        assert code == EXIT_OK, err
+        results = json.loads(out)["results"]
+        size = len(V)
+        assert results["set"] == {"n": n, "size": size, "affine_rank": len(generators)}
+        assert results["mu_lower"] == {
+            "value": float(size), "starts_used": 1, "iterations": 0, "converged": True
+        }
+        assert results["mu_upper"]["best"] == float(size)
 
     def test_hereditary_cap_exit(self, tmp_path, capsys):
         records = "\n".join(format(m, "08b") for m in range(40))

@@ -21,7 +21,7 @@ from cubequartic.core import (
 )
 from cubequartic.errors import ResourceLimitError, UndefinedRatioError
 
-from conftest import brute_energy, character_transform, random_function
+from conftest import brute_energy, character_transform, random_function, wide_random
 
 
 class TestWalshTransform:
@@ -263,6 +263,100 @@ class TestSupportSetPairs:
         assert sums.dtype == counts.dtype == np.int64
         assert np.array_equal(sums, V.masks_array())
         assert np.array_equal(counts, np.full(len(V), len(V)))
+
+
+def rank_oracle(masks) -> int:
+    """The dimension of the span of the differences a ^ masks[0], by
+    elimination on python ints, one element at a time."""
+    leading: dict[int, int] = {}
+    for mask in masks:
+        vector = mask ^ masks[0]
+        while vector:
+            top = vector.bit_length() - 1
+            if top not in leading:
+                leading[top] = vector
+                break
+            vector ^= leading[top]
+    return len(leading)
+
+
+class TestAffineFrame:
+    @staticmethod
+    def sets(rng):
+        """Spheres, balls, translated subspaces and random sets, with masks
+        from 2^62 up among them."""
+        for n, k in [(1, 0), (1, 1), (6, 0), (6, 6), (6, 3), (9, 1), (11, 4)]:
+            yield SupportSet.sphere(n, k)
+        yield SupportSet.ball(5, 1)
+        yield SupportSet.ball(7, 3)
+        for n, generators, shift in [(12, [3, 12, 48, 192], 1025), (40, [7 << 30, 5, 1 << 39], 3 << 20)]:
+            V = SupportSet.span(n, generators)
+            yield SupportSet.from_masks(n, [m ^ shift for m in V])
+        for n, size in [(3, 5), (8, 40), (12, 30)]:
+            yield SupportSet.from_masks(n, [int(m) for m in rng.choice(1 << n, size, replace=False)])
+        yield wide_random(1, 45, 12)
+        yield wide_random(2, 70, 10)
+        yield SupportSet(71, (3, 1 << 62, (1 << 62) | 3, 1 << 70))
+
+    def test_coordinates_rebuild_every_element(self, rng):
+        for A in self.sets(rng):
+            frame = A.affine
+            assert frame is A.affine
+            assert frame.rank == rank_oracle(A.elements) == len(frame.basis)
+            # reduced row-echelon form: increasing pivots, each pivot bit
+            # set in its own vector only
+            pivots = [vector.bit_length() - 1 for vector in frame.basis]
+            assert pivots == sorted(set(pivots))
+            for j, pivot in enumerate(pivots):
+                assert [v >> pivot & 1 for v in frame.basis] == [int(i == j) for i in range(frame.rank)]
+            coords = frame.coords.tolist()
+            assert frame.coords.dtype == np.int64
+            assert len(set(coords)) == len(A)
+            assert all(0 <= c < 1 << frame.rank for c in coords)
+            for mask, c in zip(A.elements, coords):
+                rebuilt = A.elements[0]
+                for j, vector in enumerate(frame.basis):
+                    if c >> j & 1:
+                        rebuilt ^= vector
+                assert rebuilt == mask
+            with pytest.raises(ValueError, match="read-only"):
+                frame.coords[0] = 0
+
+    def test_rank_of_spheres_and_balls(self):
+        # a sphere with 0 < k < n lies in a coset of the even-weight
+        # subspace; a ball of radius >= 1 spans the cube
+        for n in range(1, 10):
+            for k in range(n + 1):
+                assert SupportSet.sphere(n, k).affine.rank == (n - 1 if 0 < k < n else 0)
+                assert SupportSet.ball(n, k).affine.rank == (n if k else 0)
+
+    def test_rank_above_62_keeps_python_ints(self):
+        A = SupportSet.from_masks(80, [0] + [1 << i for i in range(70)])
+        frame = A.affine
+        assert frame.rank == 70 and frame.coords.dtype == object
+        assert frame.coords.tolist() == [0] + [1 << i for i in range(70)]
+
+    def test_empty_set(self):
+        frame = SupportSet(5, ()).affine
+        assert (frame.rank, frame.basis, len(frame.coords)) == (0, (), 0)
+
+    def test_convolution_runs_at_the_rank(self, rng, monkeypatch):
+        # the convolution transforms 2^d entries and maps its sums back to
+        # the masks of the pair index, in the same order
+        lengths = []
+        original = core.walsh_transform
+
+        def recorded(values):
+            lengths.append(values.shape[-1])
+            return original(values)
+
+        monkeypatch.setattr(core, "walsh_transform", recorded)
+        for A in self.sets(rng):
+            lengths.clear()
+            sums, counts = A.convolution
+            assert lengths == [1 << A.affine.rank] * 2
+            assert np.array_equal(sums, A.pairs.sums)
+            assert np.array_equal(counts, A.pairs.counts)
 
 
 class TestSpectrumVector:

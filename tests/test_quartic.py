@@ -7,7 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from cubequartic.additive import PairIndex, energy_ratio
+from cubequartic.additive import (
+    PairIndex,
+    additive_energy,
+    energy_ratio,
+    hereditary_energy,
+    m_bound,
+)
 from cubequartic.asymptotics import f_combine, psi_value
 from cubequartic.core import (
     DEFAULT_DENSE_CAP,
@@ -20,6 +26,7 @@ from cubequartic.core import (
 )
 from cubequartic.errors import ResourceLimitError
 from cubequartic.quartic import (
+    AscentRun,
     BoundSet,
     OptimizerConfig,
     big_f,
@@ -36,7 +43,14 @@ from cubequartic.quartic import (
     _SparseKernel,
 )
 
-from conftest import central_difference, quartic_oracle, random_support, random_unit, split_curve
+from conftest import (
+    central_difference,
+    quartic_oracle,
+    random_support,
+    random_unit,
+    split_curve,
+    wide_random,
+)
 
 FAST = OptimizerConfig(starts=8, max_iters=2000, seed=1)
 
@@ -111,8 +125,10 @@ class TestGradient:
         assert np.allclose(dense_gradient(y), expected, atol=1e-10)
 
     def test_needs_dense_path(self):
-        A = SupportSet.from_masks(30, [1, 2])
-        y = SpectrumVector(A, np.ones(2))
+        # the origin and the 30 unit vectors: affine rank 30, above the cap
+        A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
+        assert A.affine.rank == 30
+        y = SpectrumVector(A, np.ones(len(A)))
         with pytest.raises(ResourceLimitError):
             dense_gradient(y)
         big_f(y)  # the pair-sum route has no such cap
@@ -182,6 +198,41 @@ class TestKernels:
         ]
         for A, kind in cases:
             assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is kind
+
+
+class TestAffineInvariance:
+    def test_quantities_match_the_reduced_set(self, rng):
+        # A and B = its coordinates in F_2^d (the same set up to an affine
+        # bijection) share E, m, the hereditary ratio and F at the same
+        # coefficients, through both kernels and big_f
+        sets = [random_support(rng, n, 24) for n in (4, 6, 8, 9)]
+        sets += [SupportSet.sphere(7, 3), SupportSet.sphere(8, 2), SupportSet.ball(6, 2), SupportSet.ball(7, 1)]
+        sets += [wide_random(3, 45, 12), wide_random(4, 70, 10)]
+        for n, generators, shift in [(12, [3, 12, 48], 1025), (40, [7 << 30, 5, 1 << 39], 3 << 20)]:
+            V = SupportSet.span(n, generators)
+            # a coset and a coset plus one more point
+            coset = [m ^ shift for m in V]
+            sets.append(SupportSet.from_masks(n, coset))
+            sets.append(SupportSet.from_masks(n, coset + [(1 << (n - 1)) ^ 6]))
+        for A in sets:
+            frame = A.affine
+            B = SupportSet.from_masks(frame.rank, frame.coords.tolist())
+            assert additive_energy(A) == additive_energy(B)
+            assert m_bound(A) == m_bound(B)
+            if len(A) <= 14:
+                exact_a = hereditary_energy(A, exact_limit=len(A))
+                exact_b = hereditary_energy(B, exact_limit=len(B))
+                assert exact_a.ratio == exact_b.ratio
+            # B's elements are the coordinates in increasing order
+            order = np.argsort(frame.coords)
+            y = rng.standard_normal((2, len(A)))
+            values = []
+            for S, z in ((A, y), (B, y[:, order])):
+                values.append(_DenseKernel(S, DEFAULT_DENSE_CAP).evaluate(z)[0])
+                values.append(_SparseKernel(S.pairs).evaluate(z)[0])
+                values.append(np.array([big_f(SpectrumVector(S, row)) for row in z]))
+            for value in values[1:]:
+                assert np.allclose(value, values[0], rtol=1e-12, atol=0.0), A
 
 
 def both_kernels(A):
@@ -471,8 +522,10 @@ class TestStackedAscent:
     def test_stack_size_is_capped(self, monkeypatch):
         import cubequartic.quartic
 
-        A = SupportSet.sphere(7, 3)
-        # 4 rows of 2^7 entries fit under a cap of 512 entries
+        # S(8,3) has affine rank 7, so 4 rows of 2^7 entries fit under a
+        # cap of 512 entries
+        A = SupportSet.sphere(8, 3)
+        assert A.affine.rank == 7
         monkeypatch.setattr(cubequartic.quartic, "_STACK_ENTRIES", 512)
         est, calls = TestLineSearch()._count_transforms(monkeypatch, A)
         assert max(calls) == 4 and len(est.runs) > 4
@@ -567,6 +620,40 @@ class TestMuLower:
         gap = np.max(np.abs(one.certificate.coords - other.certificate.coords))
         assert gap > 1e-3
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_gaussian_reads_the_random_stream(self, seed):
+        # the bulk read gives Box-Muller over the floats of 2 * size
+        # random() calls, and leaves the generator where those calls would
+        for size in (0, 1, 2, 7, 330, 1000):
+            bulk, calls = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                u = np.array([calls.random() for _ in range(2 * size)])
+                expected = np.sqrt(-2.0 * np.log1p(-u[:size])) * np.cos(2.0 * math.pi * u[size:])
+                assert np.array_equal(_gaussian(bulk, size), expected)
+            assert bulk.random() == calls.random()
+
+    def test_cosets_are_exact_without_a_kernel(self, monkeypatch):
+        # |A| = 2^d: a coset of a subspace, where F <= |A| is reached at
+        # the uniform vector; no kernel is built and no step is taken
+        import cubequartic.quartic
+
+        def refuse(*args):
+            raise AssertionError("built a kernel for a coset")
+
+        monkeypatch.setattr(cubequartic.quartic, "_choose_kernel", refuse)
+        cosets = [SupportSet.from_masks(4, [9]), SupportSet.sphere(2, 1)]
+        for n, generators, shift in [(12, [3, 12, 48, 192], 1025), (40, [7 << 30, 5, 1 << 39, 6], 3 << 20)]:
+            V = SupportSet.span(n, generators)
+            cosets.append(SupportSet.from_masks(n, [m ^ shift for m in V]))
+        for A in cosets:
+            est = mu_lower(A, FAST)
+            size = float(len(A))
+            assert est.value == size
+            assert est.runs == (AscentRun("uniform", size, 0, "stationary"),)
+            assert est.starts_used == 1 and est.iterations == 0 and est.converged
+            assert np.array_equal(est.certificate.coords, SpectrumVector.uniform(A).coords)
+            assert math.isclose(big_f(est.certificate), size, rel_tol=1e-12)
+
     def test_gaussian_draws_are_standard_normal(self):
         draws = _gaussian(random.Random(0), 100_000)
         assert draws.shape == (100_000,) and np.all(np.isfinite(draws))
@@ -584,8 +671,9 @@ class TestMuLower:
             mu_lower(SupportSet(3, ()))
 
     def test_dimension_cap(self):
-        A = SupportSet.from_masks(30, [1, 2, 3])
-        with pytest.raises(ResourceLimitError):
+        # the origin and the 30 unit vectors: affine rank 30, above the cap
+        A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
+        with pytest.raises(ResourceLimitError, match="affine rank 30"):
             mu_lower(A, FAST)
 
 
