@@ -55,27 +55,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityTable:
-    """Counts[x] = |M_x| for every x hit by A + A (zero counts omitted)."""
+    """|M_x| for every x hit by A + A, in the layout of ``PairIndex``:
+    ``sums`` in increasing order (so sums[0] = 0) and ``counts[k]`` =
+    |M_x| for x = sums[k], both read-only arrays."""
 
-    n: int
-    counts: dict[int, int]
-
-    def __post_init__(self) -> None:
-        for x, c in self.counts.items():
-            if not 0 <= x < (1 << self.n):
-                raise ValueError(f"sum {x} out of range for n={self.n}")
-            if c <= 0:
-                raise ValueError("multiplicity table must omit zero counts")
+    sums: np.ndarray
+    counts: np.ndarray
 
     def m_bound(self) -> int:
         """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
-        return 1 + max((c for x, c in self.counts.items() if x != 0), default=0)
+        return 1 + int(self.counts[1:].max(initial=0))
 
     def energy(self) -> int:
-        """E2(A, A) = sum over x of |M_x|^2."""
-        return sum(c * c for c in self.counts.values())
+        """E2(A, A) = sum over x of |M_x|^2, exactly: E2 <= |A|^3, so
+        int64 holds it while |A|^3 < 2^63 and python ints past that."""
+        if int(self.counts[0]) ** 3 < 1 << 63:
+            return int(np.dot(self.counts, self.counts))
+        return sum(c * c for c in self.counts.tolist())
 
 
 def pair_multiplicities(
@@ -110,17 +108,14 @@ def pair_multiplicities(
                     "pair multiplicity cross-check failed between "
                     "enumeration and convolution"
                 )
-        table = index.table()
-    elif conv_ok:
-        sums, counts = A.convolution
-        table = dict(zip(sums.tolist(), counts.tolist()))
-    else:
-        raise ResourceLimitError(
-            f"pair stage: the {size * size} pairs of a {size}-element set of "
-            f"affine rank d={rank} exceed the enumeration cap, and the dense "
-            f"convolution needs d <= {cap} and d + bitlen|A| <= 53"
-        )
-    return MultiplicityTable(A.n, table)
+        return MultiplicityTable(index.sums, index.counts)
+    if conv_ok:
+        return MultiplicityTable(*A.convolution)
+    raise ResourceLimitError(
+        f"pair stage: the {size * size} pairs of a {size}-element set of "
+        f"affine rank d={rank} exceed the enumeration cap, and the dense "
+        f"convolution needs d <= {cap} and d + bitlen|A| <= 53"
+    )
 
 
 def m_bound(A: SupportSet, *, dense_cap: int | None = None) -> int:

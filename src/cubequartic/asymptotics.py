@@ -58,21 +58,30 @@ def r_of_x(x: float) -> float:
     return (3.0 - math.sqrt(1.0 + 8.0 * (1.0 - 2.0 * x) ** 2)) / 8.0
 
 
+def _phi(y: float, a: float) -> float:
+    """H(2y) + 4y + 2(1-2y) H((a-y)/(1-2y)) - 2H(a), the shared
+    expression of psi (at y = r(a)) and phi."""
+    if 2.0 * y >= 1.0:
+        # only reachable when a = 1/2 and y = a: inner argument is 0/0,
+        # but the limit of 2(1-2y)H(...) is 0, so evaluate without it
+        return entropy(2.0 * y) + 4.0 * y - 2.0 * entropy(a)
+    inner = (a - y) / (1.0 - 2.0 * y)
+    return (
+        entropy(2.0 * y)
+        + 4.0 * y
+        + 2.0 * (1.0 - 2.0 * y) * entropy(inner)
+        - 2.0 * entropy(a)
+    )
+
+
 def psi_value(x: float) -> float:
     """psi(x) on [0, 1/2]."""
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"psi needs x in [0, 1/2], got {x}")
-    r = r_of_x(x)
     if x == 0.0:
         # r(0) = 0 exactly: every term vanishes
         return 0.0
-    inner = (x - r) / (1.0 - 2.0 * r)
-    return (
-        entropy(2.0 * r)
-        + 4.0 * r
-        + 2.0 * (1.0 - 2.0 * r) * entropy(inner)
-        - 2.0 * entropy(x)
-    )
+    return _phi(r_of_x(x), x)
 
 
 def phi(y: float, p: SphereParams) -> float:
@@ -83,18 +92,7 @@ def phi(y: float, p: SphereParams) -> float:
     a = p.k / p.n
     if not 0.0 <= y <= a + 1e-15:
         raise ValueError(f"phi needs 0 <= y <= k/n = {a}, got {y}")
-    y = min(y, a)
-    if 2.0 * y >= 1.0:
-        # only reachable when k = n/2 and y = a: inner argument is 0/0,
-        # but the limit of 2(1-2y)H(...) is 0, so evaluate without it
-        return entropy(2.0 * y) + 4.0 * y - 2.0 * entropy(a)
-    inner = (a - y) / (1.0 - 2.0 * y)
-    return (
-        entropy(2.0 * y)
-        + 4.0 * y
-        + 2.0 * (1.0 - 2.0 * y) * entropy(inner)
-        - 2.0 * entropy(a)
-    )
+    return _phi(min(y, a), a)
 
 
 def phi_derivative(y: float, p: SphereParams) -> float:

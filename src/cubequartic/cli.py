@@ -232,13 +232,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     check_exhaustive_cap(len(A), args.exact_limit)
     cfg = _optimizer_config(args)
-    # A builds its pair index once (A.pairs) for every stage that reads it;
-    # one pair table serves the bounds and the energy
+    # A builds its pair index (A.pairs) and its convolution once for every
+    # stage that reads them
     est = mu_lower(A, cfg, dense_cap=args.dense_cap)
-    table = pair_multiplicities(A, dense_cap=args.dense_cap)
-    mult = table.m_bound()
-    upper = mu_upper(A, dense_cap=args.dense_cap, multiplicity=mult)
-    energy = table.energy()
+    upper = mu_upper(A, dense_cap=args.dense_cap)
+    mult = upper.multiplicity_bound
+    energy = pair_multiplicities(A, dense_cap=args.dense_cap).energy()
     ratio = Fraction(energy, len(A) ** 2)
     hered = hereditary_energy(A, exact_limit=args.exact_limit, certificate=est.certificate)
     total = 1 << A.n

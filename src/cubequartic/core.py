@@ -340,9 +340,6 @@ class PairIndex:
             sums, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
         return cls(arr, sums, counts, inverse.reshape(size, size))
 
-    def table(self) -> dict[int, int]:
-        return dict(zip(self.sums.tolist(), self.counts.tolist()))
-
     def energy(self) -> int:
         # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
         return int(np.dot(self.counts, self.counts))

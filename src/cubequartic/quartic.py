@@ -120,16 +120,10 @@ class BoundSet:
     multiplicity_bound: int
     sphere_psi_bound: float | None
     sphere_sum_bound: int | None
-    best: float
 
     def __post_init__(self) -> None:
-        present = self.present_bounds()
-        if not present:
-            raise ValueError("bound set needs at least one bound")
-        if any(b < 1 for b in present):
+        if any(b < 1 for b in self.present_bounds()):
             raise ValueError("all bounds must be at least 1")
-        if self.best != min(float(b) for b in present):
-            raise ValueError("best must equal the minimum present bound")
 
     def present_bounds(self) -> list[float]:
         out: list[float] = [self.cardinality_bound, self.multiplicity_bound]
@@ -138,6 +132,11 @@ class BoundSet:
         if self.sphere_sum_bound is not None:
             out.append(self.sphere_sum_bound)
         return out
+
+    @property
+    def best(self) -> float:
+        """The least of the present bounds."""
+        return float(min(self.present_bounds()))
 
 
 def _pair_sums(support: SupportSet, coords: np.ndarray) -> np.ndarray:
@@ -671,12 +670,11 @@ def mu_lower(
         SpectrumVector(A, np.abs(best_y)).normalize()
     )
     level_starts: list[tuple[str, np.ndarray]] = []
+    masks = A.masks_array()
     for _, level in slices.levels:
         indicator = np.zeros(size)
-        member = set(level.elements)
-        for i, mask in enumerate(A.elements):
-            if mask in member:
-                indicator[i] = 1.0
+        # both sorted and the level within A, so this finds its positions
+        indicator[np.searchsorted(masks, level.masks_array())] = 1.0
         level_starts.append(("level", indicator / math.sqrt(len(level))))
     run(level_starts)
 
@@ -691,20 +689,14 @@ def mu_lower(
     )
 
 
-def mu_upper(
-    A: SupportSet, *, dense_cap: int | None = None, multiplicity: int | None = None
-) -> BoundSet:
+def mu_upper(A: SupportSet, *, dense_cap: int | None = None) -> BoundSet:
     """Assembled upper bounds: cardinality, multiplicity, sphere forms.
 
     The sum bound applies to any full sphere; the exponential bound
-    2^(n psi(k/n)) additionally requires k <= n/2.  A caller that has
-    already computed m(A) passes it as ``multiplicity``.
+    2^(n psi(k/n)) additionally requires k <= n/2.
     """
     if len(A) == 0:
         raise ValueError("no bounds for the empty set")
-    cardinality = len(A)
-    if multiplicity is None:
-        multiplicity = m_bound(A, dense_cap=dense_cap)
     psi_bound: float | None = None
     sum_bound: int | None = None
     k = A.sphere_radius()
@@ -712,12 +704,7 @@ def mu_upper(
         sum_bound = sphere_sum_bound(k)
         if 2 * k <= A.n:
             psi_bound = 2.0 ** (A.n * psi_value(k / A.n))
-    present: list[float] = [float(cardinality), float(multiplicity)]
-    if psi_bound is not None:
-        present.append(psi_bound)
-    if sum_bound is not None:
-        present.append(float(sum_bound))
-    return BoundSet(cardinality, multiplicity, psi_bound, sum_bound, min(present))
+    return BoundSet(len(A), m_bound(A, dense_cap=dense_cap), psi_bound, sum_bound)
 
 
 @dataclass

@@ -375,10 +375,7 @@ def bracket_report(A: SupportSet, cfg: OptimizerConfig | None = None) -> BoundRe
     hered = hereditary_energy(A)
 
     coords = np.zeros(len(A))
-    member = set(hered.best.elements)
-    for i, mask in enumerate(A.elements):
-        if mask in member:
-            coords[i] = 1.0
+    coords[np.searchsorted(A.masks_array(), hered.best.masks_array())] = 1.0
     start = SpectrumVector(A, coords / math.sqrt(len(hered.best)))
 
     est = mu_lower(A, cfg, extra_starts=(start,))
@@ -445,10 +442,9 @@ def conjecture_scan(
     Each cell compares the ascent value against the exact energy ratio
     computed twice (quadruple counting and the closed-form chain); a
     mismatch between the exact routes or an ascent value measurably
-    below the ratio raises instead of being recorded.  One pair table
-    per cell gives both the ratio and m(A).  The cells run in this
-    thread: each is thousands of small numpy calls that hold the
-    interpreter lock, so worker threads only queued on it.
+    below the ratio raises instead of being recorded.  The cells run
+    in this thread: each is thousands of small numpy calls that hold
+    the interpreter lock, so worker threads only queued on it.
     """
     cfg = cfg or OptimizerConfig()
     cells = [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
@@ -456,15 +452,16 @@ def conjecture_scan(
     def run(cell: tuple[int, int]) -> ConjectureRecord:
         n, k = cell
         A = SupportSet.sphere(n, k)
-        table = pair_multiplicities(A, dense_cap=dense_cap)
-        ratio = Fraction(table.energy(), len(A) ** 2)
+        ratio = Fraction(
+            pair_multiplicities(A, dense_cap=dense_cap).energy(), len(A) ** 2
+        )
         closed = r_exact(SphereParams(n, k))
         if ratio != closed:
             raise RuntimeError(
                 f"energy-ratio routes disagree at (n={n}, k={k}): {ratio} vs {closed}"
             )
         est = mu_lower(A, cfg, dense_cap=dense_cap)
-        upper = mu_upper(A, dense_cap=dense_cap, multiplicity=table.m_bound())
+        upper = mu_upper(A, dense_cap=dense_cap)
         gap = est.value - float(ratio)
         upper_gap = upper.best - float(ratio)
         if gap < -1e-8:

@@ -29,14 +29,7 @@ from .asymptotics import (
     psi_value,
     r_identity_check,
 )
-from .core import (
-    CubeFunction,
-    Spectrum,
-    SpectrumVector,
-    SupportSet,
-    moments,
-    synthesize,
-)
+from .core import CubeFunction, SpectrumVector, SupportSet, moments
 from .quartic import OptimizerConfig, _gaussian, decompose_last
 from .reporting import BoundReport, Check, check_close, check_ge, check_le
 from .reports import (
@@ -77,16 +70,12 @@ def _random_function(rng: random.Random, n: int) -> CubeFunction:
 
 def _random_sparse(rng: random.Random, n: int, size: int) -> CubeFunction:
     A = _random_support(rng, n, size)
-    values = np.zeros(1 << n)
-    values[A.masks_array()] = _gaussian(rng, len(A))
-    return synthesize(Spectrum(n, values))
+    return SpectrumVector(A, _gaussian(rng, len(A))).to_function()
 
 
 def _spectrum_indicator(A: SupportSet) -> CubeFunction:
     """The function whose Walsh coefficients are 1 on A and 0 elsewhere."""
-    values = np.zeros(1 << A.n)
-    values[A.masks_array()] = 1.0
-    return synthesize(Spectrum(A.n, values))
+    return SpectrumVector(A, np.ones(len(A))).to_function()
 
 
 def _random_span(rng: random.Random, n: int) -> SupportSet:

@@ -36,6 +36,11 @@ def _pairs_table(masks):
     return table
 
 
+def _as_dict(table):
+    """A pair table's (sums, counts) arrays as the dict x -> |M_x|."""
+    return dict(zip(table.sums.tolist(), table.counts.tolist()))
+
+
 def greedy_hereditary_oracle(masks):
     """The dict-based greedy sweep the vectorised search must reproduce."""
     current = list(masks)
@@ -158,13 +163,13 @@ def subsets_bruteforce(masks):
 class TestPairMultiplicities:
     def test_weight_one_sphere(self):
         table = pair_multiplicities(SupportSet.sphere(3, 1))
-        assert table.counts == {0: 3, 3: 2, 5: 2, 6: 2}
+        assert _as_dict(table) == {0: 3, 3: 2, 5: 2, 6: 2}
 
     def test_total_is_size_squared(self, rng):
         for _ in range(10):
             A = random_support(rng, 6, 20)
             table = pair_multiplicities(A)
-            assert sum(table.counts.values()) == len(A) ** 2
+            assert sum(_as_dict(table).values()) == len(A) ** 2
 
     def test_enumeration_only_path(self, monkeypatch):
         # an affine rank above the dense cap forces the pair-enumeration
@@ -175,9 +180,9 @@ class TestPairMultiplicities:
         monkeypatch.setattr(core, "_convolution_table", refuse)
         A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
         assert A.affine.rank == 30
-        table = pair_multiplicities(A)
-        assert table.counts[0] == 31
-        assert table.counts[3] == 2
+        table = _as_dict(pair_multiplicities(A))
+        assert table[0] == 31
+        assert table[3] == 2
 
     @pytest.mark.parametrize("part", [0, 1])
     def test_cross_check_catches_a_wrong_convolution(self, monkeypatch, part):
@@ -221,11 +226,29 @@ class TestPairMultiplicities:
         with pytest.raises(ValueError):
             pair_multiplicities(SupportSet(3, ()))
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            MultiplicityTable(2, {0: 0})
-        with pytest.raises(ValueError):
-            MultiplicityTable(2, {9: 1})
+    @pytest.mark.parametrize("route", ["pairs", "convolution", "singleton"])
+    def test_table_matches_a_recount(self, monkeypatch, rng, route):
+        # the pairs route and the convolution route (the only one past the
+        # pair cap) give the same arrays; a singleton has no x != 0
+        A = SupportSet.from_masks(7, [int(m) for m in rng.choice(128, 30, replace=False)])
+        if route == "convolution":
+            monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+            assert not A.pairs_within_cap()
+        elif route == "singleton":
+            A = SupportSet.from_masks(7, [45])
+        table = pair_multiplicities(A)
+        assert table.sums[0] == 0 and table.counts[0] == len(A)
+        direct = _pairs_table(A.elements)
+        assert table.m_bound() == 1 + max((c for x, c in direct.items() if x), default=0)
+        assert table.energy() == sum(c * c for c in direct.values())
+
+    def test_energy_is_exact_past_int64(self):
+        # |A| = 2^31 and four sums each hit 2^31 times: E = 2^64, where an
+        # int64 dot product wraps to 0
+        counts = np.full(4, 1 << 31, dtype=np.int64)
+        table = MultiplicityTable(np.arange(4), counts)
+        assert table.energy() == 4 * (1 << 62) == sum(c * c for c in counts.tolist())
+        assert int(np.dot(counts, counts)) != table.energy()
 
 
 class TestPairIndex:
@@ -233,7 +256,7 @@ class TestPairIndex:
         for _ in range(10):
             A = random_support(rng, 7, 30)
             index = PairIndex.of(A.elements)
-            assert index.table() == _pairs_table(A.elements)
+            assert _as_dict(index) == _pairs_table(A.elements)
             assert index.energy() == brute_energy(A.elements)
             for i, a in enumerate(A.elements):
                 for j, b in enumerate(A.elements):
@@ -275,8 +298,8 @@ class TestPairIndex:
     def test_masks_beyond_int64(self):
         masks = (3, 1 << 62, (1 << 62) | 3, 1 << 70)
         index = PairIndex.of(masks)
-        assert index.table() == _pairs_table(masks)
-        assert pair_multiplicities(SupportSet(71, masks)).counts == _pairs_table(masks)
+        assert _as_dict(index) == _pairs_table(masks)
+        assert _as_dict(pair_multiplicities(SupportSet(71, masks))) == _pairs_table(masks)
 
 
 class TestEnergy:
@@ -319,7 +342,7 @@ class TestMBound:
     def test_matches_direct_maximum(self, rng):
         for _ in range(10):
             A = random_support(rng, 6, 16)
-            table = pair_multiplicities(A).counts
+            table = _as_dict(pair_multiplicities(A))
             direct = 1 + max((c for x, c in table.items() if x), default=0)
             assert m_bound(A) == direct
 

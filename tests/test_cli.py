@@ -312,22 +312,23 @@ class TestAnalyze:
         assert results["hereditary"] == {"size": size, "ratio": best, "exact": False}
 
     def test_one_pair_table_per_command(self, tmp_path, capsys, monkeypatch):
-        import cubequartic.additive
-        import cubequartic.cli
+        # analyze reads the pair table twice (m(A) in mu_upper, E(A) for
+        # the energy ratio); both routes are built once and cached on A
+        import cubequartic.core
 
-        calls = []
-        original = cubequartic.additive.pair_multiplicities
+        built = self.count_index_builds(monkeypatch)
+        convolved = []
+        original = cubequartic.core._convolution_table
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(A):
+            convolved.append(len(A))
+            return original(A)
 
-        monkeypatch.setattr(cubequartic.additive, "pair_multiplicities", counted)
-        monkeypatch.setattr(cubequartic.cli, "pair_multiplicities", counted)
+        monkeypatch.setattr(cubequartic.core, "_convolution_table", counted)
         path = write(tmp_path, "n=5\nsphere 5 2\n")
         code, out, _ = run(capsys, ["analyze", path] + FAST)
         assert code == EXIT_OK
-        assert len(calls) == 1
+        assert built == [10] and convolved == [10]
         results = json.loads(out)["results"]
         assert results["additive"]["multiplicity_bound"] == 7
         assert results["mu_upper"]["multiplicity_bound"] == 7
@@ -698,3 +699,15 @@ class TestImportHygiene:
 
     def test_verify_skips_numpy_ma(self):
         assert "numpy.ma" not in self.modules_after(["verify", "--suite", "additive"])
+
+    def test_analyze_and_scan_skip_numpy_ma(self, tmp_path):
+        # PairIndex.of sorts the pair sums of S(8,1) (2^8 > 8^2) and takes
+        # a histogram of those of S(5,2) (2^5 <= 10^2)
+        sort_route = write(tmp_path, "n=8\nsphere 8 1\n", "sort.txt")
+        histogram_route = write(tmp_path, "n=5\nsphere 5 2\n", "histogram.txt")
+        for argv in (
+            ["analyze", sort_route] + FAST,
+            ["analyze", histogram_route] + FAST,
+            ["scan", "--n-max", "4"] + FAST,
+        ):
+            assert "numpy.ma" not in self.modules_after(argv), argv

@@ -716,9 +716,7 @@ class TestMuUpper:
 
     def test_bound_set_validation(self):
         with pytest.raises(ValueError):
-            BoundSet(3, 4, None, None, 4.0)
-        with pytest.raises(ValueError):
-            BoundSet(0, 4, None, None, 0.0)
+            BoundSet(0, 4, None, None)
 
 
 class TestOptimizerConfig:
