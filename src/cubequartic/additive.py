@@ -69,10 +69,7 @@ class MultiplicityTable:
         return 1 + int(self.counts[1:].max(initial=0))
 
     def energy(self) -> int:
-        """E2(A, A) = sum over x of |M_x|^2, exactly: E2 <= |A|^3, so
-        int64 holds it while |A|^3 < 2^63 and python ints past that."""
-        if int(self.counts[0]) ** 3 < 1 << 63:
-            return int(np.dot(self.counts, self.counts))
+        """E2(A, A) = sum over x of |M_x|^2, in exact python ints."""
         return sum(c * c for c in self.counts.tolist())
 
 
