@@ -264,6 +264,57 @@ def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]
     return tuple(index.masks[members].tolist()), best_ratio
 
 
+def _fill_bounds(index: PairIndex) -> list[int]:
+    """U(s) for s = 0..|A|: the largest sum over x != 0 of C(q_x, 2) over
+    integers 0 <= q_x <= min(p_x, s // 2) with sum q_x = C(s, 2), where
+    p_x is the number of unordered pairs of A with XOR x.
+
+    C(., 2) is convex, so the filling that pours the C(s, 2) pairs into
+    the largest caps first majorizes every other one and has the largest
+    sum.  The caps are walked as groups of equal p, poured at once.
+    """
+    many = np.bincount(index.counts[1:] >> 1).tolist()
+    caps = [(p, many[p]) for p in range(len(many) - 1, 0, -1) if many[p]]
+    bounds = []
+    for size in range(len(index.masks) + 1):
+        half = size // 2
+        left = size * (size - 1) // 2
+        total = 0
+        for p, count in caps:
+            if not left:
+                break
+            q = min(p, half)
+            full = min(count, left // q)
+            total += full * (q * (q - 1) // 2)
+            left -= full * q
+            if full < count:
+                # the rest, fewer than q pairs, goes into the next cap of q
+                total += left * (left - 1) // 2
+                left = 0
+        bounds.append(total)
+    return bounds
+
+
+def _full_set_is_best(index: PairIndex) -> bool:
+    """True when every non-empty proper subset B of A has a smaller ratio
+    E2(B, B) / |B|^2 than A itself, proved from the pair counts of A.
+
+    Pairs of A with one sum x are disjoint, so a subset B of size s holds
+    p_x(B) <= min(p_x, s // 2) of the p_x pairs with sum x, and the
+    p_x(B) add up to C(s, 2).  Since E2(B, B) = 3 s^2 - 2 s +
+    8 sum_x C(p_x(B), 2), and that sum is three times the number of
+    4-subsets of B with XOR 0, E2(B, B) <= 3 s^2 - 2 s + 24 floor(U(s) / 3)
+    with U from ``_fill_bounds``.  The test is strict because a smaller
+    subset wins a tie.
+    """
+    m = len(index.masks)
+    energy = index.energy()
+    return all(
+        (3 * s * s - 2 * s + 24 * (bound // 3)) * m * m < energy * s * s
+        for s, bound in enumerate(_fill_bounds(index)[1:m], start=1)
+    )
+
+
 def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
     """Peel off one element at a time, keeping whichever removal helps most.
 
@@ -340,15 +391,18 @@ def hereditary_energy(
 ) -> HereditaryResult:
     """max over non-empty B subset of A of E2(B, B) / |B|^2.
 
-    Exhaustive (and exact) when |A| <= exact_limit; an exhaustive request
-    above ``EXHAUSTIVE_LIMIT`` elements raises ResourceLimitError before
-    any work.  Above the limit a heuristic search is run instead: the
-    full set, a greedy element-removal sweep (on sets of at most
-    ``GREEDY_LIMIT`` elements within the pair cap), and, when a
-    certificate vector on A is supplied, its dyadic level sets.  The
-    heuristic answer is a certified lower bound with ``exact=False``.
-    Both searches read ``A.pairs``; no set past the pair cap is
-    enumerated (see ``_subset_energy``).
+    Exact when |A| <= exact_limit; an exhaustive request above
+    ``EXHAUSTIVE_LIMIT`` elements raises ResourceLimitError before any
+    work.  The exact answer is A itself when its pair counts prove that
+    no proper subset reaches its ratio (``_full_set_is_best``), and the
+    subset transform over all 2^|A| subsets otherwise.  Above the limit
+    a heuristic search is run instead: the full set, a greedy
+    element-removal sweep (on sets of at most ``GREEDY_LIMIT`` elements
+    within the pair cap), and, when a certificate vector on A is
+    supplied, its dyadic level sets.  The heuristic answer is a
+    certified lower bound with ``exact=False``.  Both searches read
+    ``A.pairs``; no set past the pair cap is enumerated (see
+    ``_subset_energy``).
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
@@ -356,7 +410,10 @@ def hereditary_energy(
         raise ValueError("certificate support does not match the set")
     check_exhaustive_cap(len(A), exact_limit)
     if len(A) <= exact_limit:
-        masks, ratio = _exhaustive_hereditary(A.pairs)
+        index = A.pairs
+        if _full_set_is_best(index):
+            return HereditaryResult(A, Fraction(index.energy(), len(A) ** 2), exact=True)
+        masks, ratio = _exhaustive_hereditary(index)
         return HereditaryResult(SupportSet(A.n, masks), ratio, exact=True)
 
     candidates: list[SupportSet] = []
@@ -415,19 +472,21 @@ def dyadic_level_sets(y: SpectrumVector) -> LevelSetDecomposition:
         raise ValueError("level sets need non-negative coordinates")
     size = len(y.support)
     cutoff = math.ceil(math.log2(size) / 2) + 2 if size > 1 else 2
-    buckets: dict[int, list[int]] = {}
-    tail: list[int] = []
-    for mask, value in zip(y.support.elements, y.coords):
-        if value == 0.0:
-            continue
-        mantissa, exponent = math.frexp(value)
-        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
-        if level <= cutoff:
-            buckets.setdefault(level, []).append(mask)
-        else:
-            tail.append(mask)
+    # y_a = mantissa 2^exponent with the mantissa in [1/2, 1); an exact
+    # power of two (mantissa 1/2) closes the slice above it
+    mantissa, exponent = np.frexp(y.coords)
+    level = np.where(mantissa > 0.5, 1 - exponent, 2 - exponent)
+    nonzero = y.coords != 0.0
+    head = np.flatnonzero(nonzero & (level <= cutoff))
+    # a stable sort keeps each slice in mask order
+    head = head[np.argsort(level[head], kind="stable")]
+    cuts = np.flatnonzero(np.diff(level[head])) + 1
+    masks = y.support.masks_array()
     n = y.support.n
     levels = tuple(
-        (i, SupportSet(n, tuple(buckets[i]))) for i in sorted(buckets)
+        (int(level[rows[0]]), SupportSet(n, tuple(masks[rows].tolist())))
+        for rows in np.split(head, cuts)
+        if len(rows)
     )
+    tail = masks[nonzero & (level > cutoff)].tolist()
     return LevelSetDecomposition(levels, cutoff, SupportSet(n, tuple(tail)))

@@ -545,7 +545,9 @@ def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
     np.rint(ind, out=ind)
     sums = np.flatnonzero(ind)
     counts, remainder = np.divmod(ind[sums].astype(np.int64), 1 << frame.rank)
-    assert not remainder.any(), "convolution output not divisible by 2^d"
+    if remainder.any():
+        # past the pair cap this is the only check of the convolution
+        raise RuntimeError("pair stage: convolution output not divisible by 2^d")
     return frame.linear_masks(sums), counts
 
 

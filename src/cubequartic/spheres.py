@@ -102,7 +102,8 @@ def mass_chain(p: SphereParams) -> list[int]:
     for t in range(min(p.k, p.n - p.k)):
         num, den = _ratio_terms(p.n, p.k, t)
         quotient, remainder = divmod(chain[-1] * num, den)
-        assert remainder == 0, "sphere mass numerator not an integer"
+        if remainder:
+            raise RuntimeError("sphere mass numerator not an integer")
         chain.append(quotient)
     return chain
 

@@ -1,5 +1,7 @@
 """XOR pair tables, energies, sumsets, hereditary maxima, level sets."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,8 @@ from cubequartic.additive import (
     MultiplicityTable,
     PairIndex,
     _exhaustive_hereditary,
+    _fill_bounds,
+    _full_set_is_best,
     _greedy_hereditary,
     _subset_energy,
     additive_energy,
@@ -150,6 +154,40 @@ def exhaustive_hereditary_oracle(masks):
     return best_set, Fraction(best_energy, best_size * best_size)
 
 
+def fill_bound_oracle(masks):
+    """For each size s, the largest sum over x of C(p_x(B), 2) over the
+    s-subsets B, p_x(B) the unordered pairs of B with XOR x."""
+    best = [0] * (len(masks) + 1)
+    for size in range(2, len(masks) + 1):
+        for sub in itertools.combinations(masks, size):
+            pairs: dict[int, int] = {}
+            for a, b in itertools.combinations(sub, 2):
+                pairs[a ^ b] = pairs.get(a ^ b, 0) + 1
+            total = sum(math.comb(c, 2) for c in pairs.values())
+            best[size] = max(best[size], total)
+    return best
+
+
+def dyadic_level_sets_oracle(y):
+    """The per-coordinate ``math.frexp`` loop the vectorised split must
+    reproduce: (levels as (i, masks) pairs, cutoff, tail masks)."""
+    size = len(y.support)
+    cutoff = math.ceil(math.log2(size) / 2) + 2 if size > 1 else 2
+    buckets: dict[int, list[int]] = {}
+    tail: list[int] = []
+    for mask, value in zip(y.support.elements, y.coords):
+        if value == 0.0:
+            continue
+        mantissa, exponent = math.frexp(value)
+        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
+        if level <= cutoff:
+            buckets.setdefault(level, []).append(mask)
+        else:
+            tail.append(mask)
+    levels = tuple((i, tuple(buckets[i])) for i in sorted(buckets))
+    return levels, cutoff, tuple(tail)
+
+
 def subsets_bruteforce(masks):
     """Every non-empty subset with its exact energy ratio."""
     m = len(masks)
@@ -198,6 +236,25 @@ class TestPairMultiplicities:
         monkeypatch.setattr(core, "_convolution_table", corrupted)
         with pytest.raises(RuntimeError, match="cross-check failed"):
             pair_multiplicities(SupportSet.sphere(5, 2))
+
+    def test_convolution_checks_divisibility_past_the_pair_cap(self, monkeypatch):
+        # past the pair cap no enumeration cross-checks the convolution, so
+        # a wrong transform must still be caught, by a check -O keeps
+        original = core.walsh_transform
+        calls = []
+
+        def perturbed(values):
+            original(values)
+            calls.append(None)
+            if len(calls) == 2:
+                values[1] += 1.0
+
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+        monkeypatch.setattr(core, "walsh_transform", perturbed)
+        A = SupportSet.sphere(5, 2)
+        assert not A.pairs_within_cap()
+        with pytest.raises(RuntimeError, match="not divisible by 2\\^d"):
+            pair_multiplicities(A)
 
     def test_convolution_needs_n_plus_bitlen_at_most_53(self, monkeypatch):
         # past the pair cap the convolution is the only route, and it is
@@ -444,6 +501,60 @@ class TestHereditaryEnergy:
         res = hereditary_energy(SupportSet(5, tie))
         assert res.exact and (res.best.elements, res.ratio) == expected
 
+    def test_fill_bound_covers_every_subset(self, rng):
+        # U(s) is at least the largest sum of C(p_x(B), 2) over s-subsets,
+        # on random sets and on random subsets of spheres
+        sets = [random_support(rng, int(rng.integers(2, 7)), 11) for _ in range(30)]
+        for n, k in ((5, 2), (6, 3), (6, 2), (7, 3)):
+            S = SupportSet.sphere(n, k).elements
+            for _ in range(3):
+                pick = rng.choice(len(S), size=min(len(S), 11), replace=False)
+                sets.append(SupportSet(n, tuple(sorted(S[i] for i in pick))))
+        for A in sets:
+            bounds = _fill_bounds(PairIndex.of(A.elements))
+            brute = fill_bound_oracle(A.elements)
+            assert len(bounds) == len(brute)
+            assert all(u >= b for u, b in zip(bounds, brute)), A.elements
+
+    def test_certified_full_set_is_the_exhaustive_answer(self, rng):
+        # wherever the pair-count certificate holds, the Gray-code walk
+        # over every subset picks the full set too
+        sets = [random_support(rng, int(rng.integers(3, 9)), 12) for _ in range(200)]
+        sets += [
+            family(n, k)
+            for family in (SupportSet.sphere, SupportSet.ball)
+            for n in range(1, 9)
+            for k in range(n + 1)
+            if len(family(n, k)) <= 14
+        ]
+        held = []
+        for A in sets:
+            if _full_set_is_best(PairIndex.of(A.elements)):
+                held.append(len(A))
+                expected = (A.elements, Fraction(brute_energy(A.elements), len(A) ** 2))
+                assert exhaustive_hereditary_oracle(A.elements) == expected
+        # it holds on sets with XOR-zero 4-subsets too, not only small ones
+        assert sum(size >= 8 for size in held) >= 20
+
+    def test_certificate_answers_without_the_transform(self, monkeypatch):
+        def refuse(index):
+            raise AssertionError("ran the subset transform")
+
+        monkeypatch.setattr(additive, "_exhaustive_hereditary", refuse)
+        A = SupportSet.sphere(6, 3)
+        res = hereditary_energy(A)
+        assert res.exact and res.best.elements == A.elements
+        assert res.ratio == Fraction(64, 5)
+        # nine unit vectors have no XOR-zero 4-subset: E = 3*81 - 2*9
+        res = hereditary_energy(SupportSet.sphere(9, 1))
+        assert res.exact and len(res.best) == 9 and res.ratio == Fraction(225, 81)
+        # the 4-cosets of the tie set reach the full set's ratio 4, so no
+        # certificate can hold there and the transform must run
+        tie = SupportSet(5, (1, 2, 4, 10, 14, 15, 18, 27, 29, 31))
+        assert not _full_set_is_best(tie.pairs)
+        with pytest.raises(AssertionError, match="subset transform"):
+            hereditary_energy(tie)
+
     def test_exhaustive_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 13)))
         index = PairIndex.of(masks)
@@ -633,6 +744,23 @@ class TestDyadicLevelSets:
             A = SupportSet.from_masks(7, list(range(1, size + 1)))
             dec = dyadic_level_sets(SpectrumVector.uniform(A))
             assert dec.cutoff == cutoff, size
+
+    def test_matches_the_frexp_loop(self, rng):
+        # zeros, exact powers of two, values past the cutoff and masks
+        # from 2^62 up (an object mask array) split as the scalar loop does
+        small = SupportSet.from_masks(7, list(range(1, 41)))
+        wide = SupportSet(68, tuple(sorted((m << 62) ^ m for m in range(1, 41))))
+        for A in (small, wide):
+            for _ in range(20):
+                coords = np.abs(rng.standard_normal(len(A))) * 2.0 ** rng.integers(-12, 1, len(A))
+                coords[rng.random(len(A)) < 0.2] = 0.0
+                powers = rng.random(len(A)) < 0.2
+                coords[powers] = 2.0 ** rng.integers(-8, 0, int(powers.sum()))
+                coords[0] = 1.0
+                y = SpectrumVector(A, coords).normalize()
+                dec = dyadic_level_sets(y)
+                levels = tuple((i, level.elements) for i, level in dec.levels)
+                assert (levels, dec.cutoff, dec.tail.elements) == dyadic_level_sets_oracle(y)
 
     def test_requires_normalized_nonnegative(self):
         A = SupportSet.from_masks(3, [1, 2])

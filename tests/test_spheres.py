@@ -203,6 +203,20 @@ class TestIntegerChain:
     def test_large_cell(self):
         self.assert_matches_masses(2048, 1024)
 
+    def test_a_fractional_mass_raises(self, monkeypatch):
+        # a wrong ratio factor leaves a remainder; the check survives -O
+        import cubequartic.spheres
+
+        original = cubequartic.spheres._ratio_terms
+
+        def skewed(n, k, t):
+            num, den = original(n, k, t)
+            return num, 7 * den
+
+        monkeypatch.setattr(cubequartic.spheres, "_ratio_terms", skewed)
+        with pytest.raises(RuntimeError, match="not an integer"):
+            mass_chain(SphereParams(12, 5))
+
 
 class TestBounds:
     def test_sum_bound_frozen(self):
