@@ -156,8 +156,10 @@ def sumset(B: SupportSet, C: SupportSet) -> SupportSet:
 class HereditaryResult:
     """Best subset found for the hereditary energy maximum.
 
-    ``exact`` records whether every non-empty subset was visited; when
-    False the ratio is only a certified lower bound for the maximum.
+    ``exact`` records whether the ratio is the proven maximum, found
+    either by the pair-count certificate or by visiting every non-empty
+    subset; when False the ratio is only a certified lower bound for the
+    maximum.
     """
 
     best: SupportSet
@@ -472,21 +474,19 @@ def dyadic_level_sets(y: SpectrumVector) -> LevelSetDecomposition:
         raise ValueError("level sets need non-negative coordinates")
     size = len(y.support)
     cutoff = math.ceil(math.log2(size) / 2) + 2 if size > 1 else 2
-    # y_a = mantissa 2^exponent with the mantissa in [1/2, 1); an exact
-    # power of two (mantissa 1/2) closes the slice above it
-    mantissa, exponent = np.frexp(y.coords)
-    level = np.where(mantissa > 0.5, 1 - exponent, 2 - exponent)
-    nonzero = y.coords != 0.0
-    head = np.flatnonzero(nonzero & (level <= cutoff))
-    # a stable sort keeps each slice in mask order
-    head = head[np.argsort(level[head], kind="stable")]
-    cuts = np.flatnonzero(np.diff(level[head])) + 1
-    masks = y.support.masks_array()
+    buckets: dict[int, list[int]] = {}
+    tail: list[int] = []
+    for mask, value in zip(y.support.elements, y.coords):
+        if value == 0.0:
+            continue
+        mantissa, exponent = math.frexp(value)
+        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
+        if level <= cutoff:
+            buckets.setdefault(level, []).append(mask)
+        else:
+            tail.append(mask)
     n = y.support.n
     levels = tuple(
-        (int(level[rows[0]]), SupportSet(n, tuple(masks[rows].tolist())))
-        for rows in np.split(head, cuts)
-        if len(rows)
+        (i, SupportSet(n, tuple(buckets[i]))) for i in sorted(buckets)
     )
-    tail = masks[nonzero & (level > cutoff)].tolist()
     return LevelSetDecomposition(levels, cutoff, SupportSet(n, tuple(tail)))

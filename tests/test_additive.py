@@ -168,26 +168,6 @@ def fill_bound_oracle(masks):
     return best
 
 
-def dyadic_level_sets_oracle(y):
-    """The per-coordinate ``math.frexp`` loop the vectorised split must
-    reproduce: (levels as (i, masks) pairs, cutoff, tail masks)."""
-    size = len(y.support)
-    cutoff = math.ceil(math.log2(size) / 2) + 2 if size > 1 else 2
-    buckets: dict[int, list[int]] = {}
-    tail: list[int] = []
-    for mask, value in zip(y.support.elements, y.coords):
-        if value == 0.0:
-            continue
-        mantissa, exponent = math.frexp(value)
-        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
-        if level <= cutoff:
-            buckets.setdefault(level, []).append(mask)
-        else:
-            tail.append(mask)
-    levels = tuple((i, tuple(buckets[i])) for i in sorted(buckets))
-    return levels, cutoff, tuple(tail)
-
-
 def subsets_bruteforce(masks):
     """Every non-empty subset with its exact energy ratio."""
     m = len(masks)
@@ -744,23 +724,6 @@ class TestDyadicLevelSets:
             A = SupportSet.from_masks(7, list(range(1, size + 1)))
             dec = dyadic_level_sets(SpectrumVector.uniform(A))
             assert dec.cutoff == cutoff, size
-
-    def test_matches_the_frexp_loop(self, rng):
-        # zeros, exact powers of two, values past the cutoff and masks
-        # from 2^62 up (an object mask array) split as the scalar loop does
-        small = SupportSet.from_masks(7, list(range(1, 41)))
-        wide = SupportSet(68, tuple(sorted((m << 62) ^ m for m in range(1, 41))))
-        for A in (small, wide):
-            for _ in range(20):
-                coords = np.abs(rng.standard_normal(len(A))) * 2.0 ** rng.integers(-12, 1, len(A))
-                coords[rng.random(len(A)) < 0.2] = 0.0
-                powers = rng.random(len(A)) < 0.2
-                coords[powers] = 2.0 ** rng.integers(-8, 0, int(powers.sum()))
-                coords[0] = 1.0
-                y = SpectrumVector(A, coords).normalize()
-                dec = dyadic_level_sets(y)
-                levels = tuple((i, level.elements) for i, level in dec.levels)
-                assert (levels, dec.cutoff, dec.tail.elements) == dyadic_level_sets_oracle(y)
 
     def test_requires_normalized_nonnegative(self):
         A = SupportSet.from_masks(3, [1, 2])
