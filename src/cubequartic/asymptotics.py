@@ -129,25 +129,22 @@ def f_combine(x: float, y: float) -> float:
     return 8.0 * x * y / (4.0 * math.sqrt(x * y) - (math.sqrt(x) - math.sqrt(y)) ** 2)
 
 
-def _interior_grid(step: float) -> list[float]:
-    if not 0.0 < step <= 0.1:
-        raise ValueError("grid step must lie in (0, 0.1]")
-    count = int(0.5 / step)
-    return [i * step for i in range(1, count) if i * step < 0.5]
+# the grid on (0, 1/2) that the shape checks walk
+_GRID_STEP = 1e-3
+_GRID = [i * _GRID_STEP for i in range(1, 500)]
 
 
-def psi_concavity_check(grid_step: float = 1e-3) -> BoundReport:
+def psi_concavity_check() -> BoundReport:
     """Strict concavity of psi plus its two slope anchors.
 
     Hard checks: every central second difference on the interior grid
     is negative; the one-sided slope near 1/2 vanishes; the slope near
     0 approaches 2 log2(3).
     """
-    report = BoundReport(subject=f"psi concavity on grid step {grid_step}")
-    grid = _interior_grid(grid_step)
-    h = grid_step
+    report = BoundReport(subject=f"psi concavity on grid step {_GRID_STEP}")
+    h = _GRID_STEP
     worst_x, worst = None, -math.inf
-    for x in grid:
+    for x in _GRID:
         if x - h < 0.0 or x + h > 0.5:
             continue
         second = psi_value(x + h) - 2.0 * psi_value(x) + psi_value(x - h)
@@ -186,12 +183,12 @@ def psi_concavity_check(grid_step: float = 1e-3) -> BoundReport:
     return report
 
 
-def psi_linear_bound_check(grid_step: float = 1e-3) -> BoundReport:
+def psi_linear_bound_check() -> BoundReport:
     """psi(x) < min(2 log2(3) x, 1) strictly inside, equality at ends."""
-    report = BoundReport(subject=f"psi linear bound on grid step {grid_step}")
+    report = BoundReport(subject=f"psi linear bound on grid step {_GRID_STEP}")
     margin = math.inf
     argmin = None
-    for x in _interior_grid(grid_step):
+    for x in _GRID:
         gap = min(TWO_LOG2_3 * x, 1.0) - psi_value(x)
         if gap < margin:
             margin, argmin = gap, x
@@ -215,16 +212,16 @@ def psi_linear_bound_check(grid_step: float = 1e-3) -> BoundReport:
     return report
 
 
-def r_identity_check(grid_step: float = 1e-3) -> BoundReport:
+def r_identity_check() -> BoundReport:
     """Algebraic identities tying r(x) to x, and its derivative form.
 
     Hard: (3r - 4r^2)/2 = x(1-x) and 2(x-r)(1-x-r) = r(1-2r) within
     1e-10 on the grid; r'(x) = (2-4x)/(3-8r) against central
     differences within 1e-4; the forward slope at 0 equals 2/3.
     """
-    report = BoundReport(subject=f"r(x) identities on grid step {grid_step}")
+    report = BoundReport(subject=f"r(x) identities on grid step {_GRID_STEP}")
     worst_quad = worst_prod = 0.0
-    for x in [0.0] + _interior_grid(grid_step) + [0.5]:
+    for x in [0.0] + _GRID + [0.5]:
         r = r_of_x(x)
         worst_quad = max(worst_quad, abs((3.0 * r - 4.0 * r * r) / 2.0 - x * (1.0 - x)))
         worst_prod = max(
@@ -241,7 +238,7 @@ def r_identity_check(grid_step: float = 1e-3) -> BoundReport:
     )
     h = 1e-6
     worst_deriv = 0.0
-    for x in _interior_grid(max(grid_step, 1e-3)):
+    for x in _GRID:
         if x - h < 0.0 or x + h > 0.5:
             continue
         fd = (r_of_x(x + h) - r_of_x(x - h)) / (2.0 * h)
@@ -259,11 +256,11 @@ def r_identity_check(grid_step: float = 1e-3) -> BoundReport:
     return report
 
 
-def phi_derivative_report(samples: int = 64) -> BoundReport:
+def phi_derivative_report() -> BoundReport:
     """Empirical size of phi' over the peak region, with an FD cross-check.
 
-    For a grid of aspect ratios a = k/n the derivative is sampled on
-    y in [a/3, min(11a/12, r(a))] (the interval carrying the mass peak).
+    For a grid of aspect ratios a = k/n the derivative is sampled 64 times
+    on y in [a/3, min(11a/12, r(a))] (the interval carrying the mass peak).
     The source argument only claims boundedness with implicit constants,
     so the maximum is reported soft; the closed form vs finite
     differences agreement within 1e-4 is a hard check.
@@ -280,8 +277,8 @@ def phi_derivative_report(samples: int = 64) -> BoundReport:
         lo, hi = a / 3.0, min(11.0 * a / 12.0, r_of_x(a))
         if hi <= lo:
             continue
-        for j in range(samples):
-            y = lo + (hi - lo) * (j + 0.5) / samples
+        for j in range(64):
+            y = lo + (hi - lo) * (j + 0.5) / 64
             d = phi_derivative(y, p)
             max_abs = max(max_abs, abs(d))
             if lo < y - h and y + h < a:

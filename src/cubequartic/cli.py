@@ -20,7 +20,7 @@ from .additive import check_exhaustive_cap, hereditary_energy, pair_multipliciti
 from .asymptotics import psi_value
 from .core import DEFAULT_DENSE_CAP, SupportSet
 from .errors import CubeQuarticError, ResourceLimitError, SetFileError
-from .quartic import OptimizerConfig, mu_lower, mu_upper
+from .quartic import OptimizerConfig, check_dense_rank, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
 from .spheres import SphereParams, argmax_st, mass_chain, r_exact, sphere_table, t1
@@ -126,16 +126,9 @@ def _exact(value):
 
 
 def _check_payload(check: Check) -> dict:
-    return {
-        "name": check.name,
-        "lhs": _exact(check.lhs),
-        "relation": check.relation,
-        "rhs": _exact(check.rhs),
-        "passed": check.passed,
-        "hard": check.hard,
-        "provenance": check.provenance,
-        "detail": check.detail,
-    }
+    # the keys follow the dataclass fields; vars() shares them, where
+    # dataclasses.asdict would deep-copy each value
+    return {**vars(check), "lhs": _exact(check.lhs), "rhs": _exact(check.rhs)}
 
 
 def _report_payload(report: BoundReport) -> dict:
@@ -149,13 +142,8 @@ def _report_payload(report: BoundReport) -> dict:
 
 def _record_payload(record: ConjectureRecord) -> dict:
     return {
-        "n": record.n,
-        "k": record.k,
-        "mu_est": record.mu_est,
+        **vars(record),
         "energy_ratio": _exact(record.energy_ratio),
-        "gap": record.gap,
-        "upper_gap": record.upper_gap,
-        "status": record.status,
         "certificate": list(record.certificate) if record.certificate is not None else None,
     }
 
@@ -224,12 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     A = parse_set_file(args.set_file)
     # the dense stages run in the smallest coset holding A, so the cap
     # applies to its rank
-    rank = A.affine.rank
-    if rank > args.dense_cap:
-        raise ResourceLimitError(
-            f"estimation stage: affine rank {rank} (n={A.n}) exceeds the "
-            f"dense cap {args.dense_cap}"
-        )
+    check_dense_rank(A, args.dense_cap)
     check_exhaustive_cap(len(A), args.exact_limit)
     cfg = _optimizer_config(args)
     # A builds its pair index (A.pairs) and its convolution once for every
@@ -242,7 +225,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     hered = hereditary_energy(A, exact_limit=args.exact_limit, certificate=est.certificate)
     total = 1 << A.n
     results = {
-        "set": {"n": A.n, "size": len(A), "affine_rank": rank},
+        "set": {"n": A.n, "size": len(A), "affine_rank": A.affine.rank},
         "mu_lower": {
             "value": est.value,
             "starts_used": est.starts_used,

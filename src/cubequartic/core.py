@@ -14,8 +14,8 @@ Conventions used by every module in this package:
   sum_a fhat(a)^2 = E f^2 with E the average over the cube.
   Synthesis carries no factor:  f(x) = sum_a fhat(a) (-1)^<a,x>.
 
-Dense work refuses dimensions above a configurable cap (default 24,
-sixteen million cells) instead of degrading silently; see
+Dense work refuses dimensions above ``DEFAULT_DENSE_CAP`` (24, sixteen
+million cells) instead of degrading silently; see
 :class:`~cubequartic.errors.ResourceLimitError`.  The quartic ascent and
 the XOR self-convolution of a support set run in the smallest coset that
 holds it (``SupportSet.affine``), so their cap applies to its affine
@@ -57,7 +57,6 @@ __all__ = [
     "AffineFrame",
     "PairIndex",
     "CubeFunction",
-    "Spectrum",
     "SpectrumVector",
     "Moments",
     "walsh_transform",
@@ -68,12 +67,10 @@ __all__ = [
 ]
 
 
-def _require_dense(n: int, dense_cap: int | None) -> None:
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if n > cap:
+def _require_dense(n: int) -> None:
+    if n > DEFAULT_DENSE_CAP:
         raise ResourceLimitError(
-            f"dense cube of dimension {n} exceeds the cap of {cap}; "
-            f"raise dense_cap to force the dense path"
+            f"dense cube of dimension {n} exceeds the cap of {DEFAULT_DENSE_CAP}"
         )
 
 
@@ -143,11 +140,6 @@ class SupportSet:
             members |= {m ^ g for m in members}
         return cls(n, tuple(sorted(members)))
 
-    @classmethod
-    def full(cls, n: int, dense_cap: int | None = None) -> "SupportSet":
-        _require_dense(n, dense_cap)
-        return cls(n, tuple(range(1 << n)))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -175,9 +167,9 @@ class SupportSet:
             return None
         return k
 
-    def indicator(self, dense_cap: int | None = None) -> "CubeFunction":
+    def indicator(self) -> "CubeFunction":
         """Dense 0/1 indicator of the set."""
-        _require_dense(self.n, dense_cap)
+        _require_dense(self.n)
         values = np.zeros(1 << self.n)
         values[list(self.elements)] = 1.0
         return CubeFunction(self.n, values)
@@ -355,18 +347,11 @@ class PairIndex:
         return np.bincount(self.inverse.ravel(), weights=weights.ravel())
 
 
-def _as_dense(n: int, values: np.ndarray | Sequence[float]) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.shape[0] != (1 << n):
-        raise ValueError(
-            f"expected a flat array of length 2^{n}={1 << n}, got shape {arr.shape}"
-        )
-    return arr
-
-
 @dataclass
 class CubeFunction:
-    """A real-valued function on {0,1}^n, dense, indexed by bitmask.
+    """A real-valued array on {0,1}^n, dense, indexed by bitmask: a
+    function of the points, or (from ``analyze``) its Walsh coefficients
+    indexed by the character mask.
 
     The constructor copies its input, so the function owns its storage.
     """
@@ -376,31 +361,17 @@ class CubeFunction:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        self.values = _as_dense(self.n, self.values)
+        self.values = np.array(self.values, dtype=np.float64, copy=True)
+        if self.values.ndim != 1 or self.values.shape[0] != (1 << self.n):
+            raise ValueError(
+                f"expected a flat array of length 2^{self.n}={1 << self.n}, "
+                f"got shape {self.values.shape}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubeFunction):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.values, other.values)
-
-
-@dataclass
-class Spectrum:
-    """Dense Walsh coefficients fhat(a), indexed by the character mask a."""
-
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        self.coefficients = _as_dense(self.n, self.coefficients)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(
-            self.coefficients, other.coefficients
-        )
 
 
 @dataclass
@@ -453,15 +424,12 @@ class SpectrumVector:
         coords /= math.sqrt(float(np.dot(coords, coords)))
         return SpectrumVector(self.support, coords, normalized=True)
 
-    def to_spectrum(self, dense_cap: int | None = None) -> Spectrum:
-        _require_dense(self.support.n, dense_cap)
+    def to_function(self) -> CubeFunction:
+        """Synthesize the cube function with these coefficients."""
+        _require_dense(self.support.n)
         dense = np.zeros(1 << self.support.n)
         dense[self.support.masks_array()] = self.coords
-        return Spectrum(self.support.n, dense)
-
-    def to_function(self, dense_cap: int | None = None) -> CubeFunction:
-        """Synthesize the cube function with these coefficients."""
-        return synthesize(self.to_spectrum(dense_cap), dense_cap=dense_cap)
+        return synthesize(CubeFunction(self.support.n, dense))
 
 
 def walsh_transform(values: np.ndarray) -> np.ndarray:
@@ -469,10 +437,9 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     O(n 2^n) per row.
 
     An array of more than one axis is a stack of rows, each transformed
-    alone, so one call serves every start of the ascent.  Float and
-    complex arrays go through blocked matrix products: the n index bits
-    split into ceil(n / _BLOCK_BITS) blocks of near-equal size, and each
-    block is one product with the Hadamard matrix of its order (the
+    alone, so one call serves every start of the ascent.  The n index
+    bits split into ceil(n / _BLOCK_BITS) blocks of near-equal size, and
+    each block is one product with the Hadamard matrix of its order (the
     lowest block as one matrix product per row, the others as a stack of
     them).  That is a few BLAS calls where the butterfly makes n numpy
     passes that each copy half the array.  Sums run in a different order
@@ -480,40 +447,33 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     not depend on the rows stacked with it, because every product has
     the same shape whatever the number of rows.
 
-    Integer and object arrays keep the butterfly and stay in their
-    dtype: integer matrix products have no BLAS kernel and are slower
-    than the butterfly.
+    The array must be float or complex: the products are written back
+    into it, which would silently truncate an integer array, so any
+    other dtype raises ``TypeError``.
 
     The input array is modified and also returned.  Applying it twice
     multiplies each row by 2^n.
     """
+    if values.dtype.kind not in "fc":
+        raise TypeError(f"expected a float or complex array, got dtype {values.dtype}")
     lead, size = values.shape[:-1], values.shape[-1]
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
+    n = size.bit_length() - 1
+    blocks = -(-n // _BLOCK_BITS)
+    done = 0
     # every reshape below splits the last axis only, so it is a view
-    if values.dtype.kind in "fc":
-        n = size.bit_length() - 1
-        blocks = -(-n // _BLOCK_BITS)
-        done = 0
-        for i in range(blocks):
-            bits = (n - done) // (blocks - i)
-            hadamard = _HADAMARD[bits]
-            if done == 0:
-                # H is symmetric, so the lowest bits are one product on the right
-                rows = values.reshape(lead + (-1, 1 << bits))
-                rows[...] = rows @ hadamard
-            else:
-                stack = values.reshape(lead + (-1, 1 << bits, 1 << done))
-                stack[...] = hadamard @ stack
-            done += bits
-        return values
-    h = 1
-    while h < size:
-        view = values.reshape(lead + (-1, 2, h))
-        top = view[..., 0, :].copy()
-        view[..., 0, :] += view[..., 1, :]
-        view[..., 1, :] = top - view[..., 1, :]
-        h *= 2
+    for i in range(blocks):
+        bits = (n - done) // (blocks - i)
+        hadamard = _HADAMARD[bits]
+        if done == 0:
+            # H is symmetric, so the lowest bits are one product on the right
+            rows = values.reshape(lead + (-1, 1 << bits))
+            rows[...] = rows @ hadamard
+        else:
+            stack = values.reshape(lead + (-1, 1 << bits, 1 << done))
+            stack[...] = hadamard @ stack
+        done += bits
     return values
 
 
@@ -551,19 +511,21 @@ def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
     return frame.linear_masks(sums), counts
 
 
-def analyze(f: CubeFunction, *, dense_cap: int | None = None) -> Spectrum:
-    """Walsh coefficients of f, with the averaging 2^-n factor."""
-    _require_dense(f.n, dense_cap)
+def analyze(f: CubeFunction) -> CubeFunction:
+    """Walsh coefficients of f, with the averaging 2^-n factor, as the
+    values of a CubeFunction indexed by the character mask."""
+    _require_dense(f.n)
     work = f.values.copy()
     walsh_transform(work)
     work /= float(1 << f.n)
-    return Spectrum(f.n, work)
+    return CubeFunction(f.n, work)
 
 
-def synthesize(spec: Spectrum, *, dense_cap: int | None = None) -> CubeFunction:
-    """Evaluate sum_a fhat(a) W_a pointwise; exact inverse of analyze."""
-    _require_dense(spec.n, dense_cap)
-    work = spec.coefficients.copy()
+def synthesize(spec: CubeFunction) -> CubeFunction:
+    """Evaluate sum_a fhat(a) W_a pointwise for the coefficients in
+    ``spec.values``; exact inverse of analyze."""
+    _require_dense(spec.n)
+    work = spec.values.copy()
     walsh_transform(work)
     return CubeFunction(spec.n, work)
 
@@ -594,20 +556,10 @@ def moments(f: CubeFunction) -> Moments:
     )
 
 
-def support_of(obj: CubeFunction | Spectrum, tol: float = 0.0) -> SupportSet:
-    """Indices where |value| > tol, as a SupportSet.
-
-    Accepts either a cube function (support in point space) or a
-    spectrum (support in character space); both are dense arrays over
-    the same index range, so one helper serves both.
-    """
-    if isinstance(obj, CubeFunction):
-        arr, n = obj.values, obj.n
-    elif isinstance(obj, Spectrum):
-        arr, n = obj.coefficients, obj.n
-    else:
-        raise TypeError(f"expected CubeFunction or Spectrum, got {type(obj)!r}")
+def support_of(f: CubeFunction, tol: float = 0.0) -> SupportSet:
+    """Indices where |value| > tol, as a SupportSet: the support in point
+    space of a function, or in character space of its ``analyze``."""
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
-    idx = np.nonzero(np.abs(arr) > tol)[0]
-    return SupportSet(n, tuple(int(i) for i in idx))
+    idx = np.nonzero(np.abs(f.values) > tol)[0]
+    return SupportSet(f.n, tuple(int(i) for i in idx))

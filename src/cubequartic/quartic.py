@@ -39,6 +39,7 @@ __all__ = [
     "MuEstimate",
     "BoundSet",
     "SplitPair",
+    "check_dense_rank",
     "big_f",
     "mu_lower",
     "mu_upper",
@@ -180,11 +181,14 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
     return A.pairs.pair_sums(y.coords)[A.pairs.inverse]
 
 
-def _require_transform_cap(rank: int, cap: int) -> None:
-    if rank > min(cap, 62):
+def check_dense_rank(A: SupportSet, dense_cap: int) -> None:
+    """Refuse a set whose affine rank d exceeds ``dense_cap`` (or 62, past
+    which coordinates leave int64): the dense stages run on 2^d entries."""
+    cap = min(dense_cap, 62)
+    if A.affine.rank > cap:
         raise ResourceLimitError(
-            f"affine rank {rank} exceeds the dense cap {min(cap, 62)} "
-            f"required by the transform path"
+            f"estimation stage: affine rank {A.affine.rank} (n={A.n}) "
+            f"exceeds the dense cap {cap}"
         )
 
 
@@ -228,8 +232,8 @@ class _DenseKernel:
     """
 
     def __init__(self, support: SupportSet, cap: int) -> None:
+        check_dense_rank(support, cap)
         frame = support.affine
-        _require_transform_cap(frame.rank, cap)
         self.masks = frame.coords
         # the length of a row of point values, 2^d
         self.width = 1 << frame.rank
@@ -373,8 +377,8 @@ def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
 
     The dense cap bounds both routes, so it is checked first.
     """
+    check_dense_rank(A, cap)
     rank = A.affine.rank
-    _require_transform_cap(rank, cap)
     if len(A) * len(A) <= rank << rank and A.pairs_within_cap():
         return _SparseKernel(A.pairs)
     return _DenseKernel(A, cap)
@@ -703,7 +707,8 @@ def mu_upper(A: SupportSet, *, dense_cap: int | None = None) -> BoundSet:
     if k is not None:
         sum_bound = sphere_sum_bound(k)
         if 2 * k <= A.n:
-            psi_bound = 2.0 ** (A.n * psi_value(k / A.n))
+            # on the cube of dimension 0 the envelope is 2^0
+            psi_bound = 2.0 ** (A.n * psi_value(k / A.n)) if A.n else 1.0
     return BoundSet(len(A), m_bound(A, dense_cap=dense_cap), psi_bound, sum_bound)
 
 

@@ -39,7 +39,7 @@ from .reporting import (
     check_lt,
     soft_note,
 )
-from .spheres import SphereParams, argmax_st, r_exact, ratio_st, sphere_table
+from .spheres import SphereParams, argmax_st, r_exact, ratio_st, sphere_table, t1
 
 __all__ = [
     "uncertainty_report",
@@ -229,7 +229,9 @@ def sumset_bound_report(B: SupportSet, C: SupportSet, k1: int, k2: int) -> Bound
         )
     )
     if 2 * k1 <= n and 2 * k2 <= n:
-        envelope = len(B) * len(C) / 2.0 ** (n / 2.0 * (psi_value(k1 / n) + psi_value(k2 / n)))
+        # on the cube of dimension 0 the envelope exponent is 0
+        exponent = n / 2.0 * (psi_value(k1 / n) + psi_value(k2 / n)) if n else 0.0
+        envelope = len(B) * len(C) / 2.0**exponent
         report.checks.append(
             check_ge(
                 "entropy envelope sumset bound",
@@ -252,8 +254,8 @@ def ball_bound_report(n: int, k: int, cfg: OptimizerConfig | None = None) -> Bou
     endpoints, and the exact monotonicity of the sphere energy ratios
     up to the ball radius.
     """
-    if k < 0 or 2 * k > n:
-        raise ValueError("ball radius must satisfy 0 <= 2k <= n")
+    if n < 1 or k < 0 or 2 * k > n:
+        raise ValueError("ball bounds need n >= 1 and a radius with 0 <= 2k <= n")
     cfg = cfg or OptimizerConfig()
     ball = SupportSet.ball(n, k)
     est = mu_lower(ball, cfg)
@@ -597,7 +599,7 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
             cells += 1
             p = SphereParams(n, k)
             D = n * n + 8 * (n - 2 * k) ** 2
-            peak_float = (3 * n - math.sqrt(D)) / 8.0
+            peak_float = t1(p)
 
             report.checks.append(
                 Check(
@@ -697,11 +699,11 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
     return report
 
 
-def psi_envelope_report(n_max: int = 256, *, k_min: int = 8) -> BoundReport:
+def psi_envelope_report(n_max: int = 256) -> BoundReport:
     """Exact energy ratios vs the entropy envelope, both directions.
 
     log2 r(n,k) <= n psi(k/n) + log2(1 + 1e-9) for all k <= n/2, and
-    n psi(k/n) <= log2(8 k^{3/2} r(n,k)) for k >= k_min; compared in
+    n psi(k/n) <= log2(8 k^{3/2} r(n,k)) for k >= 8; compared in
     log space so no exponentials overflow.
     """
     if n_max < 1:
@@ -721,7 +723,7 @@ def psi_envelope_report(n_max: int = 256, *, k_min: int = 8) -> BoundReport:
                 worst_up = (margin_up, n, k)
             if margin_up < 0:
                 violations_up.append((n, k))
-            if k >= k_min:
+            if k >= 8:
                 margin_down = 3.0 + 1.5 * math.log2(k) + log_r - envelope
                 if worst_down is None or margin_down < worst_down[0]:
                     worst_down = (margin_down, n, k)
@@ -750,5 +752,5 @@ def psi_envelope_report(n_max: int = 256, *, k_min: int = 8) -> BoundReport:
             )
         )
     else:
-        report.notes.append(f"no cells with k >= {k_min}; reverse direction not exercised")
+        report.notes.append("no cells with k >= 8; reverse direction not exercised")
     return report

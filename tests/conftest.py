@@ -1,7 +1,8 @@
 """Shared oracles and corpus helpers.
 
 The oracles here deliberately avoid the library's own fast paths: the
-transform oracle multiplies by the character matrix entry by entry, the
+transform oracle multiplies by the character matrix entry by entry (or,
+on integers, runs the exact butterfly), the
 quartic oracle accumulates pair sums in a plain dictionary, and energies
 are counted with nested loops.  Slow and boring on purpose.
 """
@@ -29,6 +30,20 @@ def character_transform(values) -> np.ndarray:
             acc += sign * values[x]
         out[a] = acc
     return out
+
+
+def integer_butterfly(values: np.ndarray) -> np.ndarray:
+    """Exact Walsh transform of an integer array along its last axis, by
+    the in-place butterfly in the array's own dtype (no float rounding)."""
+    values = values.copy()
+    lead, size, h = values.shape[:-1], values.shape[-1], 1
+    while h < size:
+        view = values.reshape(lead + (-1, 2, h))
+        top = view[..., 0, :].copy()
+        view[..., 0, :] += view[..., 1, :]
+        view[..., 1, :] = top - view[..., 1, :]
+        h *= 2
+    return values
 
 
 def quartic_oracle(support: SupportSet, coords) -> float:

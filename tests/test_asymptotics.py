@@ -177,6 +177,7 @@ class TestShapeReports:
     def test_concavity(self):
         report = psi_concavity_check()
         assert report.overall
+        assert report.subject == "psi concavity on grid step 0.001"
         assert any("second difference" in c.name for c in report.checks)
 
     def test_linear_bound(self):
@@ -190,7 +191,3 @@ class TestShapeReports:
         assert report.overall
         soft = [c for c in report.checks if not c.hard]
         assert soft and soft[0].lhs > 0.0
-
-    def test_grid_step_guard(self):
-        with pytest.raises(ValueError):
-            psi_concavity_check(grid_step=0.5)

@@ -499,6 +499,10 @@ class TestScan:
         records = json.loads(out)["results"]["records"]
         assert len(records) == 9
         assert records[0]["n"] == 2 and records[0]["k"] == 1
+        # the keys follow ConjectureRecord's fields; reordering them changes the schema
+        assert list(records[0]) == [
+            "n", "k", "mu_est", "energy_ratio", "gap", "upper_gap", "status", "certificate",
+        ]
         for rec in records:
             assert rec["status"] == "conjecture-consistent"
             assert rec["gap"] >= -1e-8
@@ -603,6 +607,11 @@ class TestVerify:
             r["overall"] for s in doc["results"]["suites"] for r in s["reports"]
         )
         assert err == ""
+        # the keys follow Check's fields; reordering them changes the schema
+        check = doc["results"]["suites"][0]["reports"][0]["checks"][0]
+        assert list(check) == [
+            "name", "lhs", "relation", "rhs", "passed", "hard", "provenance", "detail",
+        ]
 
     def test_additive_csv(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "additive", "--format", "csv"] + FAST)

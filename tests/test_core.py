@@ -1,6 +1,7 @@
 """Dense cube functions, transforms, and support sets."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cubequartic.core import (
     CubeFunction,
     Moments,
     PairIndex,
-    Spectrum,
     SpectrumVector,
     SupportSet,
     analyze,
@@ -21,7 +21,13 @@ from cubequartic.core import (
 )
 from cubequartic.errors import ResourceLimitError, UndefinedRatioError
 
-from conftest import brute_energy, character_transform, random_function, wide_random
+from conftest import (
+    brute_energy,
+    character_transform,
+    integer_butterfly,
+    random_function,
+    wide_random,
+)
 
 
 class TestWalshTransform:
@@ -38,16 +44,16 @@ class TestWalshTransform:
         for n in range(17):
             ints = rng.integers(-9, 10, size=1 << n)
             floats = walsh_transform(ints.astype(np.float64))
-            assert np.array_equal(floats, walsh_transform(ints).astype(np.float64))
+            assert np.array_equal(floats, integer_butterfly(ints).astype(np.float64))
 
-    def test_integer_arrays_stay_integer(self, rng):
-        values = rng.integers(-9, 10, size=32)
-        out = walsh_transform(values.copy())
-        assert out.dtype == values.dtype
-        assert np.array_equal(out, character_transform(values).astype(values.dtype))
-        # exact past 2^53, where a float route would round
-        big = np.array([2**55 + 1, 1, 0, 0], dtype=np.int64)
-        assert walsh_transform(big).tolist() == [2**55 + 2, 2**55] * 2
+    def test_integer_arrays_raise_type_error(self, rng):
+        # writing the float products back would truncate an integer array
+        for dtype in (np.int64, np.int32, bool, object):
+            values = rng.integers(0, 2, size=32).astype(dtype)
+            before = values.copy()
+            with pytest.raises(TypeError, match="float or complex"):
+                walsh_transform(values)
+            assert np.array_equal(values, before)
 
     def test_float32_stays_float32(self, rng):
         values = rng.standard_normal(1 << 9).astype(np.float32)
@@ -64,18 +70,13 @@ class TestWalshTransform:
         assert np.array_equal(base[1::2], skipped)
 
     def test_rows_of_a_stack_match_the_row_transform(self, rng):
-        # floats across one, two and three Hadamard blocks; int64 on the butterfly
+        # floats across one, two and three Hadamard blocks
         for n in (0, 1, 4, 6, 7, 12, 13):
             floats = rng.standard_normal((5, 1 << n))
             stacked = walsh_transform(floats.copy())
-            ints = rng.integers(-9, 10, size=(3, 1 << n))
-            stacked_ints = walsh_transform(ints.copy())
-            assert stacked_ints.dtype == np.int64
             for row in range(5):
                 alone = walsh_transform(floats[row].copy())
                 assert np.allclose(stacked[row], alone, rtol=1e-12, atol=1e-12 * (1 << n))
-            for row in range(3):
-                assert np.array_equal(stacked_ints[row], walsh_transform(ints[row].copy()))
 
     def test_non_contiguous_stack_is_transformed_in_place(self, rng):
         base = rng.standard_normal((4, 1 << 9))
@@ -86,8 +87,8 @@ class TestWalshTransform:
         assert np.array_equal(base[:, 1::2], skipped)
 
     def test_returns_its_input(self, rng):
-        for values in (rng.standard_normal(1 << 8), rng.integers(-9, 10, size=1 << 8)):
-            assert walsh_transform(values) is values
+        values = rng.standard_normal(1 << 8)
+        assert walsh_transform(values) is values
 
     def test_involution_up_to_scale(self, rng):
         values = rng.standard_normal(64)
@@ -103,13 +104,13 @@ class TestAnalyzeSynthesize:
     def test_delta_at_zero(self):
         # f = 4 * 1_{x=0} on n=2 has every coefficient equal to 1
         spec = analyze(CubeFunction(2, [4.0, 0.0, 0.0, 0.0]))
-        assert np.array_equal(spec.coefficients, np.ones(4))
+        assert np.array_equal(spec.values, np.ones(4))
 
     def test_uniform_weight_one_pair(self):
         root2 = math.sqrt(2.0)
         coeffs = np.zeros(4)
         coeffs[1] = coeffs[2] = 1.0 / root2
-        f = synthesize(Spectrum(2, coeffs))
+        f = synthesize(CubeFunction(2, coeffs))
         assert np.allclose(f.values, [root2, 0.0, 0.0, -root2])
 
     def test_round_trip(self, rng):
@@ -125,14 +126,14 @@ class TestAnalyzeSynthesize:
             spec = analyze(CubeFunction(n, values))
             expected = np.zeros(16)
             expected[a] = 1.0
-            assert np.allclose(spec.coefficients, expected, atol=1e-12)
+            assert np.allclose(spec.values, expected, atol=1e-12)
 
     def test_parseval(self, rng):
         f = random_function(rng, 6)
         spec = analyze(f)
         assert math.isclose(
             float(np.mean(np.asarray(f.values) ** 2)),
-            float(np.sum(np.asarray(spec.coefficients) ** 2)),
+            float(np.sum(np.asarray(spec.values) ** 2)),
             rel_tol=1e-12,
         )
 
@@ -386,7 +387,7 @@ class TestSpectrumVector:
         spec = analyze(y.to_function())
         dense = np.zeros(16)
         dense[list(A)] = y.coords
-        assert np.allclose(spec.coefficients, dense, atol=1e-12)
+        assert np.allclose(spec.values, dense, atol=1e-12)
 
 
 class TestMoments:
@@ -406,7 +407,7 @@ class TestSupportOf:
         assert support_of(f).elements == (1, 3)
 
     def test_spectrum_support_with_tolerance(self):
-        spec = Spectrum(2, [1e-14, 1.0, 0.0, 0.5])
+        spec = CubeFunction(2, [1e-14, 1.0, 0.0, 0.5])
         assert support_of(spec, 1e-12).elements == (1, 3)
 
     def test_length_mismatch(self):
@@ -416,8 +417,7 @@ class TestSupportOf:
     def test_dense_cap(self):
         with pytest.raises(ResourceLimitError):
             SupportSet.from_masks(30, [1]).indicator()
-        # a raised cap lets the same call through on a feasible size
-        SupportSet.from_masks(16, [1]).indicator(dense_cap=16)
+        assert SupportSet.from_masks(16, [1]).indicator().values.sum() == 1.0
 
 
 class TestPublicSurface:
@@ -435,3 +435,15 @@ class TestPublicSurface:
             for name in layer.__all__:
                 # getattr on the layer raises if a listed name is not defined there
                 assert getattr(cubequartic, name) is getattr(layer, name), (layer.__name__, name)
+
+    def test_readme_quick_start_prints_its_comments(self, capsys):
+        # each print line of the README's library block ends in "# <what it prints>"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Quick start (library)", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        expected = [
+            line.rsplit("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+        ]
+        assert len(expected) == 4
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected

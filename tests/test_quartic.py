@@ -30,6 +30,7 @@ from cubequartic.quartic import (
     BoundSet,
     OptimizerConfig,
     big_f,
+    check_dense_rank,
     decompose_last,
     mu_lower,
     mu_upper,
@@ -121,7 +122,7 @@ class TestGradient:
         y = SpectrumVector(A, rng.standard_normal(len(A)))
         f = y.to_function()
         cubed = CubeFunction(f.n, f.values**3)
-        expected = 4.0 * analyze(cubed).coefficients[list(A)]
+        expected = 4.0 * analyze(cubed).values[list(A)]
         assert np.allclose(dense_gradient(y), expected, atol=1e-10)
 
     def test_needs_dense_path(self):
@@ -676,6 +677,20 @@ class TestMuLower:
         with pytest.raises(ResourceLimitError, match="affine rank 30"):
             mu_lower(A, FAST)
 
+    def test_check_dense_rank(self):
+        # S(5, 2) has affine rank 4, wherever it sits in the cube
+        A = SupportSet.sphere(5, 2)
+        check_dense_rank(A, 4)
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^estimation stage: affine rank 4 \(n=5\) exceeds the dense cap 3$",
+        ):
+            check_dense_rank(A, 3)
+        # coordinates past rank 62 leave int64, whatever the cap
+        wide = SupportSet.from_masks(64, [0] + [1 << i for i in range(63)])
+        with pytest.raises(ResourceLimitError, match="affine rank 63 .* dense cap 62$"):
+            check_dense_rank(wide, 100)
+
 
 class TestMuUpper:
     def test_weight_one_sphere(self):
@@ -714,6 +729,12 @@ class TestMuUpper:
             A = random_support(rng, 5, 12)
             assert mu_lower(A, FAST).value <= mu_upper(A).best + 1e-8
 
+    def test_cube_of_dimension_zero(self):
+        # S(0, 0) is the single empty mask; its envelope is 2^0 = 1
+        bounds = mu_upper(SupportSet.sphere(0, 0))
+        assert bounds.sphere_psi_bound == 1.0
+        assert bounds.best == 1.0
+
     def test_bound_set_validation(self):
         with pytest.raises(ValueError):
             BoundSet(0, 4, None, None)
@@ -750,7 +771,7 @@ class TestSplit:
         pair = decompose_last(y.to_function())
 
         def weights(g):
-            coeffs = analyze(g).coefficients
+            coeffs = analyze(g).values
             return {
                 int(m).bit_count()
                 for m in np.nonzero(np.abs(coeffs) > 1e-10)[0]

@@ -115,7 +115,7 @@ class TestRestrictedMass:
 
     def test_gate_failure_is_reported_not_failed(self, rng):
         f = CubeFunction(4, rng.standard_normal(16))
-        B = SupportSet.full(4)
+        B = SupportSet.from_masks(4, range(16))
         report = restricted_mass_check(f, B, 0.9)
         assert report.overall
         assert any(not c.hard for c in report.checks)
@@ -160,6 +160,13 @@ class TestSumsetBound:
         assert len(report.checks) == 1
         assert any("entropy envelope" in note for note in report.notes)
 
+    def test_cube_of_dimension_zero(self):
+        # the envelope exponent of the cube of dimension 0 is 0
+        Z = SupportSet.from_masks(0, [0])
+        report = sumset_bound_report(Z, Z, 0, 0)
+        assert report.overall
+        assert [c.rhs for c in report.checks] == [1, 1.0]
+
 
 class TestBallBound:
     def test_interior_cell(self):
@@ -178,6 +185,11 @@ class TestBallBound:
             ball_bound_report(8, 5, FAST)
         with pytest.raises(ValueError):
             ball_bound_report(8, -1, FAST)
+
+    def test_cube_of_dimension_zero_is_refused(self):
+        # the sphere ratios it compares need n >= 1
+        with pytest.raises(ValueError, match="n >= 1"):
+            ball_bound_report(0, 0, FAST)
 
 
 class TestTensorization:
