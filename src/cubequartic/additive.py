@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_DENSE_CAP, PAIR_ENUMERATION_LIMIT, PairIndex, SupportSet
-from .core import SpectrumVector
+from . import core
+from .core import DEFAULT_DENSE_CAP, PairIndex, SpectrumVector, SupportSet
 from .errors import DimensionMismatchError, ResourceLimitError
 
 # the greedy removal sweep costs O(|A|^2) numpy work (its row sums once,
@@ -40,6 +40,8 @@ EXHAUSTIVE_LIMIT = 26
 _BLOCK_ENTRIES = 1 << 17
 
 __all__ = [
+    "Plan",
+    "plan",
     "PairIndex",
     "MultiplicityTable",
     "LevelSetDecomposition",
@@ -50,9 +52,79 @@ __all__ = [
     "energy_ratio",
     "sumset",
     "hereditary_energy",
-    "check_exhaustive_cap",
     "dyadic_level_sets",
 ]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The routes ``plan`` chose for one set.  kernel: "sparse" (the pair
+    index) or "dense" (the Walsh transform); pairs: whether the pair index
+    is built; convolution: "route" (the pair table's only one),
+    "cross-check" or None; hereditary: "exhaustive", "greedy", "full set"
+    (the full set and the certificate's level sets are scored) or None
+    (not planned)."""
+
+    kernel: str
+    pairs: bool
+    convolution: str | None
+    hereditary: str | None
+
+
+def plan(
+    size: int, rank: int, dense_cap: int = DEFAULT_DENSE_CAP, exact_limit: int | None = None
+) -> Plan:
+    """Every route for a set of ``size`` elements and affine rank ``rank``,
+    decided before any work, or ResourceLimitError naming the first stage
+    that has none.  The dense cap (clamped at 62, past which coordinates
+    leave int64) refuses dense work only: past it a set whose |A|^2 pairs
+    are within ``PAIR_ENUMERATION_LIMIT`` runs sparse.  The hereditary
+    stage takes no dense cap, so past the pair cap its scoring of the full
+    set and the level sets (by convolutions) needs d <= ``DEFAULT_DENSE_CAP``.
+    """
+    pairs = size * size <= core.PAIR_ENUMERATION_LIMIT
+    cap = min(dense_cap, 62)
+    # a kernel call costs about |A|^2 on the pair index and d 2^d dense
+    if pairs and (size * size <= rank << rank or rank > cap):
+        kernel = "sparse"
+    elif rank <= cap:
+        kernel = "dense"
+    else:
+        raise ResourceLimitError(
+            f"estimation stage: affine rank {rank} exceeds the dense cap {cap}, "
+            f"and the {size * size} pairs of a {size}-element set exceed the "
+            f"enumeration cap {core.PAIR_ENUMERATION_LIMIT}"
+        )
+    # the convolution's partial sums reach 2^d |A| < 2^(d + bitlen |A|)
+    convolution = rank <= dense_cap and rank + size.bit_length() <= 53
+    if not (pairs or convolution):
+        raise ResourceLimitError(
+            f"pair stage: the {size * size} pairs of a {size}-element set of "
+            f"affine rank d={rank} exceed the enumeration cap, and the dense "
+            f"convolution needs d <= {dense_cap} and d + bitlen|A| <= 53"
+        )
+    if exact_limit is None:
+        hereditary = None
+    elif size <= exact_limit:
+        if size > EXHAUSTIVE_LIMIT:
+            raise ResourceLimitError(
+                f"hereditary stage: exhaustive search over the 2^{size} subsets "
+                f"of a {size}-element set exceeds the cap of {EXHAUSTIVE_LIMIT} "
+                f"elements; lower the exact limit below {size}"
+            )
+        hereditary = "exhaustive"
+    elif pairs and size <= GREEDY_LIMIT:
+        hereditary = "greedy"
+    elif pairs or rank <= DEFAULT_DENSE_CAP:
+        hereditary = "full set"
+    else:
+        raise ResourceLimitError(
+            f"hereditary stage: scoring a {size}-element set past the pair cap "
+            f"needs its affine rank {rank} within the default dense cap "
+            f"{DEFAULT_DENSE_CAP}"
+        )
+    convolution = ("cross-check" if pairs else "route") if convolution else None
+    return Plan(kernel, pairs, convolution, hereditary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,48 +146,33 @@ class MultiplicityTable:
 
 
 def pair_multiplicities(
-    A: SupportSet, *, dense_cap: int | None = None
+    A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP
 ) -> MultiplicityTable:
     """The table x -> |M_x| over ordered pairs of A.
 
     Two independent routes exist: direct pair enumeration (any n, cost
     |A|^2, read off ``A.pairs``) and dense XOR self-convolution (cost
-    d 2^d for the affine rank d, which must be within the dense cap, read
-    off ``A.convolution``).  Each is
-    computed at most once per set.  When both are affordable the results
-    are cross-checked against each other before being returned.
+    d 2^d for the affine rank d, read off ``A.convolution``); ``plan``
+    chooses.  Each is computed at most once per set.  When both run, the
+    convolution cross-checks the enumeration before the table is returned.
     """
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    size = len(A)
-    if size == 0:
+    if len(A) == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
-    rank = A.affine.rank
-    # the convolution's partial sums reach 2^d |A| < 2^(d + bitlen |A|)
-    exact_in_float = rank + size.bit_length() <= 53
-    conv_ok = rank <= cap and exact_in_float
-    if A.pairs_within_cap():
-        index = A.pairs
-        if conv_ok:
-            sums, counts = A.convolution
-            if not (
-                np.array_equal(index.sums, sums)
-                and np.array_equal(index.counts, counts)
-            ):
-                raise RuntimeError(
-                    "pair multiplicity cross-check failed between "
-                    "enumeration and convolution"
-                )
-        return MultiplicityTable(index.sums, index.counts)
-    if conv_ok:
+    route = plan(len(A), A.affine.rank, dense_cap)
+    if not route.pairs:
         return MultiplicityTable(*A.convolution)
-    raise ResourceLimitError(
-        f"pair stage: the {size * size} pairs of a {size}-element set of "
-        f"affine rank d={rank} exceed the enumeration cap, and the dense "
-        f"convolution needs d <= {cap} and d + bitlen|A| <= 53"
-    )
+    index = A.pairs
+    if route.convolution:
+        sums, counts = A.convolution
+        if not (np.array_equal(index.sums, sums) and np.array_equal(index.counts, counts)):
+            raise RuntimeError(
+                "pair multiplicity cross-check failed between "
+                "enumeration and convolution"
+            )
+    return MultiplicityTable(index.sums, index.counts)
 
 
-def m_bound(A: SupportSet, *, dense_cap: int | None = None) -> int:
+def m_bound(A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
     return pair_multiplicities(A, dense_cap=dense_cap).m_bound()
 
@@ -142,7 +199,7 @@ def sumset(B: SupportSet, C: SupportSet) -> SupportSet:
         )
     if len(B) == 0 or len(C) == 0:
         return SupportSet(B.n, ())
-    if len(B) * len(C) > PAIR_ENUMERATION_LIMIT:
+    if len(B) * len(C) > core.PAIR_ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"sumset enumeration of {len(B)}x{len(C)} pairs exceeds the cap"
         )
@@ -358,31 +415,19 @@ def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
     )
 
 
-def check_exhaustive_cap(size: int, exact_limit: int) -> None:
-    """Refuse an exhaustive hereditary search over more than
-    ``EXHAUSTIVE_LIMIT`` elements, which ``exact_limit`` would ask for."""
-    if EXHAUSTIVE_LIMIT < size <= exact_limit:
-        raise ResourceLimitError(
-            f"hereditary stage: exhaustive search over the 2^{size} subsets "
-            f"of a {size}-element set exceeds the cap of {EXHAUSTIVE_LIMIT} "
-            f"elements; lower the exact limit below {size}"
-        )
-
-
 def _subset_energy(A: SupportSet, B: SupportSet) -> int:
     """E2(B, B) for B within A, enumerating no set past the pair cap:
-    off A's index when A is within the cap (no new index is built), else
+    off A's index when the plan builds it (no new index is built), else
     off B's own index or, past the cap, B's pair table."""
-    if A.pairs_within_cap():
+    if plan(len(A), A.affine.rank).pairs:
         index = A.pairs
         if len(B) == len(A):
             return index.energy()
         rows = np.searchsorted(index.masks, B.elements)
         counts = np.bincount(index.inverse[np.ix_(rows, rows)].ravel())
         return int(np.dot(counts, counts))
-    if B.pairs_within_cap():
-        return B.pairs.energy()
-    return pair_multiplicities(B).energy()
+    table = B.pairs if plan(len(B), B.affine.rank).pairs else pair_multiplicities(B)
+    return table.energy()
 
 
 def hereditary_energy(
@@ -393,25 +438,23 @@ def hereditary_energy(
 ) -> HereditaryResult:
     """max over non-empty B subset of A of E2(B, B) / |B|^2.
 
-    Exact when |A| <= exact_limit; an exhaustive request above
-    ``EXHAUSTIVE_LIMIT`` elements raises ResourceLimitError before any
-    work.  The exact answer is A itself when its pair counts prove that
-    no proper subset reaches its ratio (``_full_set_is_best``), and the
-    subset transform over all 2^|A| subsets otherwise.  Above the limit
-    a heuristic search is run instead: the full set, a greedy
-    element-removal sweep (on sets of at most ``GREEDY_LIMIT`` elements
-    within the pair cap), and, when a certificate vector on A is
-    supplied, its dyadic level sets.  The heuristic answer is a
-    certified lower bound with ``exact=False``.  Both searches read
-    ``A.pairs``; no set past the pair cap is enumerated (see
+    ``plan`` picks the search, at the default dense cap, and refuses
+    before any work what it cannot afford.  The exhaustive search (up to
+    ``exact_limit`` elements) is exact: A itself when its pair counts
+    prove that no proper subset reaches its ratio (``_full_set_is_best``),
+    else the subset transform over all 2^|A| subsets.  Past the limit a
+    heuristic search runs: a greedy element-removal sweep or the full set
+    alone, and, when a certificate vector on A is supplied, its dyadic
+    level sets.  The heuristic answer is a certified lower bound with
+    ``exact=False``.  No set past the pair cap is enumerated (see
     ``_subset_energy``).
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
     if certificate is not None and certificate.support.elements != A.elements:
         raise ValueError("certificate support does not match the set")
-    check_exhaustive_cap(len(A), exact_limit)
-    if len(A) <= exact_limit:
+    route = plan(len(A), A.affine.rank, exact_limit=exact_limit).hereditary
+    if route == "exhaustive":
         index = A.pairs
         if _full_set_is_best(index):
             return HereditaryResult(A, Fraction(index.energy(), len(A) ** 2), exact=True)
@@ -420,14 +463,10 @@ def hereditary_energy(
 
     candidates: list[SupportSet] = []
     if certificate is not None and certificate.norm_squared() > 0.0:
-        decomposition = dyadic_level_sets(
-            SpectrumVector(
-                certificate.support, np.abs(certificate.coords)
-            ).normalize()
-        )
+        decomposition = dyadic_level_sets(certificate)
         candidates = [level for _, level in decomposition.levels]
         candidates.append(decomposition.tail)
-    if len(A) <= GREEDY_LIMIT and A.pairs_within_cap():
+    if route == "greedy":
         best_set, best_ratio = _greedy_hereditary(A.pairs)
     else:
         best_set = A.elements
@@ -448,7 +487,7 @@ def hereditary_energy(
 
 @dataclass(frozen=True)
 class LevelSetDecomposition:
-    """Dyadic slices of a normalized non-negative spectrum vector.
+    """Dyadic slices of a spectrum vector y, by the size of |y| / |y|_2.
 
     Level i (1-based) holds the coordinates with 2^-i < y_a <= 2^-(i-1);
     levels run up to the cutoff N = ceil(log2 |A| / 2) + 2 and whatever
@@ -464,29 +503,26 @@ class LevelSetDecomposition:
 def dyadic_level_sets(y: SpectrumVector) -> LevelSetDecomposition:
     """Split the support of y by dyadic coefficient size.
 
-    Requires y normalized with non-negative coordinates (the standard
-    reduction before level-set arguments); note a normalized vector
-    always has every y_a <= 1, so level indices start at 1.
+    The slices are those of ``normalize()`` of |y|, the standard reduction
+    before level-set arguments, so every coordinate is at most 1 and level
+    indices start at 1.  The zero vector raises ValueError.
     """
-    if not y.normalized:
-        raise ValueError("level sets need a vector flagged normalized")
-    if np.any(y.coords < 0.0):
-        raise ValueError("level sets need non-negative coordinates")
+    y = SpectrumVector(y.support, np.abs(y.coords)).normalize()
     size = len(y.support)
     cutoff = math.ceil(math.log2(size) / 2) + 2 if size > 1 else 2
-    buckets: dict[int, list[int]] = {}
-    tail: list[int] = []
-    for mask, value in zip(y.support.elements, y.coords):
-        if value == 0.0:
-            continue
-        mantissa, exponent = math.frexp(value)
-        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
-        if level <= cutoff:
-            buckets.setdefault(level, []).append(mask)
-        else:
-            tail.append(mask)
+    # y_a = m 2^e with 1/2 <= m < 1 lies in (2^-i, 2^-(i-1)] for i = 1 - e,
+    # or for i = 2 - e when m = 1/2; the tail takes level cutoff + 1, zeros 0
+    mantissa, exponent = np.frexp(y.coords)
+    level = np.minimum(np.where(mantissa > 0.5, 1 - exponent, 2 - exponent), cutoff + 1)
+    level[mantissa == 0.0] = 0
+    # a stable sort keeps each slice in mask order
+    order = np.argsort(level, kind="stable")
+    level = level[order]
+    masks = y.support.masks_array()[order].tolist()
+    bounds = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), size]
+    slices = {int(level[lo]): tuple(masks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
+    slices.pop(0, None)
     n = y.support.n
-    levels = tuple(
-        (i, SupportSet(n, tuple(buckets[i]))) for i in sorted(buckets)
-    )
-    return LevelSetDecomposition(levels, cutoff, SupportSet(n, tuple(tail)))
+    tail = SupportSet(n, slices.pop(cutoff + 1, ()))
+    levels = tuple((i, SupportSet(n, slices[i])) for i in sorted(slices))
+    return LevelSetDecomposition(levels, cutoff, tail)

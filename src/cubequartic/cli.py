@@ -13,14 +13,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import Callable
 
-from .additive import check_exhaustive_cap, hereditary_energy, pair_multiplicities
+from .additive import hereditary_energy, pair_multiplicities, plan
 from .asymptotics import psi_value
 from .core import DEFAULT_DENSE_CAP, SupportSet
 from .errors import CubeQuarticError, ResourceLimitError, SetFileError
-from .quartic import OptimizerConfig, check_dense_rank, mu_lower, mu_upper
+from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
 from .spheres import SphereParams, argmax_st, mass_chain, r_exact, sphere_table, t1
@@ -43,6 +45,12 @@ EXIT_RESOURCE = 3
 def parse_set_file(path: str) -> SupportSet:
     """Read a support set: header ``n=<int>``, then bitstring records or a
     single ``sphere <n> <k>`` / ``ball <n> <k>`` directive."""
+    return _read_set_file(path)[2]()
+
+
+def _read_set_file(path: str) -> tuple[int, int, Callable[[], SupportSet]]:
+    """|A|, the affine rank and a builder of the set in a set file: a
+    directive's size and rank are closed forms, planned before it is built."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             raw_lines = handle.read().splitlines()
@@ -85,7 +93,12 @@ def parse_set_file(path: str) -> SupportSet:
             )
         if not 0 <= dk <= dn:
             raise SetFileError(f"{path} line {no}: radius {dk} outside [0, {dn}]")
-        return SupportSet.sphere(n, dk) if parts[0] == "sphere" else SupportSet.ball(n, dk)
+        # a sphere with 0 < k < n spans the even-weight vectors, a ball with
+        # k >= 1 holds 0 and every unit vector, and a point has rank 0
+        if parts[0] == "sphere":
+            return math.comb(n, dk), n - 1 if 0 < dk < n else 0, lambda: SupportSet.sphere(n, dk)
+        size = sum(math.comb(n, j) for j in range(dk + 1))
+        return size, n if dk else 0, lambda: SupportSet.ball(n, dk)
 
     seen: dict[int, int] = {}
     masks: list[int] = []
@@ -101,7 +114,8 @@ def parse_set_file(path: str) -> SupportSet:
             raise SetFileError(f"{path} line {no}: duplicate of line {seen[mask]}")
         seen[mask] = no
         masks.append(mask)
-    return SupportSet.from_masks(n, masks)
+    A = SupportSet.from_masks(n, masks)
+    return len(A), A.affine.rank, lambda: A
 
 
 # --- serialization -----------------------------------------------------
@@ -180,12 +194,10 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def _flatten(prefix: str, value, rows: list[list]) -> None:
+    # analyze, the one command without its own rows, prints no lists
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, rows)
-    elif isinstance(value, list):
-        for i, sub in enumerate(value):
-            _flatten(f"{prefix}[{i}]", sub, rows)
     else:
         rows.append([prefix, value])
 
@@ -209,11 +221,10 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    A = parse_set_file(args.set_file)
-    # the dense stages run in the smallest coset holding A, so the cap
-    # applies to its rank
-    check_dense_rank(A, args.dense_cap)
-    check_exhaustive_cap(len(A), args.exact_limit)
+    size, rank, build = _read_set_file(args.set_file)
+    # every stage's route, or the refusal, before a directive is enumerated
+    plan(size, rank, args.dense_cap, args.exact_limit)
+    A = build()
     cfg = _optimizer_config(args)
     # A builds its pair index (A.pairs) and its convolution once for every
     # stage that reads them
@@ -388,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--iters", type=int, default=10_000, help="ascent iteration cap")
     common.add_argument("--tol", type=float, default=1e-12, help="ascent stopping tolerance")
     common.add_argument(
-        "--dense-cap", type=int, default=DEFAULT_DENSE_CAP, help="largest dense dimension"
+        "--dense-cap", type=int, default=DEFAULT_DENSE_CAP, help="largest affine rank for dense work"
     )
     common.add_argument(
         "--exact-limit", type=int, default=20, help="exhaustive hereditary search cap"

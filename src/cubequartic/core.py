@@ -19,7 +19,8 @@ million cells) instead of degrading silently; see
 :class:`~cubequartic.errors.ResourceLimitError`.  The quartic ascent and
 the XOR self-convolution of a support set run in the smallest coset that
 holds it (``SupportSet.affine``), so their cap applies to its affine
-rank, not to n.
+rank, not to n; ``additive.plan`` decides every route of a set from its
+size and rank before any work.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
@@ -99,13 +101,14 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        prev = -1
-        for m in self.elements:
+        masks = self.elements
+        # compared in C, not in a Python loop: sets reach millions of masks
+        if not all(map(operator.lt, masks, masks[1:])):
+            raise ValueError("elements must be strictly increasing")
+        # sorted, so the ends are the extremes
+        for m in masks[:1] + masks[-1:]:
             if not 0 <= m < (1 << self.n):
                 raise ValueError(f"mask {m} out of range for n={self.n}")
-            if m <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = m
 
     @classmethod
     def from_masks(cls, n: int, masks: Sequence[int]) -> "SupportSet":
@@ -174,17 +177,13 @@ class SupportSet:
         values[list(self.elements)] = 1.0
         return CubeFunction(self.n, values)
 
-    def pairs_within_cap(self) -> bool:
-        """Whether |A|^2 is within PAIR_ENUMERATION_LIMIT, so ``pairs`` may be built."""
-        return len(self.elements) ** 2 <= PAIR_ENUMERATION_LIMIT
-
     @cached_property
     def pairs(self) -> "PairIndex":
         """The pair index, built on first use and kept for the set's
         lifetime (|A|^2 int64 entries); its readers share it, so its arrays
         are read-only.  Refused past the cap before anything is allocated."""
         size = len(self.elements)
-        if not self.pairs_within_cap():
+        if size * size > PAIR_ENUMERATION_LIMIT:
             raise ResourceLimitError(
                 f"pair stage: enumerating the {size * size} pairs of a "
                 f"{size}-element set exceeds the cap of {PAIR_ENUMERATION_LIMIT}"
@@ -210,8 +209,9 @@ class SupportSet:
         their |M_x|.  It runs over the 2^d points of the affine frame and
         maps its sums back to masks.  Computed on first use and kept for
         the set's lifetime; its readers share the arrays, so they are
-        read-only.  The caller checks the dense cap against the rank d and
-        that 2^d |A| is at most 2^53 (see ``_convolution_table``)."""
+        read-only.  ``additive.plan`` decides whether it may run: the rank d
+        within the dense cap, and 2^d |A| at most 2^53 (see
+        ``_convolution_table``)."""
         sums, counts = _convolution_table(self)
         sums.flags.writeable = False
         counts.flags.writeable = False
@@ -347,7 +347,7 @@ class PairIndex:
         return np.bincount(self.inverse.ravel(), weights=weights.ravel())
 
 
-@dataclass
+@dataclass(eq=False)
 class CubeFunction:
     """A real-valued array on {0,1}^n, dense, indexed by bitmask: a
     function of the points, or (from ``analyze``) its Walsh coefficients
@@ -368,11 +368,6 @@ class CubeFunction:
                 f"got shape {self.values.shape}"
             )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CubeFunction):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.values, other.values)
-
 
 @dataclass
 class SpectrumVector:
@@ -386,9 +381,6 @@ class SpectrumVector:
 
     support: SupportSet
     coords: np.ndarray
-    normalized: bool = field(default=False)
-
-    NORM_TOL = 1e-12
 
     def __post_init__(self) -> None:
         self.coords = np.array(self.coords, dtype=np.float64, copy=True)
@@ -397,11 +389,6 @@ class SpectrumVector:
                 f"coords shape {self.coords.shape} does not match support "
                 f"of size {len(self.support)}"
             )
-        if self.normalized and abs(self.norm_squared() - 1.0) > self.NORM_TOL:
-            raise ValueError(
-                f"vector flagged normalized but sum of squares is "
-                f"{self.norm_squared()!r}"
-            )
 
     @classmethod
     def uniform(cls, support: SupportSet) -> "SpectrumVector":
@@ -409,20 +396,22 @@ class SpectrumVector:
         size = len(support)
         if size == 0:
             raise ValueError("cannot build the uniform vector on an empty set")
-        return cls(support, np.full(size, 1.0 / math.sqrt(size)), normalized=True)
+        return cls(support, np.full(size, 1.0 / math.sqrt(size)))
 
     def norm_squared(self) -> float:
         return float(np.dot(self.coords, self.coords))
 
     def normalize(self) -> "SpectrumVector":
-        """Rescale to the unit sphere; error on the zero vector."""
+        """Rescale to the unit sphere, up to a rounding that grows with the
+        length (1 + 1.5e-12 on 2.7 million equal entries); error on the zero
+        vector."""
         norm = math.sqrt(self.norm_squared())
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         coords = self.coords / norm
-        # guard against representable-norm rounding right at the tolerance
+        # a second division, after the first one's rounding
         coords /= math.sqrt(float(np.dot(coords, coords)))
-        return SpectrumVector(self.support, coords, normalized=True)
+        return SpectrumVector(self.support, coords)
 
     def to_function(self) -> CubeFunction:
         """Synthesize the cube function with these coefficients."""

@@ -18,10 +18,10 @@ class DimensionMismatchError(CubeQuarticError):
 
 
 class ResourceLimitError(CubeQuarticError):
-    """A dense or exhaustive computation would exceed a configured cap.
+    """A set has no route within the configured caps at some stage.
 
-    Raised instead of silently switching algorithms; callers can retry
-    with a larger cap if they really want the dense path.
+    ``additive.plan`` raises it before any work, naming the stage; callers
+    can retry with a larger cap.
     """
 
 

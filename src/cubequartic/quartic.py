@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import dyadic_level_sets, m_bound
+from .additive import dyadic_level_sets, m_bound, plan
 from .asymptotics import psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
@@ -30,7 +30,6 @@ from .core import (
     SupportSet,
     walsh_transform,
 )
-from .errors import ResourceLimitError
 from .spheres import sphere_sum_bound
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "MuEstimate",
     "BoundSet",
     "SplitPair",
-    "check_dense_rank",
     "big_f",
     "mu_lower",
     "mu_upper",
@@ -181,17 +179,6 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
     return A.pairs.pair_sums(y.coords)[A.pairs.inverse]
 
 
-def check_dense_rank(A: SupportSet, dense_cap: int) -> None:
-    """Refuse a set whose affine rank d exceeds ``dense_cap`` (or 62, past
-    which coordinates leave int64): the dense stages run on 2^d entries."""
-    cap = min(dense_cap, 62)
-    if A.affine.rank > cap:
-        raise ResourceLimitError(
-            f"estimation stage: affine rank {A.affine.rank} (n={A.n}) "
-            f"exceeds the dense cap {cap}"
-        )
-
-
 # a stack of ascent starts holds at most this many entries of kernel
 # state (rows times the kernel's width), so a large transform climbs
 # one start at a time
@@ -231,8 +218,7 @@ class _DenseKernel:
     (rows x 2^d) and a buffer (rows x 3 x 2^d) whose first row holds f^2.
     """
 
-    def __init__(self, support: SupportSet, cap: int) -> None:
-        check_dense_rank(support, cap)
+    def __init__(self, support: SupportSet) -> None:
         frame = support.affine
         self.masks = frame.coords
         # the length of a row of point values, 2^d
@@ -369,19 +355,6 @@ class _SparseKernel:
         weights = np.concatenate((c * c, 2.0 * c * s, s * s), axis=1)[:, None]
         p = np.matmul(weights, sums, out=moved[:, :1])[:, 0]
         return _row_dots(p, p), (c * coords + s * direction, moved)
-
-
-def _choose_kernel(A: SupportSet, cap: int) -> _DenseKernel | _SparseKernel:
-    """The cheaper kernel for A: one call costs about |A|^2 on the pair
-    index and d 2^d on the dense transform, for the affine rank d.
-
-    The dense cap bounds both routes, so it is checked first.
-    """
-    check_dense_rank(A, cap)
-    rank = A.affine.rank
-    if len(A) * len(A) <= rank << rank and A.pairs_within_cap():
-        return _SparseKernel(A.pairs)
-    return _DenseKernel(A, cap)
 
 
 # relative window improvement below which an ascent run stops
@@ -602,7 +575,7 @@ def mu_lower(
     A: SupportSet,
     cfg: OptimizerConfig = OptimizerConfig(),
     *,
-    dense_cap: int | None = None,
+    dense_cap: int = DEFAULT_DENSE_CAP,
     extra_starts: tuple[SpectrumVector, ...] = (),
 ) -> MuEstimate:
     """Best F value found by multi-start ascent on the unit sphere.
@@ -614,12 +587,10 @@ def mu_lower(
     float rounding (see ``MuEstimate``); the uniform start pins it at or
     above the energy ratio of A.
 
-    F and its gradient come from the pair index ``A.pairs`` when
-    |A|^2 <= d 2^d for the affine rank d and |A|^2 is within the pair
-    cap, else from the dense transform over the affine frame; either way
-    d must be within the dense cap.  The reported value is F at the
-    normalized certificate through the same kernel; ``big_f`` is the
-    independent route that tests compare it with.
+    F and its gradient come from the kernel that ``plan`` picks: the pair
+    index ``A.pairs`` or the dense transform over the affine frame.  The
+    reported value is F at the normalized certificate through the same
+    kernel; ``big_f`` is the independent route that tests compare it with.
 
     When |A| = 2^d, A is a coset of a subspace, and F <= |A| on the unit
     sphere (the cardinality bound) with equality at the uniform vector:
@@ -631,8 +602,8 @@ def mu_lower(
     if size == 1 << A.affine.rank:
         run = AscentRun("uniform", float(size), 0, "stationary")
         return MuEstimate(float(size), SpectrumVector.uniform(A), 1, 0, True, (run,))
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    kernel = _choose_kernel(A, cap)
+    sparse = plan(size, A.affine.rank, dense_cap).kernel == "sparse"
+    kernel = _SparseKernel(A.pairs) if sparse else _DenseKernel(A)
     rng = random.Random(cfg.seed)
 
     starts: list[tuple[str, np.ndarray]] = [
@@ -670,9 +641,7 @@ def mu_lower(
 
     run(starts)
     # second phase: indicator starts on the dyadic slices of the leader
-    slices = dyadic_level_sets(
-        SpectrumVector(A, np.abs(best_y)).normalize()
-    )
+    slices = dyadic_level_sets(SpectrumVector(A, best_y))
     level_starts: list[tuple[str, np.ndarray]] = []
     masks = A.masks_array()
     for _, level in slices.levels:
@@ -693,7 +662,7 @@ def mu_lower(
     )
 
 
-def mu_upper(A: SupportSet, *, dense_cap: int | None = None) -> BoundSet:
+def mu_upper(A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP) -> BoundSet:
     """Assembled upper bounds: cardinality, multiplicity, sphere forms.
 
     The sum bound applies to any full sphere; the exponential bound

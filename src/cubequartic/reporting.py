@@ -27,11 +27,6 @@ class Check:
     provenance: str = ""
     detail: str = ""
 
-    def describe(self) -> str:
-        kind = "hard" if self.hard else "soft"
-        status = "ok" if self.passed else "FAIL"
-        return f"[{status}] ({kind}) {self.name}: {self.lhs} {self.relation} {self.rhs}"
-
 
 def check_le(
     name: str,
@@ -100,12 +95,6 @@ class BoundReport:
 
     def failed_checks(self) -> list[Check]:
         return [c for c in self.checks if c.hard and not c.passed]
-
-    def describe(self) -> str:
-        lines = [f"report: {self.subject} -> {'PASS' if self.overall else 'FAIL'}"]
-        lines += ["  " + c.describe() for c in self.checks]
-        lines += ["  note: " + n for n in self.notes]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .additive import additive_energy, hereditary_energy, pair_multiplicities, sumset
+from .additive import additive_energy, hereditary_energy, pair_multiplicities, plan, sumset
 from .asymptotics import psi_value
 from .core import (
     DEFAULT_DENSE_CAP,
@@ -437,19 +437,24 @@ def conjecture_scan(
     n_max: int,
     cfg: OptimizerConfig | None = None,
     *,
-    dense_cap: int | None = None,
+    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> list[ConjectureRecord]:
     """Scan every sphere cell (n, k), n <= n_max, 1 <= k <= n/2, in order.
 
-    Each cell compares the ascent value against the exact energy ratio
-    computed twice (quadruple counting and the closed-form chain); a
-    mismatch between the exact routes or an ascent value measurably
-    below the ratio raises instead of being recorded.  The cells run
-    in this thread: each is thousands of small numpy calls that hold
-    the interpreter lock, so worker threads only queued on it.
+    Every cell is planned before the first one runs, so the scan either
+    refuses at once (ResourceLimitError) or completes.  Each cell compares
+    the ascent value against the exact energy ratio computed twice
+    (quadruple counting and the closed-form chain); a mismatch between the
+    exact routes or an ascent value measurably below the ratio raises
+    instead of being recorded.  The cells run in this thread: each is
+    thousands of small numpy calls that hold the interpreter lock, so
+    worker threads only queued on it.
     """
     cfg = cfg or OptimizerConfig()
     cells = [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
+    for n, k in cells:
+        # S(n, k) with 0 < k < n has affine rank n - 1
+        plan(math.comb(n, k), n - 1, dense_cap)
 
     def run(cell: tuple[int, int]) -> ConjectureRecord:
         n, k = cell

@@ -20,7 +20,6 @@ from cubequartic.additive import energy_ratio
 from cubequartic.asymptotics import TWO_LOG2_3, f_combine, phi, psi_value, r_of_x
 from cubequartic.cli import main
 from cubequartic.core import (
-    DEFAULT_DENSE_CAP,
     CubeFunction,
     SpectrumVector,
     SupportSet,
@@ -116,7 +115,7 @@ def test_03_gradient_correctness():
         masks = rng.choice(1 << n, size=size, replace=False)
         A = SupportSet.from_masks(n, [int(m) for m in masks])
         coords = rng.standard_normal(size)
-        kernel = _DenseKernel(A, DEFAULT_DENSE_CAP)
+        kernel = _DenseKernel(A)
         grad = kernel.gradient(kernel.evaluate(coords)[1])
         fd = central_difference(lambda c: big_f(SpectrumVector(A, c)), coords, 1e-5)
         err = float(np.max(np.abs(grad - fd))) / max(1.0, float(np.max(np.abs(grad))))

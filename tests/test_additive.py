@@ -24,6 +24,7 @@ from cubequartic.additive import (
     hereditary_energy,
     m_bound,
     pair_multiplicities,
+    plan,
     sumset,
 )
 from cubequartic.core import SpectrumVector, SupportSet
@@ -232,7 +233,7 @@ class TestPairMultiplicities:
         monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
         monkeypatch.setattr(core, "walsh_transform", perturbed)
         A = SupportSet.sphere(5, 2)
-        assert not A.pairs_within_cap()
+        assert not plan(len(A), A.affine.rank).pairs
         with pytest.raises(RuntimeError, match="not divisible by 2\\^d"):
             pair_multiplicities(A)
 
@@ -270,7 +271,7 @@ class TestPairMultiplicities:
         A = SupportSet.from_masks(7, [int(m) for m in rng.choice(128, 30, replace=False)])
         if route == "convolution":
             monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
-            assert not A.pairs_within_cap()
+            assert not plan(len(A), A.affine.rank).pairs
         elif route == "singleton":
             A = SupportSet.from_masks(7, [45])
         table = pair_multiplicities(A)
@@ -694,7 +695,7 @@ class TestDyadicLevelSets:
 
     def test_zero_coordinates_are_dropped(self):
         A = SupportSet.from_masks(3, [1, 2])
-        y = SpectrumVector(A, [1.0, 0.0], normalized=True)
+        y = SpectrumVector(A, [1.0, 0.0])
         dec = dyadic_level_sets(y)
         covered = [m for _, lvl in dec.levels for m in lvl]
         assert covered == [1]
@@ -725,10 +726,25 @@ class TestDyadicLevelSets:
             dec = dyadic_level_sets(SpectrumVector.uniform(A))
             assert dec.cutoff == cutoff, size
 
-    def test_requires_normalized_nonnegative(self):
-        A = SupportSet.from_masks(3, [1, 2])
-        with pytest.raises(ValueError):
-            dyadic_level_sets(SpectrumVector(A, [0.6, 0.8]))
-        bad = SpectrumVector(A, [-0.6, 0.8], normalized=True)
-        with pytest.raises(ValueError):
-            dyadic_level_sets(bad)
+    def test_millions_of_equal_entries(self):
+        # C(24, 12) equal entries, as on sphere 24 12: numpy's sum of
+        # squares reads 1 + 1.1e-12 for the uniform vector and 1 + 1.5e-12
+        # after normalize(), past a fixed tolerance of 1e-12; no ascent runs
+        size = math.comb(24, 12)
+        A = SupportSet(22, tuple(range(size)))
+        y = SpectrumVector(A, np.full(size, 1.0 / math.sqrt(size)))
+        unit = y.normalize()
+        assert abs(unit.norm_squared() - 1.0) <= size * 2.0**-53
+        # 1 / sqrt(size) lies in (2^-11, 2^-10]
+        dec = dyadic_level_sets(y)
+        assert [(i, len(level)) for i, level in dec.levels] == [(11, size)]
+        assert len(dec.tail) == 0
+
+    def test_slices_the_normalized_absolute_values(self, rng):
+        # the slices of y are those of normalize() of |y|, bit for bit
+        A = random_support(rng, 7, 40)
+        y = SpectrumVector(A, rng.standard_normal(len(A)) * 3.0)
+        unit = SpectrumVector(A, np.abs(y.coords)).normalize()
+        assert dyadic_level_sets(y) == dyadic_level_sets(unit)
+        with pytest.raises(ValueError, match="zero vector"):
+            dyadic_level_sets(SpectrumVector(A, np.zeros(len(A))))

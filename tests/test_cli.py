@@ -176,9 +176,12 @@ class TestAnalyze:
         assert "set file error" in err
 
     def test_dense_cap_exit(self, tmp_path, capsys):
-        path = write(tmp_path, "n=30\nsphere 30 1\n")
+        # 27,405 elements of affine rank 29: past the dense cap, and their
+        # pairs past the enumeration cap
+        path = write(tmp_path, "n=30\nsphere 30 4\n")
         code, out, err = run(capsys, ["analyze", path])
         assert code == EXIT_RESOURCE
+        assert out == ""
         assert "resource cap" in err
         assert "estimation stage" in err
 
@@ -186,10 +189,14 @@ class TestAnalyze:
         import cubequartic.cli
         import cubequartic.core
 
-        # 13 masks of rank 10 spread over n = 30 run under a cap of 10
+        # 13 masks of rank 10 spread over n = 30 run under a cap of 10.  A
+        # lowered pair cap (169 pairs > 150) leaves only the dense routes,
+        # and an exact limit of 0 the hereditary scoring of the full set
+        monkeypatch.setattr(cubequartic.core, "PAIR_ENUMERATION_LIMIT", 150)
         masks = [0] + [1 << (3 * i) for i in range(9)] + [1 << 29, 1 | 8, 8 | (1 << 29)]
         path = write(tmp_path, records(30, masks))
-        code, out, err = run(capsys, ["analyze", path, "--dense-cap", "10"] + FAST)
+        argv = ["--dense-cap", "10", "--exact-limit", "0"] + FAST
+        code, out, err = run(capsys, ["analyze", path] + argv)
         assert code == EXIT_OK, err
         assert json.loads(out)["results"]["set"] == {"n": 30, "size": 13, "affine_rank": 10}
 
@@ -203,10 +210,13 @@ class TestAnalyze:
         monkeypatch.setattr(cubequartic.core, "walsh_transform", refuse)
         monkeypatch.setattr(cubequartic.core.PairIndex, "of", refuse)
         path = write(tmp_path, records(30, masks + [1 << 28]), name="rank11.txt")
-        code, out, err = run(capsys, ["analyze", path, "--dense-cap", "10"] + FAST)
+        code, out, err = run(capsys, ["analyze", path] + argv)
         assert code == EXIT_RESOURCE
         assert out == ""
-        assert "estimation stage: affine rank 11 (n=30) exceeds the dense cap 10" in err
+        assert (
+            "estimation stage: affine rank 11 exceeds the dense cap 10, and the "
+            "196 pairs of a 14-element set exceed the enumeration cap 150"
+        ) in err
 
     def test_random_masks_in_n_40_run_at_their_rank(self, tmp_path, capsys):
         import random

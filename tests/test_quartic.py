@@ -7,16 +7,17 @@ import random
 import numpy as np
 import pytest
 
+from cubequartic import core
 from cubequartic.additive import (
     PairIndex,
     additive_energy,
     energy_ratio,
     hereditary_energy,
     m_bound,
+    plan,
 )
 from cubequartic.asymptotics import f_combine, psi_value
 from cubequartic.core import (
-    DEFAULT_DENSE_CAP,
     CubeFunction,
     SpectrumVector,
     SupportSet,
@@ -30,13 +31,11 @@ from cubequartic.quartic import (
     BoundSet,
     OptimizerConfig,
     big_f,
-    check_dense_rank,
     decompose_last,
     mu_lower,
     mu_upper,
     shkredov_matrix,
     _ascend,
-    _choose_kernel,
     _circle_argmax,
     _DenseKernel,
     _gaussian,
@@ -54,6 +53,13 @@ from conftest import (
 )
 
 FAST = OptimizerConfig(starts=8, max_iters=2000, seed=1)
+
+
+def kernel_for(A):
+    """The kernel mu_lower builds for A under the default dense cap."""
+    if plan(len(A), A.affine.rank).kernel == "sparse":
+        return _SparseKernel(A.pairs)
+    return _DenseKernel(A)
 
 
 class TestBigF:
@@ -102,7 +108,7 @@ class TestBigF:
 
 def dense_gradient(y: SpectrumVector) -> np.ndarray:
     """grad F at y through the dense kernel the ascent uses."""
-    kernel = _DenseKernel(y.support, DEFAULT_DENSE_CAP)
+    kernel = _DenseKernel(y.support)
     return kernel.gradient(kernel.evaluate(y.coords)[1])
 
 
@@ -125,14 +131,17 @@ class TestGradient:
         expected = 4.0 * analyze(cubed).values[list(A)]
         assert np.allclose(dense_gradient(y), expected, atol=1e-10)
 
-    def test_needs_dense_path(self):
-        # the origin and the 30 unit vectors: affine rank 30, above the cap
+    def test_needs_dense_path(self, monkeypatch):
+        # the origin and the 30 unit vectors: affine rank 30, above the cap.
+        # Its 961 pairs take the sparse kernel; past a lowered pair cap the
+        # gradient would need the dense path, and no kernel is planned
         A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
         assert A.affine.rank == 30
-        y = SpectrumVector(A, np.ones(len(A)))
-        with pytest.raises(ResourceLimitError):
-            dense_gradient(y)
-        big_f(y)  # the pair-sum route has no such cap
+        assert plan(len(A), A.affine.rank).kernel == "sparse"
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+        with pytest.raises(ResourceLimitError, match="estimation stage"):
+            plan(len(A), A.affine.rank)
+        big_f(SpectrumVector(A, np.ones(len(A))))  # the pair-sum route has no such cap
 
 
 class TestMatrix:
@@ -176,7 +185,7 @@ class TestKernels:
         sets = self.SETS + [random_support(rng, n, 40) for n in (4, 6, 8, 10)]
         for A in sets:
             sparse = _SparseKernel(PairIndex.of(A.elements))
-            dense = _DenseKernel(A, DEFAULT_DENSE_CAP)
+            dense = _DenseKernel(A)
             # one stack of three vectors, compared row by row
             y = rng.standard_normal((3, len(A)))
             f_sparse, s_state = sparse.evaluate(y)
@@ -198,7 +207,7 @@ class TestKernels:
             (SupportSet.ball(12, 6), _DenseKernel),
         ]
         for A, kind in cases:
-            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is kind
+            assert type(kernel_for(A)) is kind
 
 
 class TestAffineInvariance:
@@ -229,7 +238,7 @@ class TestAffineInvariance:
             y = rng.standard_normal((2, len(A)))
             values = []
             for S, z in ((A, y), (B, y[:, order])):
-                values.append(_DenseKernel(S, DEFAULT_DENSE_CAP).evaluate(z)[0])
+                values.append(_DenseKernel(S).evaluate(z)[0])
                 values.append(_SparseKernel(S.pairs).evaluate(z)[0])
                 values.append(np.array([big_f(SpectrumVector(S, row)) for row in z]))
             for value in values[1:]:
@@ -237,7 +246,7 @@ class TestAffineInvariance:
 
 
 def both_kernels(A):
-    return _SparseKernel(PairIndex.of(A.elements)), _DenseKernel(A, DEFAULT_DENSE_CAP)
+    return _SparseKernel(PairIndex.of(A.elements)), _DenseKernel(A)
 
 
 def circle_quartic(coefficients, theta):
@@ -457,7 +466,7 @@ class TestLineSearch:
 
     def test_dense_route_runs_two_transforms_per_step(self, monkeypatch):
         A = SupportSet.sphere(7, 3)
-        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _DenseKernel
+        assert type(kernel_for(A)) is _DenseKernel
         est, calls = self._count_transforms(monkeypatch, A)
         # transformed rows, per start: one to evaluate it, then the
         # gradient and the transform of the direction in each iteration,
@@ -486,7 +495,7 @@ class TestLineSearch:
 
     def test_sparse_route_runs_no_transform(self, monkeypatch):
         A = SupportSet.sphere(12, 2)
-        assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _SparseKernel
+        assert type(kernel_for(A)) is _SparseKernel
         est, calls = self._count_transforms(monkeypatch, A)
         assert calls == [] and est.iterations > 0
 
@@ -507,7 +516,7 @@ class TestStackedAscent:
         cfg = OptimizerConfig(max_iters=400)
         kinds = set()
         for A in sets:
-            kernel = _choose_kernel(A, DEFAULT_DENSE_CAP)
+            kernel = kernel_for(A)
             kinds.add(type(kernel))
             starts = np.vstack([np.ones(len(A)), rng.standard_normal((6, len(A)))])
             ys, values, iterations, exits = _ascend(kernel, starts, cfg)
@@ -583,7 +592,7 @@ class TestMuLower:
     def test_value_is_big_f_at_the_certificate(self, rng):
         A = random_support(rng, 5, 12)
         est = mu_lower(A, FAST)
-        assert est.certificate.normalized
+        assert math.isclose(est.certificate.norm_squared(), 1.0, abs_tol=1e-14)
         assert est.value == big_f(est.certificate)
 
     def test_dense_route_value_is_big_f_at_the_certificate(self, monkeypatch):
@@ -593,7 +602,7 @@ class TestMuLower:
             raise AssertionError("mu_lower evaluated F a second way")
 
         for A in (SupportSet.sphere(6, 3), SupportSet.ball(8, 3)):
-            assert type(_choose_kernel(A, DEFAULT_DENSE_CAP)) is _DenseKernel
+            assert type(kernel_for(A)) is _DenseKernel
             with monkeypatch.context() as patch:
                 patch.setattr(cubequartic.quartic, "big_f", refuse)
                 est = mu_lower(A, FAST)
@@ -639,9 +648,9 @@ class TestMuLower:
         import cubequartic.quartic
 
         def refuse(*args):
-            raise AssertionError("built a kernel for a coset")
+            raise AssertionError("planned a kernel for a coset")
 
-        monkeypatch.setattr(cubequartic.quartic, "_choose_kernel", refuse)
+        monkeypatch.setattr(cubequartic.quartic, "plan", refuse)
         cosets = [SupportSet.from_masks(4, [9]), SupportSet.sphere(2, 1)]
         for n, generators, shift in [(12, [3, 12, 48, 192], 1025), (40, [7 << 30, 5, 1 << 39, 6], 3 << 20)]:
             V = SupportSet.span(n, generators)
@@ -671,25 +680,29 @@ class TestMuLower:
         with pytest.raises(ValueError):
             mu_lower(SupportSet(3, ()))
 
-    def test_dimension_cap(self):
-        # the origin and the 30 unit vectors: affine rank 30, above the cap
+    def test_dimension_cap(self, monkeypatch):
+        # the origin and the 30 unit vectors: affine rank 30, above the
+        # cap, and (under a lowered pair cap) 961 pairs past the sparse route
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
         A = SupportSet.from_masks(30, [0] + [1 << i for i in range(30)])
         with pytest.raises(ResourceLimitError, match="affine rank 30"):
             mu_lower(A, FAST)
 
-    def test_check_dense_rank(self):
-        # S(5, 2) has affine rank 4, wherever it sits in the cube
+    def test_check_dense_rank(self, monkeypatch):
+        # past a lowered pair cap, S(5, 2) (affine rank 4, wherever it sits
+        # in the cube) has only the dense kernel
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
         A = SupportSet.sphere(5, 2)
-        check_dense_rank(A, 4)
+        assert plan(len(A), A.affine.rank, 4).kernel == "dense"
         with pytest.raises(
             ResourceLimitError,
-            match=r"^estimation stage: affine rank 4 \(n=5\) exceeds the dense cap 3$",
+            match=r"^estimation stage: affine rank 4 exceeds the dense cap 3, and "
+            r"the 100 pairs of a 10-element set exceed the enumeration cap 99$",
         ):
-            check_dense_rank(A, 3)
+            mu_lower(A, FAST, dense_cap=3)
         # coordinates past rank 62 leave int64, whatever the cap
-        wide = SupportSet.from_masks(64, [0] + [1 << i for i in range(63)])
-        with pytest.raises(ResourceLimitError, match="affine rank 63 .* dense cap 62$"):
-            check_dense_rank(wide, 100)
+        with pytest.raises(ResourceLimitError, match="affine rank 63 exceeds the dense cap 62,"):
+            plan(64, 63, 100)
 
 
 class TestMuUpper:

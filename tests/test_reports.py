@@ -303,7 +303,7 @@ class TestSuites:
         assert [name for name, _ in results] == list(SUITE_NAMES)
         for name, reports in results:
             for report in reports:
-                assert report.overall, f"{name}: {report.describe()}"
+                assert report.overall, f"{name}: {report.subject}: {report.failed_checks()}"
 
     def test_single_suite(self):
         results = run_suites(["additive"], seed=5)
