@@ -82,6 +82,20 @@ def central_difference(func, x: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
+def level_sets_oracle(masks, values, cutoff: int) -> tuple[dict[int, list[int]], list[int]]:
+    """Dyadic slices of non-negative values one mask at a time: level i
+    holds 2^-i < v <= 2^-(i-1) up to the cutoff, the tail the rest > 0."""
+    levels: dict[int, list[int]] = {}
+    tail: list[int] = []
+    for mask, value in zip(masks, values):
+        if value == 0.0:
+            continue
+        mantissa, exponent = math.frexp(value)
+        level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
+        (levels.setdefault(level, []) if level <= cutoff else tail).append(mask)
+    return levels, tail
+
+
 def random_support(rng: np.random.Generator, n: int, max_size: int) -> SupportSet:
     size = int(rng.integers(1, min(max_size, 1 << n) + 1))
     masks = rng.choice(1 << n, size=size, replace=False)

@@ -30,7 +30,7 @@ from cubequartic.additive import (
 from cubequartic.core import SpectrumVector, SupportSet
 from cubequartic.errors import DimensionMismatchError, ResourceLimitError
 
-from conftest import brute_energy, random_support
+from conftest import brute_energy, level_sets_oracle, random_support, wide_random
 
 
 def _pairs_table(masks):
@@ -725,6 +725,26 @@ class TestDyadicLevelSets:
             A = SupportSet.from_masks(7, list(range(1, size + 1)))
             dec = dyadic_level_sets(SpectrumVector.uniform(A))
             assert dec.cutoff == cutoff, size
+
+    def test_matches_the_scalar_loop(self, rng):
+        # zeros, exact powers of two, values deep in the tail, and masks
+        # past 2^62 (an object array of masks)
+        sets = [random_support(rng, 9, 200) for _ in range(30)]
+        sets += [wide_random(seed, 70, 40) for seed in range(5)]
+        for i, A in enumerate(sets):
+            values = rng.standard_normal(len(A)) * 10.0 ** -rng.integers(0, 12, len(A))
+            if i % 3 == 1:
+                values = np.where(rng.random(len(A)) < 0.3, 0.0, values)
+            elif i % 3 == 2:
+                values = 2.0 ** -rng.integers(0, 30, len(A)).astype(float)
+            y = SpectrumVector(A, values)
+            dec = dyadic_level_sets(y)
+            unit = SpectrumVector(A, np.abs(values)).normalize()
+            levels, tail = level_sets_oracle(A.elements, unit.coords.tolist(), dec.cutoff)
+            assert [(i, lvl.elements) for i, lvl in dec.levels] == [
+                (i, tuple(levels[i])) for i in sorted(levels)
+            ]
+            assert dec.tail.elements == tuple(tail)
 
     def test_millions_of_equal_entries(self):
         # C(24, 12) equal entries, as on sphere 24 12: numpy's sum of

@@ -7,10 +7,9 @@ import pytest
 import cubequartic.core
 import cubequartic.quartic
 import cubequartic.reports
-from cubequartic.additive import EXHAUSTIVE_LIMIT, Plan, plan
+from cubequartic.additive import Plan, plan
 from cubequartic.cli import EXIT_OK, EXIT_RESOURCE, _read_set_file
 from cubequartic.core import PairIndex, SupportSet
-from cubequartic.errors import ResourceLimitError
 from cubequartic.quartic import OptimizerConfig, _DenseKernel, _SparseKernel, mu_lower
 
 from test_cli import run, write
@@ -144,9 +143,3 @@ def test_benchmark_sets_keep_their_kernels(monkeypatch):
         mu_lower(A, cfg)
         assert built == [before[name]], name
         assert plan(len(A), A.affine.rank, exact_limit=20).kernel == before[name]
-
-
-def test_exhaustive_cap_names_the_limit():
-    with pytest.raises(ResourceLimitError, match=f"cap of {EXHAUSTIVE_LIMIT} elements"):
-        plan(EXHAUSTIVE_LIMIT + 1, 5, exact_limit=EXHAUSTIVE_LIMIT + 1)
-    assert plan(EXHAUSTIVE_LIMIT + 1, 5, exact_limit=EXHAUSTIVE_LIMIT).hereditary == "greedy"
