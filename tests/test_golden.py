@@ -3,7 +3,9 @@ tests/golden.json.
 
 Exact fields (energies, m(A), energy ratios, the hereditary result,
 r(n, k), table masses, statuses and verdicts) must match exactly on every
-platform, and floats to a relative 1e-12.  Ascent counters and free-text
+platform, and floats to a relative 1e-12, or within 1e-10 of a value
+near zero (scan gaps and verify deviations are rounding noise of
+differences, which no relative bound fits).  Ascent counters and free-text
 fields are covered by the stdout sha256 alone, which is compared only on
 the Python and numpy versions that the file records.  After a change that
 moves an output on purpose, rewrite the file with
@@ -107,7 +109,7 @@ def record(outputs: dict[str, str]) -> dict:
 def assert_matches(got, want, path: str) -> None:
     if isinstance(want, float):
         assert isinstance(got, float), path
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-10), (path, got, want)
     elif isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), path
         for key in want:
