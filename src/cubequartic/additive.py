@@ -24,10 +24,10 @@ from .core import DEFAULT_DENSE_CAP, PairIndex, SpectrumVector, SupportSet
 from .errors import DimensionMismatchError, ResourceLimitError
 
 # the greedy removal sweep costs O(|A|^2) numpy work (its row sums once,
-# then one row of the pair index per round); above this size only the
-# full set and the certificate level sets are scored.  Raising the limit
-# would change the reported hereditary bound of larger sets, such as
-# sphere 11 4 (330 elements)
+# then |A| - 1 rounds of a few O(|A|) passes on fixed-length arrays);
+# above this size only the full set and the certificate level sets are
+# scored.  Raising the limit would change the reported hereditary bound
+# of larger sets, such as sphere 11 4 (330 elements)
 GREEDY_LIMIT = 300
 
 # the exhaustive search visits all 2^|A| subsets, so past this size it
@@ -384,33 +384,40 @@ def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
 
     The row sums are computed once.  Removing p changes the counts to
     c'_x = c_x - 2 [p ^ x in B] + [x = 0], so every remaining row moves
-    by r'_a = r_a - 3 c_{a^p} + 3 with the counts before the removal:
-    one round reads row p of the index, O(|B|) work, and the whole
-    sweep costs O(|A|^2).  Counts and row sums stay exact int64, and
-    ratios are compared by cross-multiplying python ints.
+    by r'_a = r_a - 3 c_{a^p} + 3 with the counts before the removal.
+    A round is O(|A|) work on arrays that keep length |A|, and the sweep
+    O(|A|^2).  A removed row is parked at 2^62, far above any live sum
+    (at most |A|^2); it reads only true counts c_{a^p} <= |A|, so it moves
+    by at most 3|A| a round and never wins the argmin or leaves int64.
+    Counts and row sums stay exact int64, and ratios are compared by
+    cross-multiplying python ints.
     """
     counts = index.counts.copy()
-    rows = np.arange(len(index.masks))
     row_sums = counts[index.inverse].sum(axis=1)
-    size = len(rows)
+    size = len(row_sums)
+    # removing p takes 2 off c_{a^p} for each live a, none for a removed a
+    drops = np.full(size, 2, dtype=counts.dtype)
     energy = index.energy()
-    best_rows, best_energy, best_size = rows, energy, size
+    removed: list[int] = []
+    best_energy, best_size = energy, size
     while size > 1:
         pick = int(np.argmin(row_sums))
         energy -= 4 * int(row_sums[pick]) - 6 * size + 3
         # a ^ p is distinct for distinct a.  c_0 is read only by the row
         # of p itself, so the +1 at x = 0 need not be applied
-        row_p = index.inverse[rows[pick], rows]
+        row_p = index.inverse[pick]
         c = counts[row_p]
         row_sums -= 3 * c - 3
-        counts[row_p] = c - 2
-        rows = np.delete(rows, pick)
-        row_sums = np.delete(row_sums, pick)
+        counts[row_p] = c - drops
+        row_sums[pick] = 1 << 62
+        drops[pick] = 0
+        removed.append(pick)
         size -= 1
         if energy * best_size * best_size > best_energy * size * size:
-            best_rows, best_energy, best_size = rows, energy, size
+            best_energy, best_size = energy, size
+    best = np.delete(index.masks, removed[: len(index.masks) - best_size])
     return (
-        tuple(index.masks[best_rows].tolist()),
+        tuple(best.tolist()),
         Fraction(best_energy, best_size * best_size),
     )
 

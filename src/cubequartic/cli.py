@@ -214,21 +214,14 @@ def _emit(document: dict, fmt: str, csv_rows: list[list] | None) -> None:
 
 # --- commands ----------------------------------------------------------
 
-def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
-    return OptimizerConfig(
-        starts=args.starts, max_iters=args.iters, tol=args.tol, seed=args.seed
-    )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     size, rank, build = _read_set_file(args.set_file)
     # every stage's route, or the refusal, before a directive is enumerated
     plan(size, rank, args.dense_cap, args.exact_limit)
     A = build()
-    cfg = _optimizer_config(args)
     # A builds its pair index (A.pairs) and its convolution once for every
     # stage that reads them
-    est = mu_lower(A, cfg, dense_cap=args.dense_cap)
+    est = mu_lower(A, args.cfg, dense_cap=args.dense_cap)
     upper = mu_upper(A, dense_cap=args.dense_cap)
     mult = upper.multiplicity_bound
     energy = pair_multiplicities(A, dense_cap=args.dense_cap).energy()
@@ -332,7 +325,7 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    records = conjecture_scan(args.n_max, _optimizer_config(args), dense_cap=args.dense_cap)
+    records = conjecture_scan(args.n_max, args.cfg, dense_cap=args.dense_cap)
     results = {"records": [_record_payload(r) for r in records]}
     document = _document(
         "scan",
@@ -350,8 +343,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _optimizer_config(args)
-    suites = run_suites([args.suite], seed=args.seed, cfg=cfg)
+    suites = run_suites([args.suite], seed=args.seed, cfg=args.cfg)
     overall = all(report.overall for _, reports in suites for report in reports)
     results = {
         "overall": overall,
@@ -448,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_USAGE
     try:
+        # the ascent's flags, checked for every command before its work
+        args.cfg = OptimizerConfig(
+            starts=args.starts, max_iters=args.iters, tol=args.tol, seed=args.seed
+        )
         return args.func(args)
     except SetFileError as exc:
         print(f"set file error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from cubequartic import additive, core
 from cubequartic.additive import (
     EXHAUSTIVE_LIMIT,
     GREEDY_LIMIT,
+    HereditaryResult,
     MultiplicityTable,
     PairIndex,
     _exhaustive_hereditary,
@@ -421,6 +423,12 @@ class TestSumset:
         with pytest.raises(DimensionMismatchError):
             sumset(SupportSet.sphere(3, 1), SupportSet.sphere(4, 1))
 
+    def test_pairs_past_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 8)
+        A = SupportSet.sphere(3, 1)
+        with pytest.raises(ResourceLimitError, match="sumset enumeration of 3x3 pairs"):
+            sumset(A, A)
+
     def test_empty_operand(self):
         B = SupportSet.sphere(3, 1)
         assert len(sumset(B, SupportSet(3, ()))) == 0
@@ -617,9 +625,25 @@ class TestHereditaryEnergy:
             SupportSet.from_masks(12, [int(m) for m in masks]),
             SupportSet.sphere(9, 3),
             SupportSet.ball(10, 2),
+            # the benchmark's greedy sets: S11_3, S14_2 and R14_72
+            SupportSet.sphere(11, 3),
+            SupportSet.sphere(14, 2),
+            SupportSet.from_masks(14, random.Random("0:14:72").sample(range(1 << 14), 72)),
         ]
         for A in sets:
             assert _greedy_hereditary(A.pairs) == greedy_rescan_oracle(A.pairs)
+
+    def test_greedy_never_picks_a_removed_row(self):
+        # updated like a live row, the first removed row's sum would be the
+        # least, so a sweep that fails to park it picks it again
+        A = SupportSet.from_masks(4, [1, 2, 4, 7, 8, 15])
+        index = A.pairs
+        row_sums = index.counts[index.inverse].sum(axis=1)
+        first = int(np.argmin(row_sums))
+        stale = row_sums - 3 * index.counts[index.inverse[first]] + 3
+        assert int(np.argmin(stale)) == first
+        got = _greedy_hereditary(index)
+        assert got == greedy_rescan_oracle(index) == ((1, 2, 4, 7), Fraction(4))
 
     def test_greedy_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))
@@ -674,6 +698,8 @@ class TestHereditaryEnergy:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             hereditary_energy(SupportSet(3, ()))
+        with pytest.raises(ValueError, match="non-empty subset"):
+            HereditaryResult(SupportSet(3, ()), Fraction(1), exact=True)
 
 
 class TestDyadicLevelSets:

@@ -23,6 +23,7 @@ from cubequartic.cli import (
     main,
     parse_set_file,
 )
+from cubequartic.core import SupportSet
 from cubequartic.errors import SetFileError
 from cubequartic.spheres import SphereParams, argmax_st
 
@@ -84,6 +85,16 @@ class TestParseSetFile:
     def test_bad_header(self, tmp_path):
         with pytest.raises(SetFileError, match="line 1"):
             parse_set_file(write(tmp_path, "m=3\n101\n"))
+
+    def test_non_ascii_file(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("n=3\n1\u00e901\n", encoding="utf-8")
+        with pytest.raises(SetFileError, match="not an ASCII set file"):
+            parse_set_file(str(path))
+
+    def test_zero_dimension_header(self, tmp_path):
+        with pytest.raises(SetFileError, match="line 1: dimension must be positive"):
+            parse_set_file(write(tmp_path, "n=0\n0\n"))
 
     def test_header_without_records(self, tmp_path):
         with pytest.raises(SetFileError, match="no records"):
@@ -290,6 +301,19 @@ class TestAnalyze:
         assert out == ""
         assert "invalid request: --exact-limit must be at least 0, got -1" in err
 
+    def test_bad_optimizer_values_exit_before_the_set_is_built(self, tmp_path, capsys, monkeypatch):
+        # sphere 22 11 passes the plan, and building it enumerates 705,432 masks
+        def refuse(*args, **kwargs):
+            raise AssertionError("the set was enumerated")
+
+        monkeypatch.setattr(SupportSet, "sphere", refuse)
+        path = write(tmp_path, "n=22\nsphere 22 11\n")
+        for flag in (["--tol", "nan"], ["--seed", "-1"], ["--starts", "-3"], ["--iters", "0"]):
+            code, out, err = run(capsys, ["analyze", path] + flag)
+            assert code == EXIT_USAGE, flag
+            assert out == ""
+            assert "invalid request" in err
+
     # the exact fields of the benchmark's sparse sets and S(11, 3): the pair
     # table, m(A) and the subset the greedy sweep keeps
     @pytest.mark.parametrize(
@@ -484,6 +508,20 @@ class TestSphereTable:
         code, _, err = run(capsys, ["sphere-table", "4", "5"])
         assert code == EXIT_USAGE
         assert "invalid request" in err
+
+    def test_bad_optimizer_flags_exit_usage_before_any_work(self, capsys, monkeypatch):
+        import cubequartic.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mass chain ran")
+
+        monkeypatch.setattr(cubequartic.cli, "mass_chain", refuse)
+        bad = (["--seed", "-1"], ["--starts", "-3"], ["--iters", "0"], ["--tol", "-1"], ["--tol", "nan"])
+        for flag in bad:
+            code, out, err = run(capsys, ["sphere-table", "10", "5"] + flag)
+            assert code == EXIT_USAGE, flag
+            assert out == ""
+            assert "invalid request" in err
 
     def test_csv_layout(self, capsys):
         _, out, _ = run(capsys, ["sphere-table", "4", "2", "--format", "csv"])

@@ -446,3 +446,27 @@ class TestPublicSurface:
         assert len(expected) == 4
         exec(compile(block, "README.md", "exec"), {})
         assert capsys.readouterr().out.splitlines() == expected
+
+
+class TestInputChecks:
+    """Each refusal of outside input, pinned by its message."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SupportSet(-1, ()), "dimension must be a non-negative integer"),
+            (lambda: CubeFunction(-2, []), "dimension must be a non-negative integer"),
+            (lambda: SupportSet(3, (2, 1)), "strictly increasing"),
+            (lambda: SupportSet.sphere(3, 4), "weight 4 out of range"),
+            (lambda: SupportSet.ball(3, -1), "weight -1 out of range"),
+            (lambda: SupportSet.span(3, [1, 8]), "generator 8 out of range"),
+            (lambda: SpectrumVector.uniform(SupportSet(3, ())), "empty set"),
+            (lambda: support_of(CubeFunction(1, [1.0, 0.0]), -1e-9), "non-negative"),
+        ],
+        ids=["set-dimension", "function-dimension", "unsorted", "sphere-radius",
+             "ball-radius", "span-generator", "uniform-empty", "negative-tolerance"],
+    )
+    def test_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+

@@ -30,6 +30,7 @@ from cubequartic.quartic import (
     AscentRun,
     BoundSet,
     OptimizerConfig,
+    SplitPair,
     big_f,
     decompose_last,
     mu_lower,
@@ -845,3 +846,17 @@ class TestCurve:
             pair = decompose_last(f)
             bound = split_bound(moments(pair.g0).ratio(), moments(pair.g1).ratio())
             assert moments(f).ratio() <= bound * (1.0 + 1e-10)
+
+
+class TestInputChecks:
+    def test_empty_set_is_refused(self):
+        empty = SupportSet(3, ())
+        with pytest.raises(ValueError, match="empty support"):
+            shkredov_matrix(empty, SpectrumVector(empty, []))
+        with pytest.raises(ValueError, match="no bounds for the empty set"):
+            mu_upper(empty)
+
+    def test_split_halves_must_share_a_dimension(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            SplitPair(CubeFunction(2, np.zeros(4)), CubeFunction(3, np.zeros(8)))
+

@@ -8,7 +8,7 @@ import pytest
 
 from cubequartic.additive import additive_energy, energy_ratio
 from cubequartic.core import CubeFunction, SpectrumVector, SupportSet
-from cubequartic.errors import ResourceLimitError
+from cubequartic.errors import DimensionMismatchError, ResourceLimitError
 from cubequartic.quartic import OptimizerConfig
 from cubequartic.reporting import ConjectureRecord
 from cubequartic.reports import (
@@ -359,3 +359,30 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suites(["spheres"])
+
+
+class TestInputChecks:
+    """Each refusal of a report's arguments, pinned by its message."""
+
+    def test_unknown_scan_status(self):
+        with pytest.raises(ValueError, match="unknown status 'maybe'"):
+            ConjectureRecord(4, 2, 1.0, Fraction(1), 0.0, 0.0, "maybe")
+
+    def test_restricted_mass_dimensions_must_match(self):
+        f = CubeFunction(3, np.ones(8))
+        with pytest.raises(DimensionMismatchError, match="n=3 but B on n=4"):
+            restricted_mass_check(f, SupportSet.sphere(4, 1), 0.5)
+
+    def test_sumset_bound_arguments(self):
+        B, C = SupportSet.sphere(4, 1), SupportSet.sphere(4, 2)
+        with pytest.raises(DimensionMismatchError, match="n=4 but C on n=5"):
+            sumset_bound_report(B, SupportSet.sphere(5, 1), 1, 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            sumset_bound_report(B, SupportSet(4, ()), 1, 1)
+        with pytest.raises(ValueError, match="C is not inside the ball of radius 1"):
+            sumset_bound_report(B, C, 1, 1)
+
+    def test_psi_envelope_needs_a_positive_n_max(self):
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            psi_envelope_report(0)
+
