@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .core import DEFAULT_DENSE_CAP, PairIndex, SpectrumVector, SupportSet
+from .core import DEFAULT_DENSE_CAP, MultiplicityTable, PairIndex, SpectrumVector, SupportSet
 from .errors import DimensionMismatchError, ResourceLimitError
 
 # the greedy removal sweep costs O(|A|^2) numpy work (its row sums once,
@@ -127,24 +127,6 @@ def plan(
     return Plan(kernel, pairs, convolution, hereditary)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicityTable:
-    """|M_x| for every x hit by A + A, in the layout of ``PairIndex``:
-    ``sums`` in increasing order (so sums[0] = 0) and ``counts[k]`` =
-    |M_x| for x = sums[k], both read-only arrays."""
-
-    sums: np.ndarray
-    counts: np.ndarray
-
-    def m_bound(self) -> int:
-        """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
-        return 1 + int(self.counts[1:].max(initial=0))
-
-    def energy(self) -> int:
-        """E2(A, A) = sum over x of |M_x|^2, in exact python ints."""
-        return sum(c * c for c in self.counts.tolist())
-
-
 def pair_multiplicities(
     A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP
 ) -> MultiplicityTable:
@@ -153,23 +135,23 @@ def pair_multiplicities(
     Two independent routes exist: direct pair enumeration (any n, cost
     |A|^2, read off ``A.pairs``) and dense XOR self-convolution (cost
     d 2^d for the affine rank d, read off ``A.convolution``); ``plan``
-    chooses.  Each is computed at most once per set.  When both run, the
+    chooses, and the table returned is the set's own.  When both run, the
     convolution cross-checks the enumeration before the table is returned.
     """
     if len(A) == 0:
         raise ValueError("pair multiplicities undefined for the empty set")
     route = plan(len(A), A.affine.rank, dense_cap)
     if not route.pairs:
-        return MultiplicityTable(*A.convolution)
+        return A.convolution
     index = A.pairs
     if route.convolution:
-        sums, counts = A.convolution
-        if not (np.array_equal(index.sums, sums) and np.array_equal(index.counts, counts)):
+        table = A.convolution
+        if not (np.array_equal(index.sums, table.sums) and np.array_equal(index.counts, table.counts)):
             raise RuntimeError(
                 "pair multiplicity cross-check failed between "
                 "enumeration and convolution"
             )
-    return MultiplicityTable(index.sums, index.counts)
+    return index
 
 
 def m_bound(A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
@@ -204,7 +186,7 @@ def sumset(B: SupportSet, C: SupportSet) -> SupportSet:
             f"sumset enumeration of {len(B)}x{len(C)} pairs exceeds the cap"
         )
     # sort and drop repeats: a bare np.unique would import numpy.ma
-    xors = np.sort((B.masks_array()[:, None] ^ C.masks_array()[None, :]).ravel())
+    xors = np.sort((B.masks[:, None] ^ C.masks[None, :]).ravel())
     fresh = np.concatenate(([True], xors[1:] != xors[:-1]))
     return SupportSet(B.n, tuple(xors[fresh].tolist()))
 
@@ -525,7 +507,7 @@ def dyadic_level_sets(y: SpectrumVector) -> LevelSetDecomposition:
     # a stable sort keeps each slice in mask order
     order = np.argsort(level, kind="stable")
     level = level[order]
-    masks = y.support.masks_array()[order].tolist()
+    masks = y.support.masks[order].tolist()
     bounds = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), size]
     slices = {int(level[lo]): tuple(masks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
     slices.pop(0, None)

@@ -25,7 +25,7 @@ from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
 from .reporting import BoundReport, Check, ConjectureRecord
 from .reports import conjecture_scan
-from .spheres import SphereParams, argmax_st, mass_chain, r_exact, sphere_table, t1
+from .spheres import SphereParams, argmax_st, r_exact, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_set_file", "SCHEMA_VERSION"]
@@ -93,10 +93,10 @@ def _read_set_file(path: str) -> tuple[int, int, Callable[[], SupportSet]]:
             )
         if not 0 <= dk <= dn:
             raise SetFileError(f"{path} line {no}: radius {dk} outside [0, {dn}]")
-        # a sphere with 0 < k < n spans the even-weight vectors, a ball with
-        # k >= 1 holds 0 and every unit vector, and a point has rank 0
         if parts[0] == "sphere":
-            return math.comb(n, dk), n - 1 if 0 < dk < n else 0, lambda: SupportSet.sphere(n, dk)
+            p = SphereParams(n, dk)
+            return p.size, p.rank, lambda: SupportSet.sphere(n, dk)
+        # a ball with k >= 1 holds 0 and every unit vector, and a point has rank 0
         size = sum(math.comb(n, j) for j in range(dk + 1))
         return size, n if dk else 0, lambda: SupportSet.ball(n, dk)
 
@@ -273,8 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sphere_table(args: argparse.Namespace) -> int:
     p = SphereParams(args.n, args.k)
-    chain = mass_chain(p)
-    selected = sphere_table(p, args.t_min or 0, args.t_max, chain=chain)
+    selected = sphere_table(p, args.t_min or 0, args.t_max)
     exact_mode = args.values == "exact"
 
     def render(value, name):
@@ -299,9 +298,9 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
         for row in selected
     ]
     footer = {
-        "total": render(r_exact(p, chain=chain), "total"),
+        "total": render(r_exact(p), "total"),
         "peak_location": t1(p),
-        "argmax": argmax_st(p, chain=chain),
+        "argmax": argmax_st(p),
     }
     if 2 * args.k <= args.n:
         footer["psi"] = psi_value(args.k / args.n)

@@ -57,6 +57,7 @@ __all__ = [
     "PAIR_ENUMERATION_LIMIT",
     "SupportSet",
     "AffineFrame",
+    "MultiplicityTable",
     "PairIndex",
     "CubeFunction",
     "SpectrumVector",
@@ -92,8 +93,9 @@ class SupportSet:
 
     Construct through :meth:`from_masks` (which sorts and rejects
     duplicates) or one of the named families below.  The set holds its
-    affine frame (``affine``), its pair index (``pairs``) and its
-    convolution table (``convolution``) once a reader asks for them.
+    mask array (``masks``), affine frame (``affine``), pair index
+    (``pairs``) and convolution table (``convolution``) once a reader asks
+    for them, each built once and read-only.
     """
 
     n: int
@@ -153,9 +155,6 @@ class SupportSet:
         i = bisect.bisect_left(self.elements, mask)
         return i < len(self.elements) and self.elements[i] == mask
 
-    def masks_array(self) -> np.ndarray:
-        return _mask_array(self.elements)
-
     def weights(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.elements)
 
@@ -178,50 +177,41 @@ class SupportSet:
         return CubeFunction(self.n, values)
 
     @cached_property
+    def masks(self) -> np.ndarray:
+        """The elements as int64, or as python ints (an object array) from
+        2^62 up."""
+        wide = len(self.elements) > 0 and self.elements[-1] >= 1 << 62
+        masks = np.asarray(self.elements, dtype=object if wide else np.int64)
+        masks.flags.writeable = False
+        return masks
+
+    @cached_property
     def pairs(self) -> "PairIndex":
-        """The pair index, built on first use and kept for the set's
-        lifetime (|A|^2 int64 entries); its readers share it, so its arrays
-        are read-only.  Refused past the cap before anything is allocated."""
+        """The pair index of ``masks`` (|A|^2 int64 entries).  Refused past
+        the cap before anything is allocated."""
         size = len(self.elements)
         if size * size > PAIR_ENUMERATION_LIMIT:
             raise ResourceLimitError(
                 f"pair stage: enumerating the {size * size} pairs of a "
                 f"{size}-element set exceeds the cap of {PAIR_ENUMERATION_LIMIT}"
             )
-        index = PairIndex.of(self.elements)
-        for array in (index.masks, index.sums, index.counts, index.inverse):
-            array.flags.writeable = False
-        return index
+        return PairIndex.of(self.masks)
 
     @cached_property
     def affine(self) -> "AffineFrame":
         """The smallest coset holding the set, with each element's
-        coordinates in it (see ``AffineFrame``); built on first use and
-        kept for the set's lifetime, so its coordinates are read-only."""
-        frame = _affine_frame(self.masks_array())
+        coordinates in it (see ``AffineFrame``)."""
+        frame = _affine_frame(self.masks)
         frame.coords.flags.writeable = False
         return frame
 
     @cached_property
-    def convolution(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sums, counts) of the dense XOR self-convolution, in the layout
-        of ``PairIndex``: the x with |M_x| > 0 in increasing order and
-        their |M_x|.  It runs over the 2^d points of the affine frame and
-        maps its sums back to masks.  Computed on first use and kept for
-        the set's lifetime; its readers share the arrays, so they are
-        read-only.  ``additive.plan`` decides whether it may run: the rank d
-        within the dense cap, and 2^d |A| at most 2^53 (see
-        ``_convolution_table``)."""
-        sums, counts = _convolution_table(self)
-        sums.flags.writeable = False
-        counts.flags.writeable = False
-        return sums, counts
-
-
-def _mask_array(masks: Sequence[int]) -> np.ndarray:
-    """Masks as int64, or as python ints (an object array) from 2^62 up."""
-    wide = len(masks) > 0 and max(masks) >= 1 << 62
-    return np.asarray(masks, dtype=object if wide else np.int64)
+    def convolution(self) -> "MultiplicityTable":
+        """The pair table from the dense XOR self-convolution over the 2^d
+        points of the affine frame.  ``additive.plan`` decides whether it
+        may run: the rank d within the dense cap, and 2^d |A| at most 2^53
+        (see ``_convolution_table``)."""
+        return _convolution_table(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,16 +285,35 @@ def _affine_frame(masks: np.ndarray) -> AffineFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class PairIndex:
-    """Every ordered pair of a set of masks, grouped by its XOR sum.
+class MultiplicityTable:
+    """|M_x| for every x hit by A + A: ``sums`` in increasing order (so
+    sums[0] = 0) and ``counts[k]`` = |M_x| for x = sums[k].  Its readers
+    share the arrays, so they are read-only."""
 
-    ``sums`` holds the distinct values of A + A in increasing order and
-    ``counts[k]`` = |M_x| for x = sums[k]; ``inverse[i, j]`` is the
-    position in ``sums`` of masks[i] ^ masks[j].  Building it costs one
-    pass over the |A|^2 pair sums, after which the pair table, the sparse
-    quartic kernel and the hereditary searches read it directly; a
-    support set builds its own once, as ``SupportSet.pairs``.  Masks are
-    int64, or python ints (object arrays) from 2^62 up.
+    sums: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    def m_bound(self) -> int:
+        """m(A) = 1 + max over x != 0 of |M_x|; 1 for singletons."""
+        return 1 + int(self.counts[1:].max(initial=0))
+
+    def energy(self) -> int:
+        """E2(A, A) = sum over x of |M_x|^2, in exact python ints."""
+        return sum(c * c for c in self.counts.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class PairIndex(MultiplicityTable):
+    """The pair table of a set of masks, from every ordered pair grouped
+    by its XOR sum; ``inverse[i, j]`` is the position in ``sums`` of
+    masks[i] ^ masks[j].  Building it costs one pass over the |A|^2 pair
+    sums, after which the pair table, the sparse quartic kernel and the
+    hereditary searches read it directly; a support set builds its own
+    once, as ``SupportSet.pairs``, from its ``masks``.
 
     The pass is a histogram of the sums when it is no longer than the
     list of pairs, i.e. 2^bitlen(max mask) <= |A|^2, and a sort
@@ -313,16 +322,14 @@ class PairIndex:
     """
 
     masks: np.ndarray
-    sums: np.ndarray
-    counts: np.ndarray
     inverse: np.ndarray
 
     @classmethod
-    def of(cls, masks: Sequence[int]) -> "PairIndex":
-        arr = _mask_array(masks)
-        size = len(arr)
-        xors = (arr[:, None] ^ arr[None, :]).ravel()
-        if size and arr.dtype != object and 1 << int(arr.max()).bit_length() <= size * size:
+    def of(cls, masks: np.ndarray) -> "PairIndex":
+        """The index of a sorted mask array, laid out as ``SupportSet.masks``."""
+        size = len(masks)
+        xors = (masks[:, None] ^ masks[None, :]).ravel()
+        if size and masks.dtype != object and 1 << int(masks.max()).bit_length() <= size * size:
             histogram = np.bincount(xors)
             sums = np.flatnonzero(histogram)
             counts = histogram[sums]
@@ -330,7 +337,7 @@ class PairIndex:
             inverse = (np.cumsum(histogram > 0) - 1)[xors]
         else:
             sums, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
-        return cls(arr, sums, counts, inverse.reshape(size, size))
+        return cls(sums, counts, masks, inverse.reshape(size, size))
 
     def energy(self) -> int:
         # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
@@ -398,6 +405,14 @@ class SpectrumVector:
             raise ValueError("cannot build the uniform vector on an empty set")
         return cls(support, np.full(size, 1.0 / math.sqrt(size)))
 
+    @classmethod
+    def unit_indicator(cls, support: SupportSet, subset: SupportSet) -> "SpectrumVector":
+        """The unit vector 1/sqrt(|B|) on a non-empty subset B of the support."""
+        coords = np.zeros(len(support))
+        # both sorted and B within the support, so this finds its positions
+        coords[np.searchsorted(support.masks, subset.masks)] = 1.0 / math.sqrt(len(subset))
+        return cls(support, coords)
+
     def norm_squared(self) -> float:
         return float(np.dot(self.coords, self.coords))
 
@@ -417,7 +432,7 @@ class SpectrumVector:
         """Synthesize the cube function with these coefficients."""
         _require_dense(self.support.n)
         dense = np.zeros(1 << self.support.n)
-        dense[self.support.masks_array()] = self.coords
+        dense[self.support.masks] = self.coords
         return synthesize(CubeFunction(self.support.n, dense))
 
 
@@ -466,7 +481,7 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
+def _convolution_table(A: SupportSet) -> MultiplicityTable:
     """|M_x| via the convolution theorem on the indicator of A, taken
     over the 2^d coordinates of its affine frame (rank d).
 
@@ -480,8 +495,7 @@ def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
     most 2^53 (checked by the caller) every sum is exact in float64, and
     the result is rounded to int64.  The translation cancels in a ^ b,
     so the coordinates of the sums map back to masks by the basis alone.
-    Returns (sums, counts) in the layout of ``PairIndex``; read it
-    through ``A.convolution``.
+    Read it through ``A.convolution``.
     """
     frame = A.affine
     ind = np.zeros(1 << frame.rank, dtype=np.float64)
@@ -497,7 +511,7 @@ def _convolution_table(A: SupportSet) -> tuple[np.ndarray, np.ndarray]:
     if remainder.any():
         # past the pair cap this is the only check of the convolution
         raise RuntimeError("pair stage: convolution output not divisible by 2^d")
-    return frame.linear_masks(sums), counts
+    return MultiplicityTable(frame.linear_masks(sums), counts)
 
 
 def analyze(f: CubeFunction) -> CubeFunction:

@@ -94,15 +94,22 @@ class MuEstimate:
     4.0e-13 above r(11,4) = 3736/33 (ROADMAP item 1, exact lower
     certificates).  converged reports whether the run that produced the
     best value met the stopping criterion rather than the iteration cap.
-    runs holds one record per start, in the order the starts ran.
+    runs holds one record per start, in the order the starts ran;
+    starts_used and iterations are counted from it.
     """
 
     value: float
     certificate: SpectrumVector
-    starts_used: int
-    iterations: int
     converged: bool
     runs: tuple[AscentRun, ...]
+
+    @property
+    def starts_used(self) -> int:
+        return len(self.runs)
+
+    @property
+    def iterations(self) -> int:
+        return sum(run.iterations for run in self.runs)
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def _pair_sums(support: SupportSet, coords: np.ndarray) -> np.ndarray:
     enumeration stays apart from ``PairIndex`` so that ``big_f`` checks
     the kernels by an independent route.
     """
-    arr = support.masks_array()
+    arr = support.masks
     xors = (arr[:, None] ^ arr[None, :]).ravel()
     weights = np.outer(coords, coords).ravel()
     _, inverse = np.unique(xors, return_inverse=True)
@@ -601,14 +608,12 @@ def mu_lower(
         raise ValueError("cannot optimise over an empty support")
     if size == 1 << A.affine.rank:
         run = AscentRun("uniform", float(size), 0, "stationary")
-        return MuEstimate(float(size), SpectrumVector.uniform(A), 1, 0, True, (run,))
+        return MuEstimate(float(size), SpectrumVector.uniform(A), True, (run,))
     sparse = plan(size, A.affine.rank, dense_cap).kernel == "sparse"
     kernel = _SparseKernel(A.pairs) if sparse else _DenseKernel(A)
     rng = random.Random(cfg.seed)
 
-    starts: list[tuple[str, np.ndarray]] = [
-        ("uniform", np.full(size, 1.0 / math.sqrt(size)))
-    ]
+    starts = [("uniform", SpectrumVector.uniform(A).coords)]
     for extra in extra_starts:
         if extra.support.elements != A.elements:
             raise ValueError("extra start support does not match the set")
@@ -642,21 +647,12 @@ def mu_lower(
     run(starts)
     # second phase: indicator starts on the dyadic slices of the leader
     slices = dyadic_level_sets(SpectrumVector(A, best_y))
-    level_starts: list[tuple[str, np.ndarray]] = []
-    masks = A.masks_array()
-    for _, level in slices.levels:
-        indicator = np.zeros(size)
-        # both sorted and the level within A, so this finds its positions
-        indicator[np.searchsorted(masks, level.masks_array())] = 1.0
-        level_starts.append(("level", indicator / math.sqrt(len(level))))
-    run(level_starts)
+    run([("level", SpectrumVector.unit_indicator(A, level).coords) for _, level in slices.levels])
 
     certificate = SpectrumVector(A, best_y).normalize()
     return MuEstimate(
         value=float(kernel.evaluate(certificate.coords[None])[0][0]),
         certificate=certificate,
-        starts_used=len(runs),
-        iterations=sum(r.iterations for r in runs),
         converged=best.converged,
         runs=tuple(runs),
     )

@@ -375,11 +375,7 @@ def bracket_report(A: SupportSet, cfg: OptimizerConfig | None = None) -> BoundRe
         raise ResourceLimitError("bracket_report caps |A| at 64")
     cfg = cfg or OptimizerConfig()
     hered = hereditary_energy(A)
-
-    coords = np.zeros(len(A))
-    coords[np.searchsorted(A.masks_array(), hered.best.masks_array())] = 1.0
-    start = SpectrumVector(A, coords / math.sqrt(len(hered.best)))
-
+    start = SpectrumVector.unit_indicator(A, hered.best)
     est = mu_lower(A, cfg, extra_starts=(start,))
     upper = mu_upper(A)
     mult = upper.multiplicity_bound
@@ -451,18 +447,17 @@ def conjecture_scan(
     worker threads only queued on it.
     """
     cfg = cfg or OptimizerConfig()
-    cells = [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
-    for n, k in cells:
-        # S(n, k) with 0 < k < n has affine rank n - 1
-        plan(math.comb(n, k), n - 1, dense_cap)
+    cells = [SphereParams(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
+    for p in cells:
+        plan(p.size, p.rank, dense_cap)
 
-    def run(cell: tuple[int, int]) -> ConjectureRecord:
-        n, k = cell
+    def run(p: SphereParams) -> ConjectureRecord:
+        n, k = p.n, p.k
         A = SupportSet.sphere(n, k)
         ratio = Fraction(
             pair_multiplicities(A, dense_cap=dense_cap).energy(), len(A) ** 2
         )
-        closed = r_exact(SphereParams(n, k))
+        closed = r_exact(p)
         if ratio != closed:
             raise RuntimeError(
                 f"energy-ratio routes disagree at (n={n}, k={k}): {ratio} vs {closed}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "SphereParams",
@@ -51,6 +52,16 @@ class SphereParams:
     @property
     def size(self) -> int:
         return math.comb(self.n, self.k)
+
+    @property
+    def rank(self) -> int:
+        """Affine rank: S(n, k) with 0 < k < n spans the even-weight vectors."""
+        return self.n - 1 if 0 < self.k < self.n else 0
+
+    @cached_property
+    def chain(self) -> tuple[int, ...]:
+        """``mass_chain``, built on first use and shared by every reader."""
+        return tuple(mass_chain(self))
 
 
 def s_t_exact(p: SphereParams, t: int) -> Fraction:
@@ -108,12 +119,9 @@ def mass_chain(p: SphereParams) -> list[int]:
     return chain
 
 
-def r_exact(p: SphereParams, *, chain: list[int] | None = None) -> Fraction:
-    """r(n, k) = sum_t s_t(n, k), exact; from ``chain`` when the caller
-    already holds ``mass_chain(p)``."""
-    if chain is None:
-        chain = mass_chain(p)
-    return Fraction(sum(chain), chain[0])
+def r_exact(p: SphereParams) -> Fraction:
+    """r(n, k) = sum_t s_t(n, k), exact, from ``p.chain``."""
+    return Fraction(sum(p.chain), p.chain[0])
 
 
 def t1(p: SphereParams) -> float:
@@ -129,12 +137,10 @@ def t1(p: SphereParams) -> float:
     return (3.0 * n - math.sqrt(float(n * n + 8 * (n - 2 * k) ** 2))) / 8.0
 
 
-def argmax_st(p: SphereParams, *, chain: list[int] | None = None) -> int:
-    """The t maximising s_t(n, k); smallest such t on exact ties.  From
-    ``chain`` when the caller already holds ``mass_chain(p)``."""
-    if chain is None:
-        chain = mass_chain(p)
-    return chain.index(max(chain))
+def argmax_st(p: SphereParams) -> int:
+    """The t maximising s_t(n, k); smallest such t on exact ties, from
+    ``p.chain``."""
+    return p.chain.index(max(p.chain))
 
 
 def sphere_sum_bound(k: int) -> int:
@@ -175,29 +181,23 @@ class SphereTableRow:
 
 
 def sphere_table(
-    p: SphereParams,
-    t_min: int = 0,
-    t_max: int | None = None,
-    *,
-    chain: list[int] | None = None,
+    p: SphereParams, t_min: int = 0, t_max: int | None = None
 ) -> list[SphereTableRow]:
     """Rows t = t_min .. t_max (clamped to 0 .. k) with masses, step
     ratios and partial sums; every row by default.
 
     The cumulative value of row k is exactly r(n, k); ratio_to_prev on
     row t is s_t/s_{t-1} (None at t = 0 and once s_{t-1} = 0).  Each
-    mass is N_t / N_0 from the integer chain ``mass_chain(p)``, which a
-    caller that already holds it passes as ``chain``, and the partial
-    sums are integer prefix sums over the same denominator, so only the
-    rows asked for build fractions; ``s_t_exact`` is the independent
-    route that tests compare them with.
+    mass is N_t / N_0 from the integer chain ``p.chain``, and the
+    partial sums are integer prefix sums over the same denominator, so
+    only the rows asked for build fractions; ``s_t_exact`` is the
+    independent route that tests compare them with.
     """
-    if chain is None:
-        chain = mass_chain(p)
+    chain = p.chain
     lo = max(0, t_min)
     hi = p.k if t_max is None else min(p.k, t_max)
     # masses past the chain are zero
-    numerators = chain + [0] * (p.k + 1 - len(chain))
+    numerators = chain + (0,) * (p.k + 1 - len(chain))
     running = sum(numerators[:lo])
     rows: list[SphereTableRow] = []
     for t in range(lo, hi + 1):

@@ -211,10 +211,10 @@ class TestPairMultiplicities:
         original = core._convolution_table
 
         def corrupted(A):
-            arrays = list(original(A))
-            arrays[part] = arrays[part].copy()
+            table = original(A)
+            arrays = [table.sums.copy(), table.counts.copy()]
             arrays[part][-1] += 1
-            return tuple(arrays)
+            return MultiplicityTable(*arrays)
 
         monkeypatch.setattr(core, "_convolution_table", corrupted)
         with pytest.raises(RuntimeError, match="cross-check failed"):
@@ -295,7 +295,7 @@ class TestPairIndex:
     def test_table_and_inverse_match_enumeration(self, rng):
         for _ in range(10):
             A = random_support(rng, 7, 30)
-            index = PairIndex.of(A.elements)
+            index = PairIndex.of(A.masks)
             assert _as_dict(index) == _pairs_table(A.elements)
             assert index.energy() == brute_energy(A.elements)
             for i, a in enumerate(A.elements):
@@ -320,9 +320,9 @@ class TestPairIndex:
             sets.append(SupportSet.from_masks(n, [int(m) for m in rng.choice(1 << n, size, replace=False)]))
         sides = set()
         for A in sets:
-            arr = A.masks_array()
+            arr = A.masks
             sides.add(1 << int(arr.max()).bit_length() <= len(A) ** 2)
-            index = PairIndex.of(A.elements)
+            index = PairIndex.of(A.masks)
             sums, inverse, counts = np.unique(
                 (arr[:, None] ^ arr[None, :]).ravel(), return_inverse=True, return_counts=True
             )
@@ -337,7 +337,7 @@ class TestPairIndex:
 
     def test_masks_beyond_int64(self):
         masks = (3, 1 << 62, (1 << 62) | 3, 1 << 70)
-        index = PairIndex.of(masks)
+        index = PairIndex.of(SupportSet(71, masks).masks)
         assert _as_dict(index) == _pairs_table(masks)
         assert _as_dict(pair_multiplicities(SupportSet(71, masks))) == _pairs_table(masks)
 
@@ -478,7 +478,7 @@ class TestHereditaryEnergy:
     def test_exhaustive_matches_gray_code_oracle(self, rng):
         for _ in range(240):
             A = random_support(rng, int(rng.integers(1, 10)), 14)
-            got = _exhaustive_hereditary(PairIndex.of(A.elements))
+            got = _exhaustive_hereditary(PairIndex.of(A.masks))
             assert got == exhaustive_hereditary_oracle(A.elements)
 
     def test_exhaustive_tie_prefers_smaller_then_earlier(self):
@@ -486,7 +486,7 @@ class TestHereditaryEnergy:
         tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
         expected = ((1, 4, 10, 15), Fraction(4))
         assert exhaustive_hereditary_oracle(tie) == expected
-        assert _exhaustive_hereditary(PairIndex.of(tie)) == expected
+        assert _exhaustive_hereditary(PairIndex.of(SupportSet(5, tie).masks)) == expected
         res = hereditary_energy(SupportSet(5, tie))
         assert res.exact and (res.best.elements, res.ratio) == expected
 
@@ -500,7 +500,7 @@ class TestHereditaryEnergy:
                 pick = rng.choice(len(S), size=min(len(S), 11), replace=False)
                 sets.append(SupportSet(n, tuple(sorted(S[i] for i in pick))))
         for A in sets:
-            bounds = _fill_bounds(PairIndex.of(A.elements))
+            bounds = _fill_bounds(PairIndex.of(A.masks))
             brute = fill_bound_oracle(A.elements)
             assert len(bounds) == len(brute)
             assert all(u >= b for u, b in zip(bounds, brute)), A.elements
@@ -518,7 +518,7 @@ class TestHereditaryEnergy:
         ]
         held = []
         for A in sets:
-            if _full_set_is_best(PairIndex.of(A.elements)):
+            if _full_set_is_best(PairIndex.of(A.masks)):
                 held.append(len(A))
                 expected = (A.elements, Fraction(brute_energy(A.elements), len(A) ** 2))
                 assert exhaustive_hereditary_oracle(A.elements) == expected
@@ -546,7 +546,7 @@ class TestHereditaryEnergy:
 
     def test_exhaustive_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 13)))
-        index = PairIndex.of(masks)
+        index = PairIndex.of(SupportSet(64, masks).masks)
         assert index.masks.dtype == object
         assert _exhaustive_hereditary(index) == exhaustive_hereditary_oracle(masks)
 
@@ -558,7 +558,7 @@ class TestHereditaryEnergy:
         monkeypatch.setattr(additive, "_BLOCK_ENTRIES", block)
         masks = (0, 3, 5, 6, 9, 12, 17, 20, 23, 26, 29, 30)
         for size in range(1, len(masks) + 1):
-            got = _exhaustive_hereditary(PairIndex.of(masks[:size]))
+            got = _exhaustive_hereditary(PairIndex.of(SupportSet(5, masks[:size]).masks))
             assert got == exhaustive_hereditary_oracle(masks[:size])
 
     def test_energy_from_zero_quadruples_matches_pair_table(self, rng):
@@ -566,7 +566,7 @@ class TestHereditaryEnergy:
         for _ in range(40):
             A = random_support(rng, int(rng.integers(2, 8)), 16)
             m = len(A)
-            quads = additive._zero_quadruples(PairIndex.of(A.elements))
+            quads = additive._zero_quadruples(PairIndex.of(A.masks))
             codes = [(1 << m) - 1] + [int(c) for c in rng.integers(1, 1 << m, 8)]
             for code in codes:
                 B = [A.elements[i] for i in range(m) if code >> (m - 1 - i) & 1]
@@ -607,11 +607,11 @@ class TestHereditaryEnergy:
     def test_greedy_matches_dict_oracle(self, rng):
         for _ in range(240):
             A = random_support(rng, int(rng.integers(2, 10)), 48)
-            got = _greedy_hereditary(PairIndex.of(A.elements))
+            got = _greedy_hereditary(PairIndex.of(A.masks))
             assert got == greedy_hereditary_oracle(A.elements)
         # the full set and a 4-element coset tie at ratio 4: the earlier wins
         tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
-        assert _greedy_hereditary(PairIndex.of(tie)) == (tie, Fraction(4))
+        assert _greedy_hereditary(PairIndex.of(SupportSet(5, tie).masks)) == (tie, Fraction(4))
         assert greedy_hereditary_oracle(tie) == (tie, Fraction(4))
         # 106 elements, where every round rescores many rows
         B = SupportSet.ball(14, 2)
@@ -647,7 +647,7 @@ class TestHereditaryEnergy:
 
     def test_greedy_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))
-        assert _greedy_hereditary(PairIndex.of(masks)) == greedy_hereditary_oracle(masks)
+        assert _greedy_hereditary(PairIndex.of(SupportSet(65, masks).masks)) == greedy_hereditary_oracle(masks)
 
     def test_large_set_skips_greedy(self):
         A = SupportSet.sphere(12, 4)

@@ -510,12 +510,12 @@ class TestSphereTable:
         assert "invalid request" in err
 
     def test_bad_optimizer_flags_exit_usage_before_any_work(self, capsys, monkeypatch):
-        import cubequartic.cli
+        import cubequartic.spheres
 
         def refuse(*args, **kwargs):
             raise AssertionError("the mass chain ran")
 
-        monkeypatch.setattr(cubequartic.cli, "mass_chain", refuse)
+        monkeypatch.setattr(cubequartic.spheres, "mass_chain", refuse)
         bad = (["--seed", "-1"], ["--starts", "-3"], ["--iters", "0"], ["--tol", "-1"], ["--tol", "nan"])
         for flag in bad:
             code, out, err = run(capsys, ["sphere-table", "10", "5"] + flag)

@@ -236,11 +236,11 @@ class TestSupportSetPairs:
         monkeypatch.setattr(core, "_convolution_table", counted)
         A = SupportSet.sphere(5, 2)
         assert A.convolution is A.convolution
-        sums, counts = A.convolution
-        assert np.array_equal(sums, A.pairs.sums)
-        assert np.array_equal(counts, A.pairs.counts)
+        table = A.convolution
+        assert np.array_equal(table.sums, A.pairs.sums)
+        assert np.array_equal(table.counts, A.pairs.counts)
         assert convolved == [10]
-        for array in (sums, counts):
+        for array in (table.sums, table.counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -259,11 +259,11 @@ class TestSupportSetPairs:
         generators = [1 << i | (7 * i % (1 << (n - dim))) << dim for i in range(dim)]
         V = SupportSet.span(n, generators)
         assert len(V) == 1 << dim
-        sums, counts = V.convolution
+        table = V.convolution
         assert transformed == [np.float64, np.float64]
-        assert sums.dtype == counts.dtype == np.int64
-        assert np.array_equal(sums, V.masks_array())
-        assert np.array_equal(counts, np.full(len(V), len(V)))
+        assert table.sums.dtype == table.counts.dtype == np.int64
+        assert np.array_equal(table.sums, V.masks)
+        assert np.array_equal(table.counts, np.full(len(V), len(V)))
 
 
 def rank_oracle(masks) -> int:
@@ -354,10 +354,10 @@ class TestAffineFrame:
         monkeypatch.setattr(core, "walsh_transform", recorded)
         for A in self.sets(rng):
             lengths.clear()
-            sums, counts = A.convolution
+            table = A.convolution
             assert lengths == [1 << A.affine.rank] * 2
-            assert np.array_equal(sums, A.pairs.sums)
-            assert np.array_equal(counts, A.pairs.counts)
+            assert np.array_equal(table.sums, A.pairs.sums)
+            assert np.array_equal(table.counts, A.pairs.counts)
 
 
 class TestSpectrumVector:

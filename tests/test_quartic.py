@@ -185,7 +185,7 @@ class TestKernels:
     def test_sparse_matches_dense(self, rng):
         sets = self.SETS + [random_support(rng, n, 40) for n in (4, 6, 8, 10)]
         for A in sets:
-            sparse = _SparseKernel(PairIndex.of(A.elements))
+            sparse = _SparseKernel(PairIndex.of(A.masks))
             dense = _DenseKernel(A)
             # one stack of three vectors, compared row by row
             y = rng.standard_normal((3, len(A)))
@@ -247,7 +247,7 @@ class TestAffineInvariance:
 
 
 def both_kernels(A):
-    return _SparseKernel(PairIndex.of(A.elements)), _DenseKernel(A)
+    return _SparseKernel(PairIndex.of(A.masks)), _DenseKernel(A)
 
 
 def circle_quartic(coefficients, theta):

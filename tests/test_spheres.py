@@ -277,16 +277,17 @@ class TestTable:
         assert sphere_table(p)[-1].cumulative == r_exact(p)
 
     def test_row_range_and_footer_match_the_full_table(self):
-        # the printed window of the CLI, clamped to 0..k, from a given chain
+        # the printed window of the CLI, clamped to 0..k, from the chain of
+        # one SphereParams
         for n, k in ((9, 4), (12, 9), (30, 20), (1, 1)):
+            full = sphere_table(SphereParams(n, k))
             p = SphereParams(n, k)
-            full = sphere_table(p)
             for lo, hi in ((0, None), (2, 3), (-4, 1), (3, 99), (5, 2)):
-                window = sphere_table(p, lo, hi, chain=mass_chain(p))
+                window = sphere_table(p, lo, hi)
                 assert window == [row for row in full if lo <= row.t <= (k if hi is None else hi)]
             # the footer's total and argmax from the same chain
-            assert r_exact(p, chain=mass_chain(p)) == full[-1].cumulative
-            assert argmax_st(p, chain=mass_chain(p)) == max(full, key=lambda row: row.mass).t
+            assert r_exact(p) == full[-1].cumulative
+            assert argmax_st(p) == max(full, key=lambda row: row.mass).t
 
     def test_ratio_column_consistent(self):
         rows = sphere_table(SphereParams(9, 4))
