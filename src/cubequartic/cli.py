@@ -228,6 +228,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ratio = Fraction(energy, len(A) ** 2)
     hered = hereditary_energy(A, exact_limit=args.exact_limit, certificate=est.certificate)
     total = 1 << A.n
+    try:
+        ratio_bound = total / upper.best
+    except OverflowError:
+        # 2^n from n = 1024 up is past float range: the exact quotient
+        ratio_bound = _exact(total / Fraction(upper.best))
     results = {
         "set": {"n": A.n, "size": len(A), "affine_rank": A.affine.rank},
         "mu_lower": {
@@ -255,7 +260,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
         "uncertainty": {
             "support_lower_bound_counting": _exact(Fraction(total, len(A))),
-            "support_lower_bound_ratio": total / upper.best,
+            "support_lower_bound_ratio": ratio_bound,
             "support_lower_bound_multiplicity": _exact(
                 Fraction(total, mult)
             ),
@@ -431,15 +436,21 @@ def main(argv: list[str] | None = None) -> int:
         ("--threads", args.threads, 1),
         ("--dense-cap", args.dense_cap, 0),
         ("--exact-limit", args.exact_limit, 0),
+        ("--seed", args.seed, 0),
+        ("--starts", args.starts, 0),
+        ("--iters", args.iters, 1),
+        ("--tol", args.tol, 0),
     ):
-        if value < least:
+        # NaN fails both comparisons and infinity the second
+        if not least <= value < math.inf:
+            finite = "finite and " if isinstance(value, float) else ""
             print(
-                f"invalid request: {flag} must be at least {least}, got {value}",
+                f"invalid request: {flag} must be {finite}at least {least}, got {value}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
     try:
-        # the ascent's flags, checked for every command before its work
+        # the flags are checked above, so for every command before its work
         args.cfg = OptimizerConfig(
             starts=args.starts, max_iters=args.iters, tol=args.tol, seed=args.seed
         )

@@ -205,6 +205,18 @@ class TestPairMultiplicities:
         assert table[0] == 31
         assert table[3] == 2
 
+    def test_returns_the_sets_own_table(self, monkeypatch):
+        # no wrapper: the pair index within the pair cap, and past it the
+        # convolution table
+        A = SupportSet.sphere(6, 2)
+        assert pair_multiplicities(A) is A.pairs
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 99)
+        B = SupportSet.sphere(6, 2)
+        table = pair_multiplicities(B)
+        assert table is B.convolution
+        assert type(table) is MultiplicityTable
+        assert (table.energy(), table.m_bound()) == (A.pairs.energy(), A.pairs.m_bound())
+
     @pytest.mark.parametrize("part", [0, 1])
     def test_cross_check_catches_a_wrong_convolution(self, monkeypatch, part):
         # one wrong sum or one wrong count fails the comparison

@@ -179,6 +179,19 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert results["set"]["size"] == 3
 
+    def test_ratio_bound_past_float_range_is_exact(self, tmp_path, capsys):
+        # 2^n from n = 1024 up is past float range, so the support bound
+        # 2^n / best prints as an exact rational string
+        three = write(tmp_path, records(1024, [1, 1 << 1023, (1 << 1024) - 1]), "three.txt")
+        sphere = write(tmp_path, "n=1030\nsphere 1030 1\n", "sphere.txt")
+        for argv in ([three], [sphere, "--starts", "2"]):
+            code, out, _ = run(capsys, ["analyze"] + argv)
+            assert code == EXIT_OK, argv
+            results = json.loads(out)["results"]
+            n = results["set"]["n"]
+            bound = results["uncertainty"]["support_lower_bound_ratio"]
+            assert Fraction(bound) == (1 << n) / Fraction(results["mu_upper"]["best"])
+
     def test_set_file_error_exit(self, tmp_path, capsys):
         path = write(tmp_path, "n=3\n10\n")
         code, out, err = run(capsys, ["analyze", path])
@@ -312,7 +325,8 @@ class TestAnalyze:
             code, out, err = run(capsys, ["analyze", path] + flag)
             assert code == EXIT_USAGE, flag
             assert out == ""
-            assert "invalid request" in err
+            assert f"invalid request: {flag[0]} must be" in err
+            assert f"got {flag[1]}" in err
 
     # the exact fields of the benchmark's sparse sets and S(11, 3): the pair
     # table, m(A) and the subset the greedy sweep keeps
@@ -521,7 +535,11 @@ class TestSphereTable:
             code, out, err = run(capsys, ["sphere-table", "10", "5"] + flag)
             assert code == EXIT_USAGE, flag
             assert out == ""
-            assert "invalid request" in err
+            assert f"invalid request: {flag[0]} must be" in err
+            assert f"got {flag[1]}" in err
+        code, _, err = run(capsys, ["sphere-table", "10", "5", "--tol", "inf"])
+        assert code == EXIT_USAGE
+        assert "invalid request: --tol must be finite and at least 0, got inf" in err
 
     def test_csv_layout(self, capsys):
         _, out, _ = run(capsys, ["sphere-table", "4", "2", "--format", "csv"])

@@ -219,9 +219,16 @@ class TestSupportSetPairs:
         with pytest.raises(ResourceLimitError, match="pair stage"):
             A.pairs
 
+    def test_index_shares_the_sets_mask_array(self):
+        for A in (SupportSet.sphere(5, 2), SupportSet(71, (3, 1 << 62, 1 << 70))):
+            assert A.masks is A.masks
+            assert A.pairs.masks is A.masks
+            assert A.masks.tolist() == list(A.elements)
+
     def test_shared_arrays_are_read_only(self):
-        index = SupportSet.sphere(4, 2).pairs
-        for array in (index.masks, index.sums, index.counts, index.inverse):
+        A = SupportSet.sphere(4, 2)
+        index = A.pairs
+        for array in (A.masks, index.masks, index.sums, index.counts, index.inverse):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 

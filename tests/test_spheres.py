@@ -203,6 +203,29 @@ class TestIntegerChain:
     def test_large_cell(self):
         self.assert_matches_masses(2048, 1024)
 
+    def test_chain_built_once_per_params(self, monkeypatch):
+        import cubequartic.spheres
+
+        built = []
+
+        def counted(p):
+            built.append(p)
+            return mass_chain(p)
+
+        monkeypatch.setattr(cubequartic.spheres, "mass_chain", counted)
+        p = SphereParams(30, 12)
+        assert r_exact(p) == sphere_table(p)[-1].cumulative
+        assert argmax_st(p) == max(sphere_table(p, 5, 9), key=lambda row: row.mass).t
+        assert p.chain is p.chain
+        assert built == [p]
+
+    def test_size_and_rank(self):
+        for n in range(1, 12):
+            for k in range(n + 1):
+                p = SphereParams(n, k)
+                A = SupportSet.sphere(n, k)
+                assert (p.size, p.rank) == (len(A), A.affine.rank), (n, k)
+
     def test_a_fractional_mass_raises(self, monkeypatch):
         # a wrong ratio factor leaves a remainder; the check survives -O
         import cubequartic.spheres
