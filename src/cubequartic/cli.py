@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
 
@@ -23,8 +24,7 @@ from .asymptotics import psi_value
 from .core import DEFAULT_DENSE_CAP, SupportSet
 from .errors import CubeQuarticError, ResourceLimitError, SetFileError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
-from .reporting import BoundReport, Check, ConjectureRecord
-from .reports import conjecture_scan
+from .reports import BoundReport, conjecture_scan
 from .spheres import SphereParams, argmax_st, r_exact, sphere_table, t1
 from .suites import SUITE_NAMES, run_suites
 
@@ -120,14 +120,23 @@ def _read_set_file(path: str) -> tuple[int, int, Callable[[], SupportSet]]:
 
 # --- serialization -----------------------------------------------------
 
+def _decimal(value: int) -> str:
+    """The decimal digits of an int of any length.  Decimal converts past
+    the interpreter's int-to-str digit limit, which is left as it was."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def _exact(value):
     """Exact values as strings, floats and small ints as themselves."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     if isinstance(value, int):
-        return value if abs(value) < _EXACT_INT_LIMIT else str(value)
+        return value if abs(value) < _EXACT_INT_LIMIT else _decimal(value)
     if isinstance(value, float):
         return value
     if isinstance(value, str):
@@ -139,26 +148,12 @@ def _exact(value):
     return str(value)
 
 
-def _check_payload(check: Check) -> dict:
-    # the keys follow the dataclass fields; vars() shares them, where
-    # dataclasses.asdict would deep-copy each value
-    return {**vars(check), "lhs": _exact(check.lhs), "rhs": _exact(check.rhs)}
-
-
 def _report_payload(report: BoundReport) -> dict:
     return {
         "subject": report.subject,
         "overall": report.overall,
-        "checks": [_check_payload(c) for c in report.checks],
+        "checks": [_exact(vars(c)) for c in report.checks],
         "notes": list(report.notes),
-    }
-
-
-def _record_payload(record: ConjectureRecord) -> dict:
-    return {
-        **vars(record),
-        "energy_ratio": _exact(record.energy_ratio),
-        "certificate": list(record.certificate) if record.certificate is not None else None,
     }
 
 
@@ -330,7 +325,7 @@ def cmd_sphere_table(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     records = conjecture_scan(args.n_max, args.cfg, dense_cap=args.dense_cap)
-    results = {"records": [_record_payload(r) for r in records]}
+    results = {"records": [_exact(vars(r)) for r in records]}
     document = _document(
         "scan",
         args,

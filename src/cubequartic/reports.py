@@ -1,23 +1,29 @@
-"""Cross-checked inequality reports tying the exact combinatorics to the
-dense pipeline and the optimizer.
+"""The verification layer: check records and the reports that fill them.
+
+A Check stores one inequality or identity instance with the values that
+were compared.  Hard checks decide the overall verdict of a report;
+soft checks are informational (empirical constants, ratios the source
+bounds only asymptotically) and never fail a report.
 
 Every report computes both sides of its inequalities through routes that
 share as little code as possible (integer counting vs transforms vs the
 ascent), so a hard failure localises a defect instead of rounding noise.
 Comparisons against the irrational peak location (3n - sqrt(D))/8 are done
 by isolating the radical and squaring, keeping those checks in integer
-arithmetic end to end.
+arithmetic end to end.  The shape reports of psi, r(x) and phi walk a
+fixed grid on (0, 1/2).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .additive import additive_energy, hereditary_energy, pair_multiplicities, plan, sumset
-from .asymptotics import psi_value
+from .asymptotics import TWO_LOG2_3, phi, phi_derivative, psi_value, r_of_x
 from .core import (
     DEFAULT_DENSE_CAP,
     CubeFunction,
@@ -29,19 +35,13 @@ from .core import (
 )
 from .errors import DimensionMismatchError, ResourceLimitError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
-from .reporting import (
-    BoundReport,
-    Check,
-    ConjectureRecord,
-    check_close,
-    check_ge,
-    check_le,
-    check_lt,
-    soft_note,
-)
 from .spheres import SphereParams, argmax_st, r_exact, ratio_st, sphere_table, t1
 
+# the check constructors (check_le, ...) are helpers, not part of the API
 __all__ = [
+    "Check",
+    "BoundReport",
+    "ConjectureRecord",
     "uncertainty_report",
     "restricted_mass_check",
     "sumset_bound_report",
@@ -52,15 +52,109 @@ __all__ = [
     "energy_lowerbound_step_check",
     "sphere_ratio_report",
     "psi_envelope_report",
+    "psi_concavity_check",
+    "psi_linear_bound_check",
+    "r_identity_check",
+    "phi_derivative_report",
     "log2_fraction",
 ]
 
+# values at most this fraction of the largest |value| count as zero, in
+# point space and in the spectrum alike, so every report is scale-free
 _SUPPORT_TOL = 1e-10
 
 # Reporting constant standing in for the unspecified absolute factor of the
 # hereditary-energy refinements; used by soft checks only.
 _SOFT_CONSTANT = 16.0
 
+
+# --- records ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """One verified relation lhs <relation> rhs."""
+
+    name: str
+    lhs: object
+    relation: str
+    rhs: object
+    passed: bool
+    hard: bool = True
+    provenance: str = ""
+    detail: str = ""
+
+
+# each constructor passes hard, provenance and detail on to the Check
+def check_le(name: str, lhs, rhs, *, slack=0, **fields) -> Check:
+    """lhs <= rhs + slack; exact when both sides are exact types."""
+    return Check(name, lhs, "<=", rhs, bool(lhs <= rhs + slack), **fields)
+
+
+def check_ge(name: str, lhs, rhs, *, slack=0, **fields) -> Check:
+    return Check(name, lhs, ">=", rhs, bool(lhs >= rhs - slack), **fields)
+
+
+def check_lt(name: str, lhs, rhs, **fields) -> Check:
+    return Check(name, lhs, "<", rhs, bool(lhs < rhs), **fields)
+
+
+def check_close(name: str, lhs: float, rhs: float, *, tol: float, relative=False, **fields) -> Check:
+    """|lhs - rhs| <= tol, optionally scaled by max(1, |lhs|, |rhs|)."""
+    scale = max(1.0, abs(lhs), abs(rhs)) if relative else 1.0
+    return Check(name, lhs, "~=", rhs, bool(abs(lhs - rhs) <= tol * scale), **fields)
+
+
+def soft_note(name: str, value, **fields) -> Check:
+    """A report-only observation; always 'passes'."""
+    return Check(name, value, "reported", None, True, False, **fields)
+
+
+@dataclass
+class BoundReport:
+    """A named bundle of checks about one subject."""
+
+    subject: str
+    checks: list[Check] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.checks if c.hard)
+
+    def failed_checks(self) -> list[Check]:
+        return [c for c in self.checks if c.hard and not c.passed]
+
+
+@dataclass(frozen=True)
+class ConjectureRecord:
+    """One (n, k) cell of the sphere-maximiser scan.
+
+    gap = mu_est - energy_ratio must stay >= -1e-8: the optimiser is
+    seeded with the uniform vector whose value IS the energy ratio, so
+    falling measurably below it indicates a broken estimator.  A large
+    positive gap would be a counterexample candidate for the
+    uniform-maximiser conjecture and keeps its certificate for audit.
+    """
+
+    n: int
+    k: int
+    mu_est: float
+    energy_ratio: Fraction
+    gap: float
+    upper_gap: float
+    status: str
+    certificate: tuple[float, ...] | None = None
+
+    CONSISTENT = "conjecture-consistent"
+    CANDIDATE = "counterexample-candidate"
+    INCONCLUSIVE = "inconclusive"
+
+    def __post_init__(self) -> None:
+        if self.status not in (self.CONSISTENT, self.CANDIDATE, self.INCONCLUSIVE):
+            raise ValueError(f"unknown status {self.status!r}")
+
+
+# --- reports ---------------------------------------------------------
 
 def _nonzero_values(f: CubeFunction) -> np.ndarray:
     values = np.asarray(f.values, dtype=float)
@@ -69,9 +163,23 @@ def _nonzero_values(f: CubeFunction) -> np.ndarray:
     return values
 
 
-def _time_support(values: np.ndarray, tol: float) -> int:
-    cutoff = tol * float(np.max(np.abs(values)))
+def _time_support(values: np.ndarray) -> int:
+    cutoff = _SUPPORT_TOL * float(np.max(np.abs(values)))
     return int(np.count_nonzero(np.abs(values) > cutoff))
+
+
+def _spectral_support(f: CubeFunction) -> SupportSet:
+    spectrum = analyze(f)
+    return support_of(spectrum, _SUPPORT_TOL * float(np.max(np.abs(spectrum.values))))
+
+
+def _not_applicable(report: BoundReport, value, gate: str, limit) -> BoundReport:
+    """Close a report whose instance fails its applicability gate."""
+    report.checks.append(
+        soft_note("not applicable", value, provenance=f"gate: {gate}", detail=f"needs <= {limit}")
+    )
+    report.notes.append("instance outside the admissible range; nothing is claimed")
+    return report
 
 
 def log2_fraction(q: Fraction) -> float:
@@ -91,8 +199,8 @@ def uncertainty_report(f: CubeFunction) -> BoundReport:
     """
     values = _nonzero_values(f)
     n = f.n
-    A = support_of(analyze(f), _SUPPORT_TOL)
-    supp_f = _time_support(values, _SUPPORT_TOL)
+    A = _spectral_support(f)
+    supp_f = _time_support(values)
     total = 1 << n
 
     report = BoundReport(subject=f"uncertainty bounds, n={n}, |spectral support|={len(A)}")
@@ -159,22 +267,15 @@ def restricted_mass_check(f: CubeFunction, B: SupportSet, delta: float) -> Bound
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     n = f.n
-    A = support_of(analyze(f), _SUPPORT_TOL)
+    A = _spectral_support(f)
     upper = mu_upper(A)
     gate = 2.0 ** ((1.0 - delta) * n)
 
     report = BoundReport(subject=f"restricted mass, n={n}, |B|={len(B)}, delta={delta}")
     if upper.best * len(B) > gate:
-        report.checks.append(
-            soft_note(
-                "not applicable",
-                upper.best * len(B),
-                provenance="gate: ratio bound times |B| within 2^((1-delta)n)",
-                detail=f"needs <= {gate}",
-            )
+        return _not_applicable(
+            report, upper.best * len(B), "ratio bound times |B| within 2^((1-delta)n)", gate
         )
-        report.notes.append("instance outside the admissible range; nothing is claimed")
-        return report
 
     mean_sq = float(np.mean(values**2))
     if len(B):
@@ -343,11 +444,11 @@ def tensorization_check(f: CubeFunction, m: int) -> BoundReport:
         )
     )
     if np.any(base):
-        A = support_of(analyze(f), _SUPPORT_TOL)
+        A = _spectral_support(f)
         degrees = set(A.weights())
         if len(degrees) == 1:
             k = degrees.pop()
-            big_support = support_of(analyze(big), _SUPPORT_TOL)
+            big_support = _spectral_support(big)
             big_degrees = sorted(set(big_support.weights()))
             report.checks.append(
                 Check(
@@ -499,22 +600,15 @@ def energy_lowerbound_step_check(f: CubeFunction, C_val: float) -> BoundReport:
     density scale of E2(A)/|A|^3 is existence-level and reported soft.
     """
     values = _nonzero_values(f)
-    A = support_of(analyze(f), _SUPPORT_TOL)
-    supp_f = _time_support(values, _SUPPORT_TOL)
+    A = _spectral_support(f)
+    supp_f = _time_support(values)
     total = 1 << f.n
 
     report = BoundReport(subject=f"compressed-spectrum energy, n={f.n}, |A|={len(A)}")
     if supp_f * len(A) > C_val * total:
-        report.checks.append(
-            soft_note(
-                "not applicable",
-                supp_f * len(A),
-                provenance="gate: support product within C * 2^n",
-                detail=f"needs <= {C_val * total}",
-            )
+        return _not_applicable(
+            report, supp_f * len(A), "support product within C * 2^n", C_val * total
         )
-        report.notes.append("instance outside the admissible range; nothing is claimed")
-        return report
 
     hered = hereditary_energy(A)
     e_a = additive_energy(A)
@@ -753,4 +847,172 @@ def psi_envelope_report(n_max: int = 256) -> BoundReport:
         )
     else:
         report.notes.append("no cells with k >= 8; reverse direction not exercised")
+    return report
+
+
+# --- shape of psi, r(x) and phi on a fixed grid ---------------------
+
+_GRID_STEP = 1e-3
+_GRID = [i * _GRID_STEP for i in range(1, 500)]
+
+
+def psi_concavity_check() -> BoundReport:
+    """Strict concavity of psi plus its two slope anchors.
+
+    Hard checks: every central second difference on the interior grid
+    is negative; the one-sided slope near 1/2 vanishes; the slope near
+    0 approaches 2 log2(3).
+    """
+    report = BoundReport(subject=f"psi concavity on grid step {_GRID_STEP}")
+    h = _GRID_STEP
+    worst_x, worst = None, -math.inf
+    for x in _GRID:
+        second = psi_value(x + h) - 2.0 * psi_value(x) + psi_value(x - h)
+        if second > worst:
+            worst_x, worst = x, second
+    report.checks.append(
+        check_lt(
+            "max central second difference",
+            worst,
+            0.0,
+            provenance="strict concavity of the exponent function",
+            detail=f"worst grid point x={worst_x}",
+        )
+    )
+    slope_half = (psi_value(0.5) - psi_value(0.4999)) / 0.0001
+    report.checks.append(
+        check_close(
+            "slope at 1/2",
+            slope_half,
+            0.0,
+            tol=1e-3,
+            provenance="stationary point of psi at one half",
+        )
+    )
+    x0 = 1e-4
+    slope_zero = (psi_value(2.0 * x0) - psi_value(x0)) / x0
+    report.checks.append(
+        check_close(
+            "slope at 0+",
+            slope_zero,
+            TWO_LOG2_3,
+            tol=5e-3,
+            provenance="limiting slope 2 log2(3) of psi at zero",
+        )
+    )
+    return report
+
+
+def psi_linear_bound_check() -> BoundReport:
+    """psi(x) < min(2 log2(3) x, 1) strictly inside, equality at ends."""
+    report = BoundReport(subject=f"psi linear bound on grid step {_GRID_STEP}")
+    margin = math.inf
+    argmin = None
+    for x in _GRID:
+        gap = min(TWO_LOG2_3 * x, 1.0) - psi_value(x)
+        if gap < margin:
+            margin, argmin = gap, x
+    report.checks.append(
+        check_lt(
+            "psi below the linear cap (worst margin)",
+            0.0,
+            margin,
+            provenance="strict interior inequality of the exponent cap",
+            detail=f"tightest at x={argmin}",
+        )
+    )
+    report.checks.append(
+        check_close("equality at 0", psi_value(0.0), 0.0, tol=0.0,
+                    provenance="endpoint value psi(0) = 0")
+    )
+    report.checks.append(
+        check_close("equality at 1/2", psi_value(0.5), 1.0, tol=1e-12,
+                    provenance="endpoint value psi(1/2) = 1")
+    )
+    return report
+
+
+def r_identity_check() -> BoundReport:
+    """Algebraic identities tying r(x) to x, and its derivative form.
+
+    Hard: (3r - 4r^2)/2 = x(1-x) and 2(x-r)(1-x-r) = r(1-2r) within
+    1e-10 on the grid; r'(x) = (2-4x)/(3-8r) against central
+    differences within 1e-4; the forward slope at 0 equals 2/3.
+    """
+    report = BoundReport(subject=f"r(x) identities on grid step {_GRID_STEP}")
+    worst_quad = worst_prod = 0.0
+    for x in [0.0] + _GRID + [0.5]:
+        r = r_of_x(x)
+        worst_quad = max(worst_quad, abs((3.0 * r - 4.0 * r * r) / 2.0 - x * (1.0 - x)))
+        worst_prod = max(
+            worst_prod,
+            abs(2.0 * (x - r) * (1.0 - x - r) - r * (1.0 - 2.0 * r)),
+        )
+    report.checks.append(
+        check_le("defining quadratic residual", worst_quad, 1e-10,
+                 provenance="(3r-4r^2)/2 = x(1-x)")
+    )
+    report.checks.append(
+        check_le("product identity residual", worst_prod, 1e-10,
+                 provenance="2(x-r)(1-x-r) = r(1-2r)")
+    )
+    h = 1e-6
+    worst_deriv = 0.0
+    for x in _GRID:
+        fd = (r_of_x(x + h) - r_of_x(x - h)) / (2.0 * h)
+        closed = (2.0 - 4.0 * x) / (3.0 - 8.0 * r_of_x(x))
+        worst_deriv = max(worst_deriv, abs(fd - closed))
+    report.checks.append(
+        check_le("derivative closed form residual", worst_deriv, 1e-4,
+                 provenance="r'(x) = (2-4x)/(3-8r)")
+    )
+    slope0 = (r_of_x(h) - r_of_x(0.0)) / h
+    report.checks.append(
+        check_close("slope at 0", slope0, 2.0 / 3.0, tol=1e-4,
+                     provenance="r'(0) = 2/3")
+    )
+    return report
+
+
+def phi_derivative_report() -> BoundReport:
+    """Empirical size of phi' over the peak region, with an FD cross-check.
+
+    For a grid of aspect ratios a = k/n the derivative is sampled 64 times
+    on y in [a/3, min(11a/12, r(a))] (the interval carrying the mass peak).
+    The source argument only claims boundedness with implicit constants,
+    so the maximum is reported soft; the closed form vs finite
+    differences agreement within 1e-4 is a hard check.
+    """
+    report = BoundReport(subject="phi derivative boundedness sample")
+    max_abs = 0.0
+    worst_fd_gap = 0.0
+    h = 1e-7
+    for i in range(1, 17):
+        n = 512
+        k = max(2, (i * n) // 34)  # a sweeps roughly (0, 1/2)
+        p = SphereParams(n, k)
+        a = k / n
+        lo, hi = a / 3.0, min(11.0 * a / 12.0, r_of_x(a))
+        for j in range(64):
+            y = lo + (hi - lo) * (j + 0.5) / 64
+            d = phi_derivative(y, p)
+            max_abs = max(max_abs, abs(d))
+            if lo < y - h and y + h < a:
+                fd = (phi(y + h, p) - phi(y - h, p)) / (2.0 * h)
+                worst_fd_gap = max(worst_fd_gap, abs(d - fd))
+    report.checks.append(
+        check_le(
+            "closed form vs finite differences",
+            worst_fd_gap,
+            1e-4,
+            provenance="derivative formula of the fixed-ratio exponent",
+        )
+    )
+    report.checks.append(
+        soft_note(
+            "max |phi'| over sampled peak region",
+            max_abs,
+            provenance="boundedness with implicit constants; reported only",
+        )
+    )
     return report

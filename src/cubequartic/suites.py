@@ -21,23 +21,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .additive import energy_ratio, hereditary_energy
-from .asymptotics import (
-    phi,
-    phi_derivative_report,
-    psi_concavity_check,
-    psi_linear_bound_check,
-    psi_value,
-    r_identity_check,
-)
+from .asymptotics import phi, psi_value
 from .core import CubeFunction, SpectrumVector, SupportSet, moments
 from .quartic import OptimizerConfig, _gaussian, decompose_last
-from .reporting import BoundReport, Check, check_close, check_ge, check_le
 from .reports import (
+    BoundReport,
+    Check,
     ball_bound_report,
     bracket_report,
+    check_close,
+    check_ge,
+    check_le,
     conjecture_scan,
     energy_lowerbound_step_check,
+    phi_derivative_report,
+    psi_concavity_check,
     psi_envelope_report,
+    psi_linear_bound_check,
+    r_identity_check,
     restricted_mass_check,
     sphere_ratio_report,
     sumset_bound_report,

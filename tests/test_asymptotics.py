@@ -10,12 +10,14 @@ from cubequartic.asymptotics import (
     f_combine,
     phi,
     phi_derivative,
+    psi_value,
+    r_of_x,
+)
+from cubequartic.reports import (
     phi_derivative_report,
     psi_concavity_check,
     psi_linear_bound_check,
-    psi_value,
     r_identity_check,
-    r_of_x,
 )
 from cubequartic.spheres import SphereParams, t1
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +150,37 @@ class TestExactSerializer:
 
         assert _exact([Fraction(1, 2), 3]) == ["1/2", 3]
         assert _exact({"a": Fraction(1, 4)}) == {"a": "1/4"}
+
+    def test_sphere_table_past_the_int_str_digit_limit(self, capsys):
+        # C(7200, 3600)^2 has about 4,330 digits, past CPython's default
+        # int-to-str limit of 4,300
+        from cubequartic.spheres import r_exact
+
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["sphere-table", "7200", "3600", "--t-max", "0"])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == EXIT_OK, err
+        results = json.loads(out)["results"]
+        assert results["rows"][0]["mass"] == "1/1"
+        numerator, denominator = results["footer"]["total"].split("/")
+        total = r_exact(SphereParams(7200, 3600))
+        assert Decimal(numerator) == Decimal(total.numerator)
+        assert Decimal(denominator) == Decimal(total.denominator)
+
+    def test_analyze_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 2^n / |A| on three masks in n = 15,000 has about 4,515 digits
+        from random import Random
+
+        rng = Random(0)
+        n = 15_000
+        path = write(tmp_path, records(n, [rng.getrandbits(n) for _ in range(3)]))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["analyze", path, "--starts", "2"])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == EXIT_OK, err
+        counting = json.loads(out)["results"]["uncertainty"]["support_lower_bound_counting"]
+        numerator, denominator = counting.split("/")
+        assert Decimal(numerator) == Decimal(2**n) and denominator == "3"
 
 
 class TestAnalyze:
@@ -611,6 +643,20 @@ class TestScan:
                 assert out == ""
                 assert "invalid request" in err
 
+    def test_disagreeing_energy_routes_abort(self, capsys, monkeypatch):
+        import cubequartic.reports
+        from cubequartic.spheres import r_exact
+
+        def off_at_4_2(p):
+            shift = Fraction(1, 10**9) if (p.n, p.k) == (4, 2) else 0
+            return r_exact(p) + shift
+
+        monkeypatch.setattr(cubequartic.reports, "r_exact", off_at_4_2)
+        code, out, err = run(capsys, ["scan", "--n-max", "5", "--starts", "2"])
+        assert code == EXIT_CHECK_FAILED
+        assert out == ""
+        assert "scan aborted: energy-ratio routes disagree at (n=4, k=2): " in err
+
     def test_csv_rows(self, capsys):
         _, out, _ = run(capsys, ["scan", "--n-max", "4", "--format", "csv"] + FAST)
         lines = [line for line in out.split("\r\n") if line]
@@ -696,7 +742,7 @@ class TestVerify:
 
     def test_failing_hard_check_exits_nonzero(self, capsys, monkeypatch):
         import cubequartic.suites
-        from cubequartic.reporting import BoundReport, Check
+        from cubequartic.reports import BoundReport, Check
 
         def planted(seed=0):
             return [BoundReport("planted", [Check("one equals two", 1, "==", 2, False)])]

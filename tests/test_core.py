@@ -427,7 +427,7 @@ class TestSupportOf:
 
 
 class TestPublicSurface:
-    LAYERS = ("core", "additive", "quartic", "spheres", "asymptotics", "reports", "reporting", "errors")
+    LAYERS = ("core", "additive", "quartic", "spheres", "asymptotics", "reports", "errors")
 
     def test_root_exports_the_union_of_the_layer_lists(self):
         import importlib
@@ -441,6 +441,31 @@ class TestPublicSurface:
             for name in layer.__all__:
                 # getattr on the layer raises if a listed name is not defined there
                 assert getattr(cubequartic, name) is getattr(layer, name), (layer.__name__, name)
+
+    def test_math_modules_import_no_verification_layer(self):
+        # read from the source: the package root imports every module, so
+        # sys.modules cannot tell which module imports which
+        import ast
+
+        package = Path(core.__file__).resolve().parent
+        verification = {"reports", "reporting", "suites", "cli"}
+        for name in ("core", "additive", "quartic", "spheres", "asymptotics", "errors"):
+            tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    if node.level:
+                        imported.add((node.module or "").split(".")[0])
+                        imported.update(alias.name for alias in node.names if not node.module)
+                    elif (node.module or "").startswith("cubequartic."):
+                        imported.add(node.module.split(".")[1])
+                elif isinstance(node, ast.Import):
+                    imported.update(
+                        alias.name.split(".")[1]
+                        for alias in node.names
+                        if alias.name.startswith("cubequartic.")
+                    )
+            assert not imported & verification, (name, sorted(imported & verification))
 
     def test_readme_quick_start_prints_its_comments(self, capsys):
         # each print line of the README's library block ends in "# <what it prints>"

@@ -1,5 +1,6 @@
 """Cross-checked inequality reports and the named verification suites."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from cubequartic.additive import additive_energy, energy_ratio
-from cubequartic.core import CubeFunction, SpectrumVector, SupportSet
+from cubequartic.core import CubeFunction, SpectrumVector, SupportSet, synthesize
 from cubequartic.errors import DimensionMismatchError, ResourceLimitError
 from cubequartic.quartic import OptimizerConfig
-from cubequartic.reporting import ConjectureRecord
 from cubequartic.reports import (
+    ConjectureRecord,
     _radical_ge,
     _radical_le,
     _t_at_least,
@@ -280,6 +281,30 @@ class TestEnergyStep:
             energy_lowerbound_step_check(CubeFunction(3, np.zeros(8)), 2.0)
 
 
+class TestScaleFree:
+    """The statements are scale-free, and so is every report's support cut."""
+
+    REPORTS = {
+        "uncertainty": uncertainty_report,
+        "restricted mass": lambda f: restricted_mass_check(f, SupportSet.from_masks(4, [0]), 0.25),
+        "energy step": lambda f: energy_lowerbound_step_check(f, 8.0),
+        "tensorization": lambda f: tensorization_check(f, 2),
+    }
+
+    @staticmethod
+    def outline(report):
+        return report.subject, report.notes, [(c.name, c.passed, c.hard) for c in report.checks]
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_same_verdicts_on_a_tiny_multiple(self, name):
+        # the spectrum of f is 1 on S(4,2); that of the multiple is 1e-11
+        f = synthesize(SupportSet.sphere(4, 2).indicator())
+        tiny = CubeFunction(4, 1e-11 * f.values)
+        report = self.REPORTS[name](f)
+        assert report.overall and any(c.hard for c in report.checks), report
+        assert self.outline(self.REPORTS[name](tiny)) == self.outline(report)
+
+
 class TestAsymptoticReports:
     def test_sphere_ratio_window(self):
         report = sphere_ratio_report(64, 70)
@@ -314,15 +339,13 @@ class TestSuites:
         import cubequartic.reports
         import cubequartic.suites
 
-        reports = [name for name in cubequartic.reports.__all__ if name != "log2_fraction"]
-        shapes = [
-            "r_identity_check",
-            "psi_concavity_check",
-            "psi_linear_bound_check",
-            "phi_derivative_report",
+        reports = [
+            name
+            for name in cubequartic.reports.__all__
+            if inspect.isfunction(getattr(cubequartic.reports, name)) and name != "log2_fraction"
         ]
         running = []
-        callers = {name: set() for name in reports + shapes}
+        callers = {name: set() for name in reports}
 
         def counted(name, func):
             def call(*args, **kwargs):
