@@ -435,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
         ("--starts", args.starts, 0),
         ("--iters", args.iters, 1),
         ("--tol", args.tol, 0),
+        # scan only: no sphere cell has n < 2
+        ("--n-max", vars(args).get("n_max", 2), 2),
     ):
         # NaN fails both comparisons and infinity the second
         if not least <= value < math.inf:

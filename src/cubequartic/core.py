@@ -26,7 +26,6 @@ size and rank before any work.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -77,9 +76,17 @@ def _require_dense(n: int) -> None:
         )
 
 
-def _weight_masks(n: int, k: int) -> Iterator[int]:
-    """The masks of weight k in {0,1}^n, without visiting the other 2^n points."""
-    return (sum(1 << i for i in bits) for bits in itertools.combinations(range(n), k))
+def _weight_levels(n: int, k: int, spare: int) -> list[np.ndarray]:
+    """Level w = 0..k: the sorted masks of weight w below 2^min(n, spare + w),
+    by Pascal's rule: those below 2^(b+1) are those below 2^b, then the
+    first C(b, w-1) of level w-1 with bit b set.  Python ints (an object
+    array) from n = 63 up, as in ``SupportSet.masks``."""
+    levels = [np.zeros(1, dtype=object if n >= 63 else np.int64)]
+    for w in range(1, k + 1):
+        below = levels[-1]
+        tops = range(w - 1, min(n, spare + w))
+        levels.append(np.concatenate([below[: math.comb(b, w - 1)] | (1 << b) for b in tops]))
+    return levels
 
 
 def _check_dimension(n: int) -> None:
@@ -124,16 +131,14 @@ class SupportSet:
         """All points of Hamming weight exactly k."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
-        return cls(n, tuple(sorted(_weight_masks(n, k))))
+        return cls(n, tuple(_weight_levels(n, k, n - k)[k].tolist()))
 
     @classmethod
     def ball(cls, n: int, k: int) -> "SupportSet":
         """All points of Hamming weight at most k."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
-        return cls(
-            n, tuple(sorted(m for j in range(k + 1) for m in _weight_masks(n, j)))
-        )
+        return cls(n, tuple(np.sort(np.concatenate(_weight_levels(n, k, n))).tolist()))
 
     @classmethod
     def span(cls, n: int, generators: Sequence[int]) -> "SupportSet":

@@ -16,6 +16,7 @@ fixed grid on (0, 1/2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .core import (
 )
 from .errors import DimensionMismatchError, ResourceLimitError
 from .quartic import OptimizerConfig, mu_lower, mu_upper
-from .spheres import SphereParams, argmax_st, r_exact, ratio_st, sphere_table, t1
+from .spheres import SphereParams, argmax_st, r_exact, ratio_st, t1
 
 # the check constructors (check_le, ...) are helpers, not part of the API
 __all__ = [
@@ -547,6 +548,8 @@ def conjecture_scan(
     thousands of small numpy calls that hold the interpreter lock, so
     worker threads only queued on it.
     """
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     cfg = cfg or OptimizerConfig()
     cells = [SphereParams(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
     for p in cells:
@@ -639,34 +642,43 @@ def energy_lowerbound_step_check(f: CubeFunction, C_val: float) -> BoundReport:
 
 # --- exact tests against the irrational peak location -----------------
 
-def _radical_le(D: int, q: Fraction) -> bool:
-    """sqrt(D) <= q, exactly, for integer D >= 0 and rational q."""
-    if q < 0:
-        return False
-    return D * q.denominator**2 <= q.numerator**2
+def _radical_le(D: int, num: int, den: int) -> bool:
+    """sqrt(D) <= num/den, exactly, for integers D >= 0 and den > 0."""
+    return num >= 0 and D * den * den <= num * num
 
 
-def _radical_ge(D: int, q: Fraction) -> bool:
-    """sqrt(D) >= q, exactly."""
-    if q <= 0:
-        return True
-    return D * q.denominator**2 >= q.numerator**2
+def _radical_ge(D: int, num: int, den: int) -> bool:
+    """sqrt(D) >= num/den, exactly."""
+    return num <= 0 or D * den * den >= num * num
 
 
-def _t_at_most(D: int, n: int, bound: Fraction, t: int) -> bool:
-    """t <= (3n - sqrt(D))/8 - bound, exactly."""
-    return _radical_le(D, 3 * n - 8 * (t + bound))
+def _t_at_most(D: int, n: int, num: int, den: int, t: int) -> bool:
+    """t <= (3n - sqrt(D))/8 - num/den, exactly."""
+    return _radical_le(D, 3 * n * den - 8 * (t * den + num), den)
 
 
-def _t_at_least(D: int, n: int, bound: Fraction, t: int) -> bool:
-    """t >= (3n - sqrt(D))/8 + bound, exactly."""
-    return _radical_ge(D, 3 * n - 8 * (t - bound))
+def _t_at_least(D: int, n: int, num: int, den: int, t: int) -> bool:
+    """t >= (3n - sqrt(D))/8 + num/den, exactly."""
+    return _radical_ge(D, 3 * n * den - 8 * (t * den - num), den)
 
 
 def _k_window(n: int) -> range:
     lo = math.ceil(n / math.log2(n))
     hi = math.floor(n / 2 - n / math.log2(n))
     return range(lo, hi + 1)
+
+
+def _window_check(name: str, bad: list[int], lo: int, hi: int) -> Check:
+    """No step ratio s_{t+1}/s_t with t in [lo, hi] misses its sliding bound."""
+    return Check(
+        name,
+        len(bad),
+        "==",
+        0,
+        not bad,
+        provenance="closed-form adjacent-mass ratio vs peak, radical squared",
+        detail=f"t in [{lo}, {hi}]" if lo <= hi else "window empty",
+    )
 
 
 def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
@@ -681,17 +693,24 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
     carries a 1/(1+1/n) share of the total mass; and adjacent-radius
     totals stay within a factor of nine of each other.
 
-    All ratio and mass comparisons are exact rationals; comparisons with
-    the peak move the radical to one side and square.
+    All ratio and mass comparisons are exact, on integer numerators over
+    the chain's common denominator; comparisons with the peak move the
+    radical to one side and square.
     """
     if n_lo < 4 or n_hi < n_lo:
         raise ValueError("need 4 <= n_lo <= n_hi")
     report = BoundReport(subject=f"sphere mass profile, n in [{n_lo}, {n_hi}]")
+    # one SphereParams, hence one chain, per (n, k): the neighbours of row
+    # n are read again as (n - 1, k) and as (n - 1, (k + 1) - 1)
+    sphere = functools.cache(SphereParams)
+    # a dyadic upper cover L / 2^32 of log2 n, so every tested t is genuine
+    cover = 2**32
     cells = 0
     for n in range(n_lo, n_hi + 1):
+        log_hi = math.ceil(math.log2(n) * cover)
         for k in _k_window(n):
             cells += 1
-            p = SphereParams(n, k)
+            p = sphere(n, k)
             D = n * n + 8 * (n - 2 * k) ** 2
             peak_float = t1(p)
 
@@ -701,8 +720,7 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                     round(peak_float, 4),
                     "in",
                     f"[{k / 3:.4f}, {11 * k / 12:.4f}]",
-                    _radical_le(D, Fraction(9 * n - 8 * k, 3))
-                    and _radical_ge(D, Fraction(9 * n - 22 * k, 3)),
+                    _radical_le(D, 9 * n - 8 * k, 3) and _radical_ge(D, 9 * n - 22 * k, 3),
                     provenance="radical isolated and squared, exact integers",
                 )
             )
@@ -711,44 +729,28 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
             # peak - t itself, so test t * ratio(t) >= peak exactly
             bad_low: list[int] = []
             t = 1
-            while _t_at_most(D, n, Fraction(3), t):
-                q = 3 * n - 8 * t * ratio_st(p, t)
-                if not _radical_ge(D, q):
+            while _t_at_most(D, n, 3, 1, t):
+                a, b = ratio_st(p, t).as_integer_ratio()
+                if not _radical_ge(D, 3 * n * b - 8 * t * a, b):
                     bad_low.append(t)
                 t += 1
             report.checks.append(
-                Check(
-                    f"ratios exceed the sliding floor below the peak (n={n}, k={k})",
-                    len(bad_low),
-                    "==",
-                    0,
-                    not bad_low,
-                    provenance="closed-form adjacent-mass ratio vs peak, radical squared",
-                    detail=f"t in [1, {t - 1}]" if t > 1 else "window empty",
-                )
+                _window_check(f"ratios exceed the sliding floor below the peak (n={n}, k={k})",
+                              bad_low, 1, t - 1)
             )
 
-            # above the peak: admitted margins start at log2 n; use a
-            # rational upper cover of log2 n so every tested t is genuine
-            log_hi = Fraction(math.ceil(math.log2(n) * 2**32), 2**32)
+            # above the peak: admitted margins start at log2 n
             t_lo = max(1, math.floor(peak_float + math.log2(n)) - 1)
-            while t_lo <= k - 1 and not _t_at_least(D, n, log_hi, t_lo):
+            while t_lo <= k - 1 and not _t_at_least(D, n, log_hi, cover, t_lo):
                 t_lo += 1
             bad_high: list[int] = []
             for t in range(t_lo, k):
-                q = 3 * n - 8 * t * ratio_st(p, t)
-                if not _radical_le(D, q):
+                a, b = ratio_st(p, t).as_integer_ratio()
+                if not _radical_le(D, 3 * n * b - 8 * t * a, b):
                     bad_high.append(t)
             report.checks.append(
-                Check(
-                    f"ratios stay under the sliding ceiling above the peak (n={n}, k={k})",
-                    len(bad_high),
-                    "==",
-                    0,
-                    not bad_high,
-                    provenance="closed-form adjacent-mass ratio vs peak, radical squared",
-                    detail=f"t in [{t_lo}, {k - 1}]" if t_lo <= k - 1 else "window empty",
-                )
+                _window_check(f"ratios stay under the sliding ceiling above the peak (n={n}, k={k})",
+                              bad_high, t_lo, k - 1)
             )
 
             halfwidth = math.sqrt(n * math.log2(n))
@@ -763,11 +765,10 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                 )
             )
 
-            masses = [row.mass for row in sphere_table(p)]
             window = math.ceil(halfwidth)
             lo_t = max(0, math.ceil(peak_float - window))
             hi_t = min(k, math.floor(peak_float + window))
-            central = sum(masses[lo_t : hi_t + 1], Fraction(0))
+            central = Fraction(sum(p.chain[lo_t : hi_t + 1]), p.chain[0])
             report.checks.append(
                 check_ge(
                     f"central window holds the mass (n={n}, k={k})",
@@ -778,7 +779,7 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
                 )
             )
 
-            ratio_adj = r_exact(SphereParams(n - 1, k)) / r_exact(SphereParams(n - 1, k - 1))
+            ratio_adj = r_exact(sphere(n - 1, k)) / r_exact(sphere(n - 1, k - 1))
             report.checks.append(
                 Check(
                     f"adjacent-radius totals within a factor of nine (n={n}, k={k})",
@@ -793,6 +794,13 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
     return report
 
 
+def _log2_r(p: SphereParams) -> float:
+    """log2_fraction(r_exact(p)), bit for bit, with no Fraction built."""
+    total, base = sum(p.chain), p.chain[0]
+    common = math.gcd(total, base)
+    return math.log2(total // common) - math.log2(base // common)
+
+
 def psi_envelope_report(n_max: int = 256) -> BoundReport:
     """Exact energy ratios vs the entropy envelope, both directions.
 
@@ -804,45 +812,37 @@ def psi_envelope_report(n_max: int = 256) -> BoundReport:
         raise ValueError("n_max must be positive")
     report = BoundReport(subject=f"entropy envelope vs exact ratios, n <= {n_max}")
     slack = math.log2(1 + 1e-9)
-    worst_up: tuple[float, int, int] | None = None
-    worst_down: tuple[float, int, int] | None = None
-    violations_up: list[tuple[int, int]] = []
-    violations_down: list[tuple[int, int]] = []
+    # (margin, n, k) of every cell in (n, k) order, so min() returns the
+    # first cell of the smallest margin
+    up: list[tuple[float, int, int]] = []
+    down: list[tuple[float, int, int]] = []
     for n in range(1, n_max + 1):
         for k in range(0, n // 2 + 1):
-            log_r = log2_fraction(r_exact(SphereParams(n, k)))
+            log_r = _log2_r(SphereParams(n, k))
             envelope = n * psi_value(k / n)
-            margin_up = envelope + slack - log_r
-            if worst_up is None or margin_up < worst_up[0]:
-                worst_up = (margin_up, n, k)
-            if margin_up < 0:
-                violations_up.append((n, k))
+            up.append((envelope + slack - log_r, n, k))
             if k >= 8:
-                margin_down = 3.0 + 1.5 * math.log2(k) + log_r - envelope
-                if worst_down is None or margin_down < worst_down[0]:
-                    worst_down = (margin_down, n, k)
-                if margin_down < 0:
-                    violations_down.append((n, k))
-    assert worst_up is not None
+                down.append((3.0 + 1.5 * math.log2(k) + log_r - envelope, n, k))
+
+    def worst(name: str, margins: list[tuple[float, int, int]], provenance: str) -> Check:
+        margin, n, k = min(margins)
+        violations = sum(m < 0 for m, _, _ in margins)
+        detail = f"worst margin at (n={n}, k={k}); {violations} violations"
+        return check_ge(name, margin, 0.0, provenance=provenance, detail=detail)
+
     report.checks.append(
-        check_ge(
+        worst(
             "exact ratio below the envelope",
-            worst_up[0],
-            0.0,
-            provenance="log-space comparison of the exact rational against n*psi",
-            detail=f"worst margin at (n={worst_up[1]}, k={worst_up[2]}); "
-            f"{len(violations_up)} violations",
+            up,
+            "log-space comparison of the exact rational against n*psi",
         )
     )
-    if worst_down is not None:
+    if down:
         report.checks.append(
-            check_ge(
+            worst(
                 "envelope within 8 k^1.5 of the exact ratio",
-                worst_down[0],
-                0.0,
-                provenance="log-space comparison; constant 8 covers the tested range",
-                detail=f"worst margin at (n={worst_down[1]}, k={worst_down[2]}); "
-                f"{len(violations_down)} violations",
+                down,
+                "log-space comparison; constant 8 covers the tested range",
             )
         )
     else:

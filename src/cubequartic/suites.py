@@ -13,6 +13,7 @@ tests and in the report functions they call.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -109,10 +110,12 @@ class _Corpus(NamedTuple):
     split: list[CubeFunction]
 
 
+@functools.lru_cache(maxsize=1)
 def _corpus(seed: int) -> _Corpus:
     # one stream, drawn in a fixed order, so a suite's inputs do not
     # depend on which other suites run; like the ascent's starts, it comes
-    # from the stdlib generator and never loads numpy.random
+    # from the stdlib generator and never loads numpy.random.  Built once
+    # per seed and shared by the suites that read it, which only read it.
     rng = random.Random(seed)
     return _Corpus(
         sparse=[_random_sparse(rng, 10, 30) for _ in range(3)],

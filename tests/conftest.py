@@ -9,6 +9,7 @@ are counted with nested loops.  Slow and boring on purpose.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -94,6 +95,11 @@ def level_sets_oracle(masks, values, cutoff: int) -> tuple[dict[int, list[int]],
         level = (1 - exponent) if mantissa > 0.5 else (2 - exponent)
         (levels.setdefault(level, []) if level <= cutoff else tail).append(mask)
     return levels, tail
+
+
+def weight_masks_oracle(n: int, k: int) -> tuple[int, ...]:
+    """The sorted masks of weight k in {0,1}^n, one combination at a time."""
+    return tuple(sorted(sum(1 << i for i in bits) for bits in itertools.combinations(range(n), k)))
 
 
 def random_support(rng: np.random.Generator, n: int, max_size: int) -> SupportSet:

@@ -620,6 +620,13 @@ class TestScan:
             assert out == ""
             assert "invalid request" in err
 
+    @pytest.mark.parametrize("value", ["-5", "1"])
+    def test_n_max_below_two_exits_usage(self, capsys, value):
+        code, out, err = run(capsys, ["scan", "--n-max", value])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"invalid request: --n-max must be at least 2, got {value}" in err
+
     def test_negative_dense_cap_exits_usage(self, capsys):
         code, out, err = run(capsys, ["scan", "--n-max", "4", "--dense-cap", "-5"])
         assert code == EXIT_USAGE

@@ -26,6 +26,7 @@ from conftest import (
     character_transform,
     integer_butterfly,
     random_function,
+    weight_masks_oracle,
     wide_random,
 )
 
@@ -157,6 +158,24 @@ class TestSupportSet:
 
     def test_ball_size(self):
         assert len(SupportSet.ball(5, 2)) == 1 + 5 + 10
+
+    @staticmethod
+    def ball_oracle(n, k):
+        return tuple(sorted(m for w in range(k + 1) for m in weight_masks_oracle(n, w)))
+
+    def test_spheres_and_balls_match_the_enumeration(self):
+        for n in range(13):
+            for k in range(n + 1):
+                assert SupportSet.sphere(n, k).elements == weight_masks_oracle(n, k), (n, k)
+                assert SupportSet.ball(n, k).elements == self.ball_oracle(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_wide_spheres_and_balls_match_the_enumeration(self, n):
+        # python-int masks past 2^63, on both sides of n/2
+        for k in (0, 1, 2, n - 2, n - 1, n):
+            assert SupportSet.sphere(n, k).elements == weight_masks_oracle(n, k), k
+        for k in (0, 1, 2):
+            assert SupportSet.ball(n, k).elements == self.ball_oracle(n, k), k
 
     def test_span(self):
         V = SupportSet.span(4, [3, 5])

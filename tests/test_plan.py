@@ -54,7 +54,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(PairIndex, "of", refuse)
     monkeypatch.setattr(cubequartic.core, "walsh_transform", refuse)
     monkeypatch.setattr(cubequartic.quartic, "walsh_transform", refuse)
-    monkeypatch.setattr(cubequartic.core, "_weight_masks", refuse)
+    monkeypatch.setattr(cubequartic.core, "_weight_levels", refuse)
 
 
 @pytest.mark.parametrize(

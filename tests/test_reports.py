@@ -13,6 +13,8 @@ from cubequartic.errors import DimensionMismatchError, ResourceLimitError
 from cubequartic.quartic import OptimizerConfig
 from cubequartic.reports import (
     ConjectureRecord,
+    _k_window,
+    _log2_r,
     _radical_ge,
     _radical_le,
     _t_at_least,
@@ -29,6 +31,7 @@ from cubequartic.reports import (
     tensorization_check,
     uncertainty_report,
 )
+from cubequartic.spheres import SphereParams, r_exact, ratio_st, t1
 from cubequartic.suites import SUITE_NAMES, run_suites
 
 FAST = OptimizerConfig(starts=6, max_iters=1500, seed=3)
@@ -56,26 +59,85 @@ class TestLogHelper:
         with pytest.raises(ValueError):
             log2_fraction(Fraction(0))
 
+    def test_envelope_log_is_the_fraction_log(self):
+        # psi_envelope_report reads log2 r(n, k) from the chain numerators
+        for n in range(1, 129):
+            for k in range(n // 2 + 1):
+                p = SphereParams(n, k)
+                assert _log2_r(p) == log2_fraction(r_exact(p)), (n, k)
+
+
+def fraction_le(D, q):
+    """sqrt(D) <= q on a Fraction: the oracle of ``_radical_le``."""
+    return q >= 0 and D * q.denominator**2 <= q.numerator**2
+
+
+def fraction_ge(D, q):
+    """sqrt(D) >= q on a Fraction: the oracle of ``_radical_ge``."""
+    return q <= 0 or D * q.denominator**2 >= q.numerator**2
+
 
 class TestRadicalHelpers:
     def test_perfect_square_boundary(self):
-        assert _radical_le(16, Fraction(4))
-        assert _radical_ge(16, Fraction(4))
-        assert not _radical_le(17, Fraction(4))
-        assert _radical_ge(17, Fraction(4))
+        assert _radical_le(16, 4, 1)
+        assert _radical_ge(16, 4, 1)
+        assert not _radical_le(17, 4, 1)
+        assert _radical_ge(17, 4, 1)
+        # an unreduced pair decides as its reduced form
+        assert _radical_le(16, 12, 3) and not _radical_le(17, 12, 3)
 
     def test_signs(self):
-        assert not _radical_le(5, Fraction(-1))
-        assert _radical_ge(5, Fraction(-1))
-        assert _radical_ge(0, Fraction(0))
+        assert not _radical_le(5, -1, 1)
+        assert _radical_ge(5, -1, 1)
+        assert _radical_ge(0, 0, 1)
 
     def test_t_comparisons_match_floats(self):
         # far from the irrational boundary the float answer is reliable
         for n, k, t in [(64, 20, 5), (64, 20, 14), (100, 30, 9), (100, 30, 21)]:
             D = n * n + 8 * (n - 2 * k) ** 2
             t1_float = (3.0 * n - math.sqrt(D)) / 8.0
-            assert _t_at_most(D, n, Fraction(3), t) == (t <= t1_float - 3.0)
-            assert _t_at_least(D, n, Fraction(3), t) == (t >= t1_float + 3.0)
+            assert _t_at_most(D, n, 3, 1, t) == (t <= t1_float - 3.0)
+            assert _t_at_least(D, n, 3, 1, t) == (t >= t1_float + 3.0)
+
+    def test_fraction_forms_agree_on_small_and_nonpositive_q(self):
+        for D in range(0, 40):
+            for num in range(-9, 10):
+                for den in (1, 2, 3, 6):
+                    q = Fraction(num, den)
+                    assert _radical_le(D, num, den) == fraction_le(D, q), (D, num, den)
+                    assert _radical_ge(D, num, den) == fraction_ge(D, q), (D, num, den)
+
+    def test_fraction_forms_agree_on_the_report_loops(self):
+        """Every (n, k, t) that sphere_ratio_report(4, 128) visits, in both
+        loops, decided by the integer helpers and by the Fraction oracle."""
+        visited = nonpositive = 0
+        cover = 2**32
+        for n in range(4, 129):
+            log_hi = math.ceil(math.log2(n) * cover)
+            for k in _k_window(n):
+                p = SphereParams(n, k)
+                D = n * n + 8 * (n - 2 * k) ** 2
+                t = 1
+                while fraction_le(D, 3 * n - 8 * (t + Fraction(3))):
+                    assert _t_at_most(D, n, 3, 1, t)
+                    ratio = ratio_st(p, t)
+                    q = 3 * n - 8 * t * ratio
+                    a, b = ratio.as_integer_ratio()
+                    assert _radical_ge(D, 3 * n * b - 8 * t * a, b) == fraction_ge(D, q)
+                    nonpositive += q <= 0
+                    visited += 1
+                    t += 1
+                assert not _t_at_most(D, n, 3, 1, t)
+                for t in range(max(1, math.floor(t1(p) + math.log2(n)) - 1), k):
+                    at_least = fraction_ge(D, 3 * n - 8 * (t - Fraction(log_hi, cover)))
+                    assert _t_at_least(D, n, log_hi, cover, t) == at_least
+                    ratio = ratio_st(p, t)
+                    q = 3 * n - 8 * t * ratio
+                    a, b = ratio.as_integer_ratio()
+                    assert _radical_le(D, 3 * n * b - 8 * t * a, b) == fraction_le(D, q)
+                    nonpositive += q <= 0
+                    visited += 1
+        assert visited > 10_000 and nonpositive > 0
 
 
 class TestUncertainty:
@@ -379,6 +441,33 @@ class TestSuites:
             assert suite_reports, f"suite {name} returned no reports"
             assert all(r.checks for r in suite_reports), name
 
+    def test_corpus_built_once_and_left_as_built(self, monkeypatch):
+        import cubequartic.suites as suites
+
+        def plain(value):
+            if isinstance(value, CubeFunction):
+                return value.n, value.values.tolist()
+            if isinstance(value, SupportSet):
+                return value.n, value.elements
+            if isinstance(value, (list, tuple)):
+                return [plain(v) for v in value]
+            return value
+
+        builds = []
+        corpus_type = suites._Corpus
+
+        def counted(**fields):
+            builds.append(fields)
+            return corpus_type(**fields)
+
+        suites._corpus.cache_clear()
+        monkeypatch.setattr(suites, "_Corpus", counted)
+        run_suites(["all"], seed=4, cfg=FAST)
+        assert len(builds) == 1
+        # no report changed the shared inputs
+        assert plain(suites._corpus(4)) == plain(suites._corpus.__wrapped__(4))
+        assert len(builds) == 2
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suites(["spheres"])
@@ -404,6 +493,10 @@ class TestInputChecks:
             sumset_bound_report(B, SupportSet(4, ()), 1, 1)
         with pytest.raises(ValueError, match="C is not inside the ball of radius 1"):
             sumset_bound_report(B, C, 1, 1)
+
+    def test_scan_needs_a_cell(self):
+        with pytest.raises(ValueError, match="n_max must be at least 2, got 1"):
+            conjecture_scan(1)
 
     def test_psi_envelope_needs_a_positive_n_max(self):
         with pytest.raises(ValueError, match="n_max must be positive"):
