@@ -40,7 +40,10 @@ DEFAULT_DENSE_CAP = 24
 
 # Direct pair enumeration materialises |A|^2 XOR values; beyond this
 # many entries the dense convolution path must carry the computation.
+# No set of more elements than this is built from a family either.
 PAIR_ENUMERATION_LIMIT = 40_000_000
+
+_INT64_MAX = (1 << 63) - 1
 
 # a float Walsh transform applies up to this many butterfly levels in one
 # product with the Sylvester Hadamard matrix of order 2^_BLOCK_BITS;
@@ -89,6 +92,29 @@ def _weight_levels(n: int, k: int, spare: int) -> list[np.ndarray]:
     return levels
 
 
+def _check_family_size(family: str, n: int, k: int, size: int) -> None:
+    """Refuse a sphere or ball from its closed-form size, before any mask
+    is built."""
+    if size > PAIR_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"the {family} of radius {k} in n={n} has {size} elements, "
+            f"past the cap of {PAIR_ENUMERATION_LIMIT}"
+        )
+
+
+def _square_sum(counts: np.ndarray) -> int:
+    """sum of c^2 over the counts, exactly: int64 dots over chunks short
+    enough that no partial sum passes 2^63 - 1, added in python ints, or
+    python ints throughout once a single square would pass it."""
+    counts = counts.astype(np.int64, copy=False)
+    top = int(counts.max(initial=0))
+    step = _INT64_MAX // (top * top) if top else len(counts)
+    if step == 0:
+        return sum(c * c for c in counts.tolist())
+    chunks = (counts[i : i + step] for i in range(0, len(counts), step))
+    return sum(int(np.dot(chunk, chunk)) for chunk in chunks)
+
+
 def _check_dimension(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
@@ -128,16 +154,20 @@ class SupportSet:
 
     @classmethod
     def sphere(cls, n: int, k: int) -> "SupportSet":
-        """All points of Hamming weight exactly k."""
+        """All points of Hamming weight exactly k; more than
+        ``PAIR_ENUMERATION_LIMIT`` of them are refused."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
+        _check_family_size("sphere", n, k, math.comb(n, k))
         return cls(n, tuple(_weight_levels(n, k, n - k)[k].tolist()))
 
     @classmethod
     def ball(cls, n: int, k: int) -> "SupportSet":
-        """All points of Hamming weight at most k."""
+        """All points of Hamming weight at most k; more than
+        ``PAIR_ENUMERATION_LIMIT`` of them are refused."""
         if not 0 <= k <= n:
             raise ValueError(f"weight {k} out of range for n={n}")
+        _check_family_size("ball", n, k, sum(math.comb(n, w) for w in range(k + 1)))
         return cls(n, tuple(np.sort(np.concatenate(_weight_levels(n, k, n))).tolist()))
 
     @classmethod
@@ -307,8 +337,13 @@ class MultiplicityTable:
         return 1 + int(self.counts[1:].max(initial=0))
 
     def energy(self) -> int:
-        """E2(A, A) = sum over x of |M_x|^2, in exact python ints."""
-        return sum(c * c for c in self.counts.tolist())
+        """E2(A, A) = sum over x of |M_x|^2, exact, computed on first use
+        and kept by the table."""
+        return self._energy
+
+    @cached_property
+    def _energy(self) -> int:
+        return _square_sum(self.counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +378,6 @@ class PairIndex(MultiplicityTable):
         else:
             sums, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
         return cls(sums, counts, masks, inverse.reshape(size, size))
-
-    def energy(self) -> int:
-        # E2 <= |A|^3, far inside int64 for any set whose pairs fit in memory
-        return int(np.dot(self.counts, self.counts))
 
     def pair_sums(
         self, coords: np.ndarray, other: np.ndarray | None = None

@@ -796,7 +796,7 @@ def sphere_ratio_report(n_lo: int = 64, n_hi: int = 128) -> BoundReport:
 
 def _log2_r(p: SphereParams) -> float:
     """log2_fraction(r_exact(p)), bit for bit, with no Fraction built."""
-    total, base = sum(p.chain), p.chain[0]
+    total, base = p.total, p.chain[0]
     common = math.gcd(total, base)
     return math.log2(total // common) - math.log2(base // common)
 

@@ -63,6 +63,16 @@ class SphereParams:
         """``mass_chain``, built on first use and shared by every reader."""
         return tuple(mass_chain(self))
 
+    @property
+    def total(self) -> int:
+        """sum(chain), the numerator of r(n, k) over chain[0], summed on
+        first use and kept.  Not a cached_property, whose first read takes
+        a lock on CPython 3.11 and costs more than summing a short chain."""
+        cache = vars(self)
+        if "total" not in cache:
+            cache["total"] = sum(self.chain)
+        return cache["total"]
+
 
 def s_t_exact(p: SphereParams, t: int) -> Fraction:
     """The mass s_t(n, k) for 0 <= t <= k; zero once 2t exceeds n."""
@@ -102,17 +112,46 @@ def ratio_st(p: SphereParams, t: int) -> Fraction:
     return Fraction(*_ratio_terms(n, k, t))
 
 
+# CPython stores ints in 30-bit digits and has a single-pass division by
+# a one-digit divisor.  Two of them beat one division by a two-digit
+# divisor once the dividend is long: from about 2,000 bits on, where
+# chains with N_0 = C(n, k)^2 of _SPLIT_BITS or more start; below it they
+# cost up to a quarter more (CPython 3.11, S(256, 128) to S(2048, 1024))
+_DIGIT = 1 << 30
+_SPLIT_BITS = 2048
+
+
+def _divmod_by_digits(value: int, den: int, cube: int) -> tuple[int, int]:
+    """(q, r) with r zero exactly when den divides value, and then
+    q = value // den, for den of two digits or more: by the one-digit
+    divisors cube and den // cube when cube divides den and both are
+    below one digit, else by den itself."""
+    rest, skew = divmod(den, cube)
+    if skew or cube >= _DIGIT or rest >= _DIGIT:
+        return divmod(value, den)
+    quotient, remainder = divmod(value, cube)
+    if remainder:
+        return quotient, remainder
+    return divmod(quotient, rest)
+
+
 def mass_chain(p: SphereParams) -> list[int]:
     """[N_0, ..., N_{min(k, n-k)}] with N_t = s_t * C(n, k)^2, an integer.
 
     Built by the ratio recurrence from N_0 = C(n, k)^2 in integers; the
     division is exact because every N_t is an integer.  Every later
-    mass is zero.
+    mass is zero.  On a long chain a denominator of two digits or more is
+    divided out as (t+1)^3 and the rest (``_divmod_by_digits``); every
+    step checks that its division left no remainder.
     """
     chain = [p.size**2]
+    split = chain[0].bit_length() >= _SPLIT_BITS
     for t in range(min(p.k, p.n - p.k)):
         num, den = _ratio_terms(p.n, p.k, t)
-        quotient, remainder = divmod(chain[-1] * num, den)
+        if split and den >= _DIGIT:
+            quotient, remainder = _divmod_by_digits(chain[-1] * num, den, (t + 1) ** 3)
+        else:
+            quotient, remainder = divmod(chain[-1] * num, den)
         if remainder:
             raise RuntimeError("sphere mass numerator not an integer")
         chain.append(quotient)
@@ -120,8 +159,8 @@ def mass_chain(p: SphereParams) -> list[int]:
 
 
 def r_exact(p: SphereParams) -> Fraction:
-    """r(n, k) = sum_t s_t(n, k), exact, from ``p.chain``."""
-    return Fraction(sum(p.chain), p.chain[0])
+    """r(n, k) = sum_t s_t(n, k), exact, from ``p.total``."""
+    return Fraction(p.total, p.chain[0])
 
 
 def t1(p: SphereParams) -> float:
@@ -191,14 +230,19 @@ def sphere_table(
     mass is N_t / N_0 from the integer chain ``p.chain``, and the
     partial sums are integer prefix sums over the same denominator, so
     only the rows asked for build fractions; ``s_t_exact`` is the
-    independent route that tests compare them with.
+    independent route that tests compare them with.  A first row past
+    the middle of the chain starts from ``p.total`` less the chain's
+    tail, the shorter sum.
     """
     chain = p.chain
     lo = max(0, t_min)
     hi = p.k if t_max is None else min(p.k, t_max)
     # masses past the chain are zero
     numerators = chain + (0,) * (p.k + 1 - len(chain))
-    running = sum(numerators[:lo])
+    if 2 * lo > len(chain):
+        running = p.total - sum(chain[lo:])
+    else:
+        running = sum(chain[:lo])
     rows: list[SphereTableRow] = []
     for t in range(lo, hi + 1):
         mass = numerators[t]

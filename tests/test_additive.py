@@ -302,6 +302,28 @@ class TestPairMultiplicities:
         assert table.energy() == 4 * (1 << 62) == sum(c * c for c in counts.tolist())
         assert int(np.dot(counts, counts)) != table.energy()
 
+    @pytest.mark.parametrize("top", [3, (1 << 31) - 1, 1 << 31, 3 << 31, (1 << 63) - 1])
+    def test_energy_sums_in_chunks_that_cannot_wrap(self, top):
+        # int64 dots over chunks of (2^63 - 1) // top^2 counts, and python
+        # ints once top^2 alone passes 2^63 - 1
+        counts = np.array([top, 1, 0, top - 1] * 5 + [top], dtype=np.int64)
+        table = MultiplicityTable(np.arange(len(counts)), counts)
+        assert table.energy() == sum(c * c for c in counts.tolist())
+
+    def test_energy_is_computed_once_per_table(self, monkeypatch):
+        summed = []
+        original = core._square_sum
+
+        def counted(counts):
+            summed.append(len(counts))
+            return original(counts)
+
+        monkeypatch.setattr(core, "_square_sum", counted)
+        A = SupportSet.sphere(6, 2)
+        table = A.convolution
+        assert table.energy() == table.energy() == A.pairs.energy() == A.pairs.energy()
+        assert summed == [len(table.counts), len(A.pairs.counts)]
+
 
 class TestPairIndex:
     def test_table_and_inverse_match_enumeration(self, rng):

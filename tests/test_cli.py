@@ -473,6 +473,27 @@ class TestAnalyze:
         # the pair table and the hereditary search's full set share it
         assert convolved.count(22) == 1
 
+    def test_one_energy_of_a_set_past_the_pair_cap(self, tmp_path, capsys, monkeypatch):
+        import cubequartic.core
+
+        summed = []
+        original = cubequartic.core._square_sum
+
+        def counted(counts):
+            # counts[0] = |M_0| is the size of the set
+            summed.append(int(counts[0]))
+            return original(counts)
+
+        energy = SupportSet.ball(6, 2).pairs.energy()
+        monkeypatch.setattr(cubequartic.core, "_square_sum", counted)
+        monkeypatch.setattr(cubequartic.core, "PAIR_ENUMERATION_LIMIT", 100)
+        path = write(tmp_path, "n=6\nball 6 2\n")
+        code, out, _ = run(capsys, ["analyze", path, "--exact-limit", "10"] + FAST)
+        assert code == EXIT_OK
+        # the energy of the pair table and the hereditary score of the full set
+        assert summed.count(22) == 1
+        assert json.loads(out)["results"]["additive"]["energy"] == energy
+
     def test_stdout_does_not_depend_on_blas_threads(self, tmp_path):
         path = write(tmp_path, "n=11\nsphere 11 4\n")
         argv = [sys.executable, "-m", "cubequartic.cli", "analyze", path,
@@ -580,6 +601,29 @@ class TestSphereTable:
         assert lines[1] == "row,0,1/1,,1/1"
         assert lines[2] == "row,1,8/3,8/3,11/3"
         assert any(line.startswith("footer,total,14/3") for line in lines)
+
+    @pytest.mark.parametrize(
+        "n,k,t_min", [(2048, 1024, 1016), (64, 32, 30), (64, 32, 0), (40, 30, 12)]
+    )
+    def test_one_chain_per_command(self, capsys, monkeypatch, n, k, t_min):
+        # the rows, from p.total past the middle of the chain, and the
+        # footer's total and argmax share one chain
+        import cubequartic.spheres
+
+        built = []
+        original = cubequartic.spheres.mass_chain
+
+        def counted(p):
+            built.append(p)
+            return original(p)
+
+        monkeypatch.setattr(cubequartic.spheres, "mass_chain", counted)
+        code, out, _ = run(capsys, ["sphere-table", str(n), str(k), "--t-min", str(t_min)])
+        assert code == EXIT_OK
+        assert built == [SphereParams(n, k)]
+        results = json.loads(out)["results"]
+        assert results["rows"][-1]["t"] == k
+        assert results["footer"]["total"] == results["rows"][-1]["cumulative"]
 
     def test_footer_argmax_matches_argmax_st(self, capsys):
         cells = [(n, k) for n in range(1, 25) for k in range(n + 1)] + [(2048, 1024)]

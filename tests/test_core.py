@@ -177,6 +177,22 @@ class TestSupportSet:
         for k in (0, 1, 2):
             assert SupportSet.ball(n, k).elements == self.ball_oracle(n, k), k
 
+    @pytest.mark.parametrize("family", ["sphere", "ball"])
+    def test_a_family_past_the_cap_is_refused_before_it_is_built(self, family):
+        # C(70, 35) is about 1.1e20 masks; the size alone refuses it
+        build = getattr(SupportSet, family)
+        with pytest.raises(ResourceLimitError, match=f"{family} of radius 35 in n=70 has [0-9]{{21}}"):
+            build(70, 35)
+
+    def test_the_family_cap_is_the_pair_cap(self, monkeypatch):
+        # B(6, 2) has 22 elements and S(6, 2) 15
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 21)
+        assert len(SupportSet.sphere(6, 2)) == 15
+        with pytest.raises(ResourceLimitError, match="has 22 elements, past the cap of 21"):
+            SupportSet.ball(6, 2)
+        monkeypatch.setattr(core, "PAIR_ENUMERATION_LIMIT", 22)
+        assert len(SupportSet.ball(6, 2)) == 22
+
     def test_span(self):
         V = SupportSet.span(4, [3, 5])
         assert V.elements == (0, 3, 5, 6)

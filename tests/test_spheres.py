@@ -11,6 +11,8 @@ from cubequartic.spheres import (
     SphereParams,
     SphereTableRow,
     argmax_st,
+    _divmod_by_digits,
+    _ratio_terms,
     mass_chain,
     r_exact,
     ratio_st,
@@ -240,6 +242,57 @@ class TestIntegerChain:
         with pytest.raises(RuntimeError, match="not an integer"):
             mass_chain(SphereParams(12, 5))
 
+    @staticmethod
+    def first_split_step(n, k):
+        """The first t whose denominator is two digits or more, divided
+        out as (t+1)^3 and the rest."""
+        return next(t for t in range(k) if _ratio_terms(n, k, t)[1] >= 1 << 30)
+
+    def test_a_fractional_mass_raises_on_a_split_step(self, monkeypatch):
+        # every prime factor of N_t and of the numerator is at most n, so a
+        # denominator times the prime 2053 > n leaves a remainder at that
+        # step alone; (t+1)^3 and 2053 (n-2t)(n-2t-1) are both one digit
+        import cubequartic.spheres
+
+        n, k = 2048, 1024
+        t_split = 1000
+        _, den = _ratio_terms(n, k, t_split)
+        cube = (t_split + 1) ** 3
+        assert den >= 1 << 30 and cube < 1 << 30 and 2053 * den // cube < 1 << 30
+        steps = []
+
+        def skewed(n, k, t):
+            steps.append(t)
+            num, den = _ratio_terms(n, k, t)
+            return num, den * 2053 if t == t_split else den
+
+        monkeypatch.setattr(cubequartic.spheres, "_ratio_terms", skewed)
+        with pytest.raises(RuntimeError, match="not an integer"):
+            mass_chain(SphereParams(n, k))
+        assert steps[-1] == t_split
+
+    def test_a_split_division_checks_both_remainders(self):
+        # den q + r for 0 < r < den: r < (t+1)^3 leaves a remainder in the
+        # first division only, a multiple of (t+1)^3 in the second only
+        _, den = _ratio_terms(2048, 1024, 1000)
+        cube = 1001**3
+        q = 3**2000
+        assert _divmod_by_digits(den * q, den, cube) == (q, 0)
+        for r in (1, cube - 1, cube, 5 * cube, den - 1):
+            assert _divmod_by_digits(den * q + r, den, cube)[1], r
+
+    @pytest.mark.parametrize("n,k", [(2048, 1024), (2048, 1500)])
+    def test_split_steps_match_the_squared_binomials(self, n, k):
+        # the independent route at t = 0, the first split step, the peak
+        # and the last step; S(2048, 1500) has k > n - k, so its chain
+        # ends at n - k and s_k is zero
+        p = SphereParams(n, k)
+        last = min(k, n - k)
+        assert len(p.chain) == last + 1
+        for t in (0, self.first_split_step(n, k), argmax_st(p), last):
+            assert p.chain[t] == s_t_exact(p, t) * p.size**2, t
+        assert s_t_exact(p, k) == (s_t_exact(p, last) if k == last else 0)
+
 
 class TestBounds:
     def test_sum_bound_frozen(self):
@@ -311,6 +364,33 @@ class TestTable:
             # the footer's total and argmax from the same chain
             assert r_exact(p) == full[-1].cumulative
             assert argmax_st(p) == max(full, key=lambda row: row.mass).t
+
+    @staticmethod
+    def table_from_prefix_sums(p, t_min):
+        """Every row from t_min on, each partial sum added up from t = 0,
+        never from the chain total."""
+        chain = p.chain
+        numerators = chain + (0,) * (p.k + 1 - len(chain))
+        running = sum(numerators[:t_min])
+        rows = []
+        for t in range(t_min, p.k + 1):
+            mass = numerators[t]
+            running += mass
+            previous = numerators[t - 1] if t > 0 else 0
+            ratio = Fraction(mass, previous) if previous else None
+            rows.append(
+                SphereTableRow(t, Fraction(mass, chain[0]), ratio, Fraction(running, chain[0]))
+            )
+        return rows
+
+    def test_rows_from_the_total_match_prefix_sums(self):
+        # a first row past the middle of the chain starts from p.total
+        for n in range(1, 31):
+            for k in range(n + 1):
+                p = SphereParams(n, k)
+                for t_min in range(k + 2):
+                    expected = self.table_from_prefix_sums(p, t_min)
+                    assert sphere_table(p, t_min) == expected, (n, k, t_min)
 
     def test_ratio_column_consistent(self):
         rows = sphere_table(SphereParams(9, 4))
