@@ -14,6 +14,7 @@ the pair-sum matrix representation, and the last-coordinate split.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -187,8 +188,9 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
 
 
 # a stack of ascent starts holds at most this many entries of kernel
-# state (rows times the kernel's width), so a large transform climbs
-# one start at a time
+# state (rows times the width of its widest row: 2^rank dense), so a
+# large transform climbs one start at a time; the budget also splits a
+# pool of several sets' rows (see _climb)
 _STACK_ENTRIES = 1 << 18
 
 
@@ -199,7 +201,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     than the ufunc reductions and equals ``np.dot`` on each row.  Every
     product in the ascent keeps one matrix per row like this one, never
     one product over all rows, so that a row's result does not depend
-    on the rows stacked with it.
+    on the other rows of its set stacked with it.  Rows of other sets in
+    a pooled stack can change its last bits, through the stack's width
+    and row length (see ``_DenseKernel``).
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -212,51 +216,86 @@ _GRAM_2X3 = np.array([0, 1, 2, 4, 5])
 class _DenseKernel:
     """Fast F and gradient evaluation through the dense transform.
 
-    The transform runs over the 2^d coordinates of the set's affine frame
+    The transform runs over the 2^d coordinates of a set's affine frame
     (rank d), where F, the gradient and the circle coefficients take the
     same values as over the masks in 2^n: each coefficient y_a sits at
     the coordinate of a, and the results come back in element order.
 
-    Every method takes a stack of vectors, one per row (rows x |A|), and
-    returns one result per row.  ``evaluate`` returns F and a state that
-    ``gradient``, ``circle`` and ``move`` take back: a tuple of arrays
-    whose first axis is the row, so the ascent drops a row by indexing
-    each.  Here it is the point values f of the synthesized functions
-    (rows x 2^d) and a buffer (rows x 3 x 2^d) whose first row holds f^2.
+    One kernel serves one or more sets.  Every method takes a stack of
+    vectors, one per row (rows x L), and returns one result per row.
+    ``evaluate`` also takes each row's set, as an index into the sets
+    (all 0 by default), and returns F and a state that ``gradient``,
+    ``circle`` and ``move`` take back: a tuple of arrays whose first axis
+    is the row, so the ascent drops a row by indexing each.  Here it is
+    the point values f of the synthesized functions (rows x 2^D, for D
+    the largest rank of the rows' sets), a buffer (rows x 3 x 2^D) whose
+    first row holds f^2, each row's slots as flat indices (rows x L, row
+    2^D + frame coordinate) and the gradient's factor on each slot (rows
+    x L, or rows x 1 in a stack with no pads).  A set of rank d < D fills
+    the first 2^d coordinates, and its f repeats 2^(D - d) times over
+    the 2^D points, so no mean changes.  A row of a set shorter than L
+    is padded with slots at a frame coordinate outside its set: they
+    hold 0 in y and have factor 0, so every vector of the ascent is 0
+    there.
     """
 
-    def __init__(self, support: SupportSet) -> None:
-        frame = support.affine
-        self.masks = frame.coords
-        # the length of a row of point values, 2^d
-        self.width = 1 << frame.rank
-        self.scale = 1.0 / self.width
+    def __init__(self, *sets: SupportSet) -> None:
+        self.widths = [1 << A.affine.rank for A in sets]
+        self.sizes = np.array([len(A) for A in sets])
+        self.coords = np.zeros((len(sets), self.sizes.max()), dtype=np.int64)
+        for row, A in zip(self.coords, sets):
+            row[: len(A)] = A.affine.coords
+            if len(A) < len(row):
+                # a set that is not a full coset misses one of 0, ..., |A|
+                low = A.affine.coords[A.affine.coords <= len(A)]
+                row[len(A) :] = np.argmin(np.bincount(low, minlength=len(A) + 1))
+        self.real = np.arange(self.coords.shape[1]) < self.sizes[:, None]
 
+    @staticmethod
+    def _flat(flat: np.ndarray, width: int) -> np.ndarray:
+        """The flat indices of a state, renumbered in place if the ascent
+        has dropped rows since they were formed: rows keep their order, so
+        then the last row's indices point past the stack."""
+        if flat[-1, 0] >= len(flat) * width:
+            flat &= width - 1
+            flat += np.arange(0, len(flat) * width, width)[:, None]
+        return flat
+
+    @staticmethod
     def _at(
-        self, point_values: np.ndarray, powers: np.ndarray
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        point_values: np.ndarray, powers: np.ndarray, *rest: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """F = mean(f^4) and the state at the given point values, with f^2
         written into the first row of the buffer ``powers``."""
         sq = np.multiply(point_values, point_values, out=powers[..., 0, :])
-        return _row_dots(sq, sq) * self.scale, (point_values, powers)
+        scale = 1.0 / point_values.shape[-1]
+        return _row_dots(sq, sq) * scale, (point_values, powers, *rest)
 
-    def evaluate(self, coords: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def evaluate(
+        self, coords: np.ndarray, row_sets: np.ndarray | None = None
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Returns (F of each row, the state of each synthesized f)."""
-        dense = np.zeros(coords.shape[:-1] + (self.width,))
-        dense[..., self.masks] = coords
+        row_sets = np.zeros(len(coords), dtype=int) if row_sets is None else row_sets
+        width = max(self.widths[i] for i in row_sets.tolist())
+        length = coords.shape[-1]
+        flat = self.coords[row_sets, :length] + (np.arange(len(coords)) * width)[:, None]
+        real = self.real[row_sets, :length]
+        factor = real * (4.0 / width) if not real.all() else np.full((len(coords), 1), 4.0 / width)
+        dense = np.zeros((len(coords), width))
+        dense.reshape(-1)[flat] = coords
         walsh_transform(dense)
-        return self._at(dense, np.empty(dense.shape[:-1] + (3, self.width)))
+        return self._at(dense, np.empty((len(coords), 3, width)), flat, factor)
 
-    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def gradient(self, state: tuple[np.ndarray, ...]) -> np.ndarray:
         """4 * analyze(f^3) on the support, given f and f^2."""
-        point_values, powers = state
+        point_values, powers, flat, factor = state
         cube = powers[..., 0, :] * point_values
         walsh_transform(cube)
         # take keeps the rows C-contiguous, as the BLAS row dots need
-        return np.take(cube, self.masks, axis=-1) * (4.0 * self.scale)
+        return np.take(cube, self._flat(flat, cube.shape[-1])) * factor
 
     def circle(
-        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
+        self, state: tuple[np.ndarray, ...], direction: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """F along cos(t) y + sin(t) d, and the point values b of d.
 
@@ -266,24 +305,24 @@ class _DenseKernel:
         [a^2; b^2] [a^2, ab, b^2]'; ab and b^2 go into the state's buffer
         next to a^2.
         """
-        point_values, powers = state
-        b = np.zeros(direction.shape[:-1] + (self.width,))
-        b[..., self.masks] = direction
+        point_values, powers, flat, _ = state
+        b = np.zeros(point_values.shape)
+        b.reshape(-1)[self._flat(flat, b.shape[-1])] = direction
         walsh_transform(b)
         np.multiply(point_values, b, out=powers[..., 1, :])
         np.multiply(b, b, out=powers[..., 2, :])
         gram = powers[..., ::2, :] @ np.swapaxes(powers, -1, -2)
         # [a2.a2, a2.ab, a2.b2, b2.a2, b2.ab, b2.b2] without the repeat
         coefficients = gram.reshape(gram.shape[:-2] + (6,))[..., _GRAM_2X3]
-        return coefficients * self.scale, b
+        return coefficients * (1.0 / b.shape[-1]), b
 
     def move(
         self,
-        state: tuple[np.ndarray, np.ndarray],
+        state: tuple[np.ndarray, ...],
         b: np.ndarray,
         c: np.ndarray,
         s: np.ndarray,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """F and the state at cos(t) y + sin(t) d, with no transform.
 
         The new state reuses the buffer of the given one, which the
@@ -291,10 +330,10 @@ class _DenseKernel:
         ab, so a step allocates no more than the point values: near the
         dense cap a row is 2^24 entries.
         """
-        point_values, powers = state
+        point_values, powers, *rest = state
         f = c[..., None] * point_values
         f += np.multiply(s[..., None], b, out=powers[..., 1, :])
-        return self._at(f, powers)
+        return self._at(f, powers, *rest)
 
 
 class _SparseKernel:
@@ -311,12 +350,13 @@ class _SparseKernel:
 
     def __init__(self, index: PairIndex) -> None:
         self.index = index
-        self.width = len(index.sums)
+        self.widths = [len(index.sums)]
 
     def evaluate(
-        self, coords: np.ndarray
+        self, coords: np.ndarray, row_sets: np.ndarray | None = None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        sums = np.empty((len(coords), 3, self.width))
+        """F and the state of each row; the kernel serves one set."""
+        sums = np.empty((len(coords), 3, self.widths[0]))
         for row, y in enumerate(coords):
             sums[row, 0] = self.index.pair_sums(y)
         return _row_dots(sums[:, 0], sums[:, 0]), (coords, sums)
@@ -426,11 +466,15 @@ def _circle_argmax(
 
 
 def _ascend(
-    kernel: _DenseKernel | _SparseKernel, starts: np.ndarray, cfg: OptimizerConfig
+    kernel: _DenseKernel | _SparseKernel,
+    starts: np.ndarray,
+    cfg: OptimizerConfig,
+    row_sets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Monotone ascent of F on the unit sphere by exact great-circle
-    steps along conjugate directions, for a stack of starts (rows x |A|)
-    in lockstep.
+    steps along conjugate directions, for a stack of starts (rows x L)
+    in lockstep; row_sets gives each row's set among the kernel's (see
+    ``_DenseKernel``).
 
     Each step moves from y to the maximum of F over the great circle
     cos(t) y + sin(t) d, for the unit search direction d = p / |p|.
@@ -450,19 +494,20 @@ def _ascend(
     step normalize(grad F + alpha y), for any alpha > 0, lies on the
     same circle, so that step gains no less than it would.  beta is
     formed per row in Python floats, so a row's path does not depend on
-    the rows stacked with it.
+    the other rows of its set stacked with it.
 
     Every kernel call serves all rows still climbing: the dense kernel
     runs two stacked Walsh transforms of length 2^d per step (the
     gradients and the transforms of the directions), the sparse one two
     bincounts per row over the pair index.  A row leaves the stack when
-    its run ends, so each row follows the path it would follow alone.
+    its run ends, so each row follows the path it would follow alone, up
+    to its last bits in a pool of several sets.
 
     Returns, one entry per row: the last points, their values, the
     iterations and the exit reasons (see ``AscentRun``).
     """
     y = starts / np.sqrt(_row_dots(starts, starts))[:, None]
-    value, state = kernel.evaluate(y)
+    value, state = kernel.evaluate(y, row_sets)
     rows = len(y)
     out_y, out_value = np.empty_like(y), np.empty(rows)
     out_iterations, out_exit = np.zeros(rows, dtype=int), [""] * rows
@@ -603,59 +648,114 @@ def mu_lower(
     sphere (the cardinality bound) with equality at the uniform vector:
     that start is returned as exact, with no kernel and no iteration.
     """
-    size = len(A)
-    if size == 0:
-        raise ValueError("cannot optimise over an empty support")
-    if size == 1 << A.affine.rank:
-        run = AscentRun("uniform", float(size), 0, "stationary")
-        return MuEstimate(float(size), SpectrumVector.uniform(A), True, (run,))
-    sparse = plan(size, A.affine.rank, dense_cap).kernel == "sparse"
-    kernel = _SparseKernel(A.pairs) if sparse else _DenseKernel(A)
-    rng = random.Random(cfg.seed)
+    return _climb([(A, extra_starts)], cfg, dense_cap)[0]
 
-    starts = [("uniform", SpectrumVector.uniform(A).coords)]
-    for extra in extra_starts:
-        if extra.support.elements != A.elements:
-            raise ValueError("extra start support does not match the set")
-        starts.append(("extra", extra.normalize().coords))
-    for _ in range(cfg.starts):
-        vec = _gaussian(rng, size)
-        while float(np.dot(vec, vec)) == 0.0:
-            vec = _gaussian(rng, size)
-        starts.append(("gaussian", vec))
 
-    runs: list[AscentRun] = []
-    best_y, best = None, None
-    # each phase climbs as one stack, split only where the kernel's state
-    # for every row would pass _STACK_ENTRIES
-    stack_rows = max(1, _STACK_ENTRIES // kernel.width)
+def _climb(
+    problems: list[tuple[SupportSet, tuple[SpectrumVector, ...]]],
+    cfg: OptimizerConfig,
+    dense_cap: int,
+) -> list[MuEstimate]:
+    """``mu_lower`` of each set, given with its extra starts, at once.
 
-    def run(batch: list[tuple[str, np.ndarray]]) -> None:
-        nonlocal best_y, best
-        for lo in range(0, len(batch), stack_rows):
-            chunk = batch[lo : lo + stack_rows]
-            ys, values, iterations, exits = _ascend(
-                kernel, np.array([start for _, start in chunk]), cfg
-            )
-            for (kind, _), y, value, iters, exit_reason in zip(
-                chunk, ys, values.tolist(), iterations.tolist(), exits
-            ):
-                runs.append(AscentRun(kind, value, iters, exit_reason))
-                if best is None or value > best.value:
-                    best_y, best = y, runs[-1]
+    Each set gets the starts, runs and certificate that ``mu_lower``
+    describes, but the rows of the dense-planned sets share stacks: each
+    phase pools them set by set in rank order, and a stack closes where
+    its kernel state (rows times 2^(largest rank)) would pass
+    _STACK_ENTRIES, or before a set whose width would make the stack's
+    padding take more entries than its rows fill.  Pooling saves the
+    fixed cost of each numpy call of a step, and padding costs entries:
+    on a 2-vCPU host, one stack of width 2^9 for the dense cells of
+    ``scan --n-max 10`` (33 starts each) climbed 1.8x slower than the
+    cells alone.  A sparse-planned set climbs alone.
+    """
+    out: dict[int, MuEstimate] = {}
+    # each kernel with the problems it serves, in the order of its sets
+    groups: list[tuple[_DenseKernel | _SparseKernel, list[int]]] = []
+    dense: list[int] = []
+    first: dict[int, list[tuple[str, np.ndarray]]] = {}
+    for i, (A, extra_starts) in enumerate(problems):
+        if len(A) == 0:
+            raise ValueError("cannot optimise over an empty support")
+        if len(A) == 1 << A.affine.rank:
+            run = AscentRun("uniform", float(len(A)), 0, "stationary")
+            out[i] = MuEstimate(float(len(A)), SpectrumVector.uniform(A), True, (run,))
+            continue
+        if plan(len(A), A.affine.rank, dense_cap).kernel == "sparse":
+            groups.append((_SparseKernel(A.pairs), [i]))
+        else:
+            dense.append(i)
+        rng = random.Random(cfg.seed)
+        first[i] = [("uniform", SpectrumVector.uniform(A).coords)]
+        for extra in extra_starts:
+            if extra.support.elements != A.elements:
+                raise ValueError("extra start support does not match the set")
+            first[i].append(("extra", extra.normalize().coords))
+        for _ in range(cfg.starts):
+            vec = _gaussian(rng, len(A))
+            while float(np.dot(vec, vec)) == 0.0:
+                vec = _gaussian(rng, len(A))
+            first[i].append(("gaussian", vec))
+    if dense:
+        dense.sort(key=lambda i: problems[i][0].affine.rank)
+        groups.append((_DenseKernel(*[problems[i][0] for i in dense]), dense))
+    runs: dict[int, list[AscentRun]] = {i: [] for i in first}
+    best: dict[int, tuple[np.ndarray, AscentRun]] = {}
 
-    run(starts)
-    # second phase: indicator starts on the dyadic slices of the leader
-    slices = dyadic_level_sets(SpectrumVector(A, best_y))
-    run([("level", SpectrumVector.unit_indicator(A, level).coords) for _, level in slices.levels])
+    def climb(batches: dict[int, list[tuple[str, np.ndarray]]]) -> None:
+        for kernel, members in groups:
+            chunks: list[list[tuple[int, str, np.ndarray]]] = []
+            filled = 0  # the entries the last chunk's rows fill unpadded
+            for j, i in enumerate(members):
+                width, rows = kernel.widths[j], [(j, *start) for start in batches[i]]
+                cap = max(1, _STACK_ENTRIES // width)
+                # sets come in rank order, so a chunk's last set sets its
+                # width; a set joins the last chunk, up to the budget, unless
+                # padding the chunk to its width takes more entries than it fills
+                joined = len(chunks[-1]) + len(rows) if chunks else 0
+                if chunks and joined * width <= 2 * (filled + len(rows) * width):
+                    room = max(0, cap - len(chunks[-1]))
+                    chunks[-1] += rows[:room]
+                    filled += min(room, len(rows)) * width
+                    rows = rows[room:]
+                for lo in range(0, len(rows), cap):
+                    chunks.append(rows[lo : lo + cap])
+                    filled = len(chunks[-1]) * width
+            for chunk in chunks:
+                starts = np.zeros((len(chunk), max(len(start) for *_, start in chunk)))
+                lo = 0
+                for _, run in itertools.groupby(chunk, key=lambda row: row[0]):
+                    block = np.array([start for *_, start in run])
+                    starts[lo : lo + len(block), : block.shape[1]] = block
+                    lo += len(block)
+                row_sets = np.array([j for j, *_ in chunk])
+                ys, values, iterations, exits = _ascend(kernel, starts, cfg, row_sets)
+                for (j, kind, _), y, value, iters, exit_reason in zip(
+                    chunk, ys, values.tolist(), iterations.tolist(), exits
+                ):
+                    i = members[j]
+                    runs[i].append(AscentRun(kind, value, iters, exit_reason))
+                    if i not in best or value > best[i][1].value:
+                        best[i] = y, runs[i][-1]
 
-    certificate = SpectrumVector(A, best_y).normalize()
-    return MuEstimate(
-        value=float(kernel.evaluate(certificate.coords[None])[0][0]),
-        certificate=certificate,
-        converged=best.converged,
-        runs=tuple(runs),
-    )
+    climb(first)
+    # second phase: indicator starts on the dyadic slices of each leader
+    levels = {}
+    for i in first:
+        A = problems[i][0]
+        slices = dyadic_level_sets(SpectrumVector(A, best[i][0][: len(A)]))
+        levels[i] = [
+            ("level", SpectrumVector.unit_indicator(A, level).coords) for _, level in slices.levels
+        ]
+    climb(levels)
+
+    for kernel, members in groups:
+        for j, i in enumerate(members):
+            A = problems[i][0]
+            certificate = SpectrumVector(A, best[i][0][: len(A)]).normalize()
+            value = float(kernel.evaluate(certificate.coords[None], np.array([j]))[0][0])
+            out[i] = MuEstimate(value, certificate, best[i][1].converged, tuple(runs[i]))
+    return [out[i] for i in range(len(problems))]
 
 
 def mu_upper(A: SupportSet, *, dense_cap: int = DEFAULT_DENSE_CAP) -> BoundSet:

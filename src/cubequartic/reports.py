@@ -35,7 +35,7 @@ from .core import (
     support_of,
 )
 from .errors import DimensionMismatchError, ResourceLimitError
-from .quartic import OptimizerConfig, mu_lower, mu_upper
+from .quartic import OptimizerConfig, _climb, mu_lower, mu_upper
 from .spheres import SphereParams, argmax_st, r_exact, ratio_st, t1
 
 # the check constructors (check_le, ...) are helpers, not part of the API
@@ -544,9 +544,12 @@ def conjecture_scan(
     the ascent value against the exact energy ratio computed twice
     (quadruple counting and the closed-form chain); a mismatch between the
     exact routes or an ascent value measurably below the ratio raises
-    instead of being recorded.  The cells run in this thread: each is
-    thousands of small numpy calls that hold the interpreter lock, so
-    worker threads only queued on it.
+    instead of being recorded, for the first failing cell in scan order.
+    The cells climb in one call, in this thread, so the dense-planned
+    ones share the ascent's stacks and the fixed cost of each numpy call
+    (worker threads only queued on the interpreter lock).  A pooled
+    cell's floats can differ from ``mu_lower`` on its sphere in their
+    last bits.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
@@ -554,10 +557,10 @@ def conjecture_scan(
     cells = [SphereParams(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
     for p in cells:
         plan(p.size, p.rank, dense_cap)
-
-    def run(p: SphereParams) -> ConjectureRecord:
+    spheres = [SupportSet.sphere(p.n, p.k) for p in cells]
+    records = []
+    for p, A, est in zip(cells, spheres, _climb([(A, ()) for A in spheres], cfg, dense_cap)):
         n, k = p.n, p.k
-        A = SupportSet.sphere(n, k)
         ratio = Fraction(
             pair_multiplicities(A, dense_cap=dense_cap).energy(), len(A) ** 2
         )
@@ -566,7 +569,6 @@ def conjecture_scan(
             raise RuntimeError(
                 f"energy-ratio routes disagree at (n={n}, k={k}): {ratio} vs {closed}"
             )
-        est = mu_lower(A, cfg, dense_cap=dense_cap)
         upper = mu_upper(A, dense_cap=dense_cap)
         gap = est.value - float(ratio)
         upper_gap = upper.best - float(ratio)
@@ -581,18 +583,10 @@ def conjecture_scan(
             certificate = tuple(float(v) for v in est.certificate.coords)
         else:
             status, certificate = ConjectureRecord.INCONCLUSIVE, None
-        return ConjectureRecord(
-            n=n,
-            k=k,
-            mu_est=est.value,
-            energy_ratio=ratio,
-            gap=gap,
-            upper_gap=upper_gap,
-            status=status,
-            certificate=certificate,
+        records.append(
+            ConjectureRecord(n, k, est.value, ratio, gap, upper_gap, status, certificate)
         )
-
-    return [run(cell) for cell in cells]
+    return records
 
 
 def energy_lowerbound_step_check(f: CubeFunction, C_val: float) -> BoundReport:

@@ -723,13 +723,15 @@ class TestScanStatuses:
     def shift_ascent(monkeypatch, delta):
         import cubequartic.reports
 
-        original = cubequartic.reports.mu_lower
+        original = cubequartic.reports._climb
 
         def shifted(*args, **kwargs):
-            est = original(*args, **kwargs)
-            return dataclasses.replace(est, value=est.value + delta)
+            return [
+                dataclasses.replace(est, value=est.value + delta)
+                for est in original(*args, **kwargs)
+            ]
 
-        monkeypatch.setattr(cubequartic.reports, "mu_lower", shifted)
+        monkeypatch.setattr(cubequartic.reports, "_climb", shifted)
 
     def test_large_gap_is_a_candidate_with_certificate(self, capsys, monkeypatch):
         self.shift_ascent(monkeypatch, 1e-3)

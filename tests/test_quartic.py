@@ -18,6 +18,7 @@ from cubequartic.additive import (
 )
 from cubequartic.asymptotics import f_combine, psi_value
 from cubequartic.core import (
+    DEFAULT_DENSE_CAP,
     CubeFunction,
     SpectrumVector,
     SupportSet,
@@ -38,6 +39,7 @@ from cubequartic.quartic import (
     shkredov_matrix,
     _ascend,
     _circle_argmax,
+    _climb,
     _DenseKernel,
     _gaussian,
     _row_dots,
@@ -274,8 +276,8 @@ class _RecordingKernel:
         self.steps = []  # (y, d, value reached)
         self.last = {}  # row id -> (y, value) of its start or last step
 
-    def evaluate(self, coords):
-        value, state = self.kernel.evaluate(coords)
+    def evaluate(self, coords, row_sets=None):
+        value, state = self.kernel.evaluate(coords, row_sets)
         ids = np.arange(len(coords))
         self.last = {row: (coords[row], value[row]) for row in ids.tolist()}
         return value, (ids, coords, value) + state
@@ -540,6 +542,51 @@ class TestStackedAscent:
         monkeypatch.setattr(cubequartic.quartic, "_STACK_ENTRIES", 512)
         est, calls = TestLineSearch()._count_transforms(monkeypatch, A)
         assert max(calls) == 4 and len(est.runs) > 4
+
+    def test_pad_slots_stay_zero_in_a_pooled_stack(self):
+        # S(3,1) (3 elements, rank 2) pooled with S(8,4) (70 elements,
+        # rank 7): the S(3,1) row has 67 pad slots in a stack of width 2^7
+        small, large = SupportSet.sphere(3, 1), SupportSet.sphere(8, 4)
+        rng = np.random.default_rng(5)
+        starts = rng.standard_normal((2, len(large)))
+        starts[0, len(small) :] = 0.0
+        row_sets = np.array([0, 1])
+        pooled = _DenseKernel(small, large)
+        for steps in (1, 2):
+            cfg = OptimizerConfig(max_iters=steps)
+            recorder = _DirectionRecorder(pooled)
+            ys, values, _, _ = _ascend(recorder, starts, cfg, row_sets)
+            # every step's y, tangent gradient and direction on the S(3,1) row
+            moves = [move for move in recorder.moves if move[0] == 0]
+            assert len(moves) == steps
+            for _, y, g, d, _, _ in moves:
+                for vector in (y, g, d):
+                    assert not np.any(vector[len(small) :])
+            assert not np.any(ys[0, len(small) :])
+            _, state = pooled.evaluate(ys, row_sets)
+            assert not np.any(pooled.gradient(state)[0, len(small) :])
+            _, alone, _, _ = _ascend(_DenseKernel(small), starts[:1, : len(small)], cfg)
+            assert math.isclose(values[0], alone[0], rel_tol=1e-12)
+
+    def test_pooled_stacks_are_capped(self, monkeypatch):
+        import cubequartic.quartic
+
+        # the 7 first-phase rows of S(3,1) (rank 2) fit in one stack of
+        # width 2^2; the rows of S(8,3) and S(8,4) (rank 7) go 4 to a stack
+        monkeypatch.setattr(cubequartic.quartic, "_STACK_ENTRIES", 512)
+        shapes = []
+
+        def counted(values):
+            shapes.append(values.shape)
+            return walsh_transform(values)
+
+        monkeypatch.setattr(cubequartic.quartic, "walsh_transform", counted)
+        sets = [SupportSet.sphere(8, 4), SupportSet.sphere(3, 1), SupportSet.sphere(8, 3)]
+        cfg = OptimizerConfig(starts=6, max_iters=3)
+        estimates = _climb([(A, ()) for A in sets], cfg, DEFAULT_DENSE_CAP)
+        assert [est.starts_used > 7 for est in estimates] == [True] * 3
+        assert all(rows * width <= 512 for rows, width in shapes)
+        assert (7, 4) in shapes and (4, 128) in shapes
 
 
 class TestMuLower:

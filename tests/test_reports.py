@@ -10,7 +10,7 @@ import pytest
 from cubequartic.additive import additive_energy, energy_ratio
 from cubequartic.core import CubeFunction, SpectrumVector, SupportSet, synthesize
 from cubequartic.errors import DimensionMismatchError, ResourceLimitError
-from cubequartic.quartic import OptimizerConfig
+from cubequartic.quartic import OptimizerConfig, _climb, mu_lower
 from cubequartic.reports import (
     ConjectureRecord,
     _k_window,
@@ -319,6 +319,59 @@ class TestConjectureScan:
             assert rec.upper_gap >= -1e-8
             assert rec.certificate is None
             assert rec.energy_ratio == energy_ratio(SupportSet.sphere(rec.n, rec.k))
+
+    @staticmethod
+    def scan_with(monkeypatch, climb):
+        """conjecture_scan(8) with 6 starts and seed 0, its cells climbed by
+        ``climb``; the records and the estimates ``climb`` returned."""
+        import cubequartic.reports
+
+        estimates = []
+
+        def recorded(*args):
+            estimates.extend(climb(*args))
+            return estimates
+
+        monkeypatch.setattr(cubequartic.reports, "_climb", recorded)
+        return conjecture_scan(8, OptimizerConfig(starts=6, seed=0)), estimates
+
+    def test_pooled_cells_match_solo_climbs(self, monkeypatch):
+        def solo(problems, cfg, dense_cap):
+            return [mu_lower(A, cfg, dense_cap=dense_cap, extra_starts=extra) for A, extra in problems]
+
+        pooled, pooled_estimates = self.scan_with(monkeypatch, _climb)
+        alone, alone_estimates = self.scan_with(monkeypatch, solo)
+        assert len(pooled_estimates) == len(alone_estimates) == 16
+        for rec, solo_rec, est, solo_est in zip(pooled, alone, pooled_estimates, alone_estimates):
+            cell = (rec.n, rec.k)
+            assert math.isclose(rec.mu_est, solo_rec.mu_est, rel_tol=1e-12), cell
+            assert rec.status == solo_rec.status, cell
+            assert [run.kind for run in est.runs] == [run.kind for run in solo_est.runs], cell
+            assert est.starts_used == solo_est.starts_used, cell
+
+    def test_dense_cells_share_stacks(self, monkeypatch):
+        import cubequartic.quartic
+
+        # one call per cell and phase made 30 calls; now each of the 6
+        # sparse cells S(4..8,1) and S(8,2) climbs alone (two calls), the 9
+        # dense cells in 2 stacks per phase, and S(2,1) is a coset and
+        # does not climb
+        calls = []
+        ascend = cubequartic.quartic._ascend
+
+        def counted(kernel, starts, *args):
+            calls.append((type(kernel).__name__, len(starts)))
+            return ascend(kernel, starts, *args)
+
+        monkeypatch.setattr(cubequartic.quartic, "_ascend", counted)
+        conjecture_scan(8, OptimizerConfig(starts=6, seed=0))
+        assert len(calls) == 16
+        assert [kind for kind, _ in calls].count("_SparseKernel") == 12
+        # 7 starts per cell: ranks 2-4 (3 cells) and 5-7 (6 cells); S(6,2)
+        # of rank 5 opens a stack, as padding the 21 rows of ranks 2-4 to
+        # width 2^5 would take more entries than the 28 rows fill
+        dense = [rows for kind, rows in calls if kind == "_DenseKernel"]
+        assert dense[:2] == [21, 42]
 
 
 class TestEnergyStep:
