@@ -440,7 +440,7 @@ def hereditary_energy(
     """
     if len(A) == 0:
         raise ValueError("hereditary energy undefined for the empty set")
-    if certificate is not None and certificate.support.elements != A.elements:
+    if certificate is not None and certificate.support != A:
         raise ValueError("certificate support does not match the set")
     route = plan(len(A), A.affine.rank, exact_limit=exact_limit).hereditary
     if route == "exhaustive":

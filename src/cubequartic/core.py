@@ -443,10 +443,19 @@ class SpectrumVector:
 
     @classmethod
     def unit_indicator(cls, support: SupportSet, subset: SupportSet) -> "SpectrumVector":
-        """The unit vector 1/sqrt(|B|) on a non-empty subset B of the support."""
+        """The unit vector 1/sqrt(|B|) on a non-empty subset B of the
+        support; error on any other B."""
+        # both sorted, so this finds B's positions if B is within the support
+        where = np.searchsorted(support.masks, subset.masks)
+        if (
+            len(subset) == 0
+            or subset.n != support.n
+            or np.any(where == len(support))
+            or np.any(support.masks[where] != subset.masks)
+        ):
+            raise ValueError("indicator subset is not a non-empty subset of the support")
         coords = np.zeros(len(support))
-        # both sorted and B within the support, so this finds its positions
-        coords[np.searchsorted(support.masks, subset.masks)] = 1.0 / math.sqrt(len(subset))
+        coords[where] = 1.0 / math.sqrt(len(subset))
         return cls(support, coords)
 
     def norm_squared(self) -> float:

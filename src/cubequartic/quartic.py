@@ -14,7 +14,6 @@ the pair-sum matrix representation, and the last-coordinate split.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -180,7 +179,7 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
     eigenvalue over unit y upper-bounds nothing by itself but exposes
     the spectral structure of the form.
     """
-    if A.elements != y.support.elements or A.n != y.support.n:
+    if y.support != A:
         raise ValueError("vector support does not match the set")
     if len(A) == 0:
         raise ValueError("empty support")
@@ -229,37 +228,32 @@ class _DenseKernel:
     is the row, so the ascent drops a row by indexing each.  Here it is
     the point values f of the synthesized functions (rows x 2^D, for D
     the largest rank of the rows' sets), a buffer (rows x 3 x 2^D) whose
-    first row holds f^2, each row's slots as flat indices (rows x L, row
-    2^D + frame coordinate) and the gradient's factor on each slot (rows
-    x L, or rows x 1 in a stack with no pads).  A set of rank d < D fills
-    the first 2^d coordinates, and its f repeats 2^(D - d) times over
-    the 2^D points, so no mean changes.  A row of a set shorter than L
-    is padded with slots at a frame coordinate outside its set: they
-    hold 0 in y and have factor 0, so every vector of the ascent is 0
-    there.
+    first row holds f^2, each row's slots as frame coordinates (rows x
+    L) and the gradient's factor on each slot (rows x L).  A set of rank
+    d < D fills the first 2^d coordinates, and its f repeats 2^(D - d)
+    times over the 2^D points, so no mean changes.  A row of a set
+    shorter than L is padded with slots at a frame coordinate outside
+    its set: they hold 0 in y and have factor 0, so every vector of the
+    ascent is 0 there.
     """
 
     def __init__(self, *sets: SupportSet) -> None:
         self.widths = [1 << A.affine.rank for A in sets]
-        self.sizes = np.array([len(A) for A in sets])
-        self.coords = np.zeros((len(sets), self.sizes.max()), dtype=np.int64)
+        sizes = np.array([len(A) for A in sets])
+        self.coords = np.zeros((len(sets), sizes.max()), dtype=np.int64)
         for row, A in zip(self.coords, sets):
             row[: len(A)] = A.affine.coords
             if len(A) < len(row):
                 # a set that is not a full coset misses one of 0, ..., |A|
                 low = A.affine.coords[A.affine.coords <= len(A)]
                 row[len(A) :] = np.argmin(np.bincount(low, minlength=len(A) + 1))
-        self.real = np.arange(self.coords.shape[1]) < self.sizes[:, None]
+        self.real = np.arange(self.coords.shape[1]) < sizes[:, None]
 
     @staticmethod
-    def _flat(flat: np.ndarray, width: int) -> np.ndarray:
-        """The flat indices of a state, renumbered in place if the ascent
-        has dropped rows since they were formed: rows keep their order, so
-        then the last row's indices point past the stack."""
-        if flat[-1, 0] >= len(flat) * width:
-            flat &= width - 1
-            flat += np.arange(0, len(flat) * width, width)[:, None]
-        return flat
+    def _flat(slots: np.ndarray, width: int) -> np.ndarray:
+        """The slots' indices in a flattened stack of rows of this width:
+        row width + frame coordinate."""
+        return slots + np.arange(0, len(slots) * width, width)[:, None]
 
     @staticmethod
     def _at(
@@ -277,22 +271,20 @@ class _DenseKernel:
         """Returns (F of each row, the state of each synthesized f)."""
         row_sets = np.zeros(len(coords), dtype=int) if row_sets is None else row_sets
         width = max(self.widths[i] for i in row_sets.tolist())
-        length = coords.shape[-1]
-        flat = self.coords[row_sets, :length] + (np.arange(len(coords)) * width)[:, None]
-        real = self.real[row_sets, :length]
-        factor = real * (4.0 / width) if not real.all() else np.full((len(coords), 1), 4.0 / width)
+        slots = self.coords[row_sets, : coords.shape[-1]]
+        factor = self.real[row_sets, : coords.shape[-1]] * (4.0 / width)
         dense = np.zeros((len(coords), width))
-        dense.reshape(-1)[flat] = coords
+        dense.reshape(-1)[self._flat(slots, width)] = coords
         walsh_transform(dense)
-        return self._at(dense, np.empty((len(coords), 3, width)), flat, factor)
+        return self._at(dense, np.empty((len(coords), 3, width)), slots, factor)
 
     def gradient(self, state: tuple[np.ndarray, ...]) -> np.ndarray:
         """4 * analyze(f^3) on the support, given f and f^2."""
-        point_values, powers, flat, factor = state
+        point_values, powers, slots, factor = state
         cube = powers[..., 0, :] * point_values
         walsh_transform(cube)
         # take keeps the rows C-contiguous, as the BLAS row dots need
-        return np.take(cube, self._flat(flat, cube.shape[-1])) * factor
+        return np.take(cube, self._flat(slots, cube.shape[-1])) * factor
 
     def circle(
         self, state: tuple[np.ndarray, ...], direction: np.ndarray
@@ -305,9 +297,9 @@ class _DenseKernel:
         [a^2; b^2] [a^2, ab, b^2]'; ab and b^2 go into the state's buffer
         next to a^2.
         """
-        point_values, powers, flat, _ = state
+        point_values, powers, slots, _ = state
         b = np.zeros(point_values.shape)
-        b.reshape(-1)[self._flat(flat, b.shape[-1])] = direction
+        b.reshape(-1)[self._flat(slots, b.shape[-1])] = direction
         walsh_transform(b)
         np.multiply(point_values, b, out=powers[..., 1, :])
         np.multiply(b, b, out=powers[..., 2, :])
@@ -493,7 +485,8 @@ def _ascend(
     g.g_ needs no projection of g_.  On a gradient step a shifted power
     step normalize(grad F + alpha y), for any alpha > 0, lies on the
     same circle, so that step gains no less than it would.  beta is
-    formed per row in Python floats, so a row's path does not depend on
+    formed by elementwise array operations, the same float operations on
+    each row as a loop over the rows, so a row's path does not depend on
     the other rows of its set stacked with it.
 
     Every kernel call serves all rows still climbing: the dense kernel
@@ -557,20 +550,13 @@ def _ascend(
         norm2 = _row_dots(tangent, tangent)
         search = tangent
         if iterations > 1:
-            beta = []
-            for g2, last2, cross, slope in zip(
-                norm2.tolist(),
-                last_norm2.tolist(),
-                _row_dots(tangent, last_grad).tolist(),
-                _row_dots(tangent, last_search).tolist(),
-            ):
-                b = (g2 - cross) / last2
-                # Powell's test also catches every b <= 0, where g.g_ >= g.g;
-                # g.p = g.g + b g.p_
-                if abs(cross) >= _RESTART * g2 or g2 + b * slope <= 0.0:
-                    b = 0.0
-                beta.append(b)
-            search = tangent + np.array(beta)[:, None] * last_search
+            cross = _row_dots(tangent, last_grad)
+            beta = (norm2 - cross) / last_norm2
+            # Powell's test also catches every beta <= 0, where g.g_ >= g.g;
+            # g.p = g.g + beta g.p_
+            slope = norm2 + beta * _row_dots(tangent, last_search)
+            beta[(np.abs(cross) >= _RESTART * norm2) | (slope <= 0.0)] = 0.0
+            search = tangent + beta[:, None] * last_search
         length = np.sqrt(_row_dots(search, search))[:, None]
         direction = search / length
         coefficients, arc = kernel.circle(state, direction)
@@ -688,7 +674,7 @@ def _climb(
         rng = random.Random(cfg.seed)
         first[i] = [("uniform", SpectrumVector.uniform(A).coords)]
         for extra in extra_starts:
-            if extra.support.elements != A.elements:
+            if extra.support != A:
                 raise ValueError("extra start support does not match the set")
             first[i].append(("extra", extra.normalize().coords))
         for _ in range(cfg.starts):
@@ -723,11 +709,8 @@ def _climb(
                     filled = len(chunks[-1]) * width
             for chunk in chunks:
                 starts = np.zeros((len(chunk), max(len(start) for *_, start in chunk)))
-                lo = 0
-                for _, run in itertools.groupby(chunk, key=lambda row: row[0]):
-                    block = np.array([start for *_, start in run])
-                    starts[lo : lo + len(block), : block.shape[1]] = block
-                    lo += len(block)
+                for row, (*_, start) in enumerate(chunk):
+                    starts[row, : len(start)] = start
                 row_sets = np.array([j for j, *_ in chunk])
                 ys, values, iterations, exits = _ascend(kernel, starts, cfg, row_sets)
                 for (j, kind, _), y, value, iters, exit_reason in zip(

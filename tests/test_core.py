@@ -422,6 +422,28 @@ class TestSpectrumVector:
         with pytest.raises(ValueError):
             SpectrumVector(A, np.ones(3))
 
+    def test_unit_indicator(self):
+        A = SupportSet.from_masks(3, [1, 2, 4])
+        y = SpectrumVector.unit_indicator(A, SupportSet.from_masks(3, [2, 4]))
+        assert np.array_equal(y.coords, [0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)])
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            SupportSet(3, ()),
+            # below, between and past the support's masks
+            SupportSet(3, (0,)),
+            SupportSet(3, (3,)),
+            SupportSet(3, (7,)),
+            SupportSet(4, (1, 2)),
+        ],
+        ids=["empty", "below", "between", "past", "other-dimension"],
+    )
+    def test_unit_indicator_needs_a_subset(self, subset):
+        A = SupportSet.from_masks(3, [1, 2, 4])
+        with pytest.raises(ValueError, match="subset"):
+            SpectrumVector.unit_indicator(A, subset)
+
     def test_to_function_and_back(self, rng):
         A = SupportSet.from_masks(4, [1, 3, 9])
         y = SpectrumVector(A, rng.standard_normal(3)).normalize()

@@ -724,6 +724,17 @@ class TestMuLower:
         with pytest.raises(ValueError):
             mu_lower(A, FAST, extra_starts=(wrong,))
 
+    def test_supports_in_another_dimension_are_refused(self):
+        # A's masks in dimension n + 1: the same elements, another set
+        A = SupportSet.sphere(3, 1)
+        lifted = SpectrumVector.uniform(SupportSet(4, A.elements))
+        with pytest.raises(ValueError, match="extra start"):
+            mu_lower(A, FAST, extra_starts=(lifted,))
+        with pytest.raises(ValueError, match="certificate"):
+            hereditary_energy(A, certificate=lifted)
+        with pytest.raises(ValueError, match="does not match"):
+            shkredov_matrix(A, lifted)
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mu_lower(SupportSet(3, ()))

@@ -429,6 +429,19 @@ class TestAsymptoticReports:
     def test_psi_envelope(self):
         assert psi_envelope_report(64).overall
 
+    def test_psi_envelope_reverse_direction_starts_at_k_8(self):
+        # k <= n/2 reaches 8 first at n = 16
+        below, at = psi_envelope_report(15), psi_envelope_report(16)
+        assert below.overall and at.overall
+        assert [c.name for c in below.checks] == ["exact ratio below the envelope"]
+        assert below.notes == ["no cells with k >= 8; reverse direction not exercised"]
+        assert [c.name for c in at.checks] == [
+            "exact ratio below the envelope",
+            "envelope within 8 k^1.5 of the exact ratio",
+        ]
+        assert at.notes == []
+        assert "(n=16, k=8)" in at.checks[1].detail
+
     def test_argument_order(self):
         with pytest.raises(ValueError):
             sphere_ratio_report(70, 64)
