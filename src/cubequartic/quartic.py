@@ -187,9 +187,9 @@ def shkredov_matrix(A: SupportSet, y: SpectrumVector) -> np.ndarray:
 
 
 # a stack of ascent starts holds at most this many entries of kernel
-# state (rows times the width of its widest row: 2^rank dense), so a
-# large transform climbs one start at a time; the budget also splits a
-# pool of several sets' rows (see _climb)
+# state (rows times the width of its widest row: 2^rank dense, |A+A|
+# sparse), so a large transform climbs one start at a time; the budget
+# also splits a pool of several sets' rows (see _climb)
 _STACK_ENTRIES = 1 << 18
 
 
@@ -202,7 +202,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one product over all rows, so that a row's result does not depend
     on the other rows of its set stacked with it.  Rows of other sets in
     a pooled stack can change its last bits, through the stack's width
-    and row length (see ``_DenseKernel``).
+    and row length (see ``_DenseKernel`` and ``_SparseKernel``).
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -328,38 +328,123 @@ class _DenseKernel:
         return self._at(f, powers, *rest)
 
 
+# a sparse kernel call works on blocks of consecutive rows of at most
+# this many pair entries (rows times |A|^2), so that the stacked index and
+# weights of a block's bincount stay in cache
+_BLOCK_PAIRS = 1 << 15
+
+
 class _SparseKernel:
     """F and gradient from the pair index, at cost |A|^2 per row.
 
     With s_x the pair sums, F = s.s and grad F = 4 T y for the pair-sum
-    matrix T[i, j] = s at a_i ^ a_j.  The methods take stacks like the
-    dense kernel's; the state passed from ``evaluate`` to the other
-    methods is y (rows x |A|) and a buffer (rows x 3 x |A+A|) whose
-    first row holds s.  The pair sums and T y are formed one row at a
-    time, so no buffer holds rows x |A|^2 entries; the rest is batched
-    over the rows.
+    matrix T[i, j] = s at a_i ^ a_j.  One kernel serves the sets of one
+    or more pair indexes, and its methods take stacks and each row's set
+    like the dense kernel's.  The state passed from ``evaluate`` to the
+    other methods is y (rows x L), a buffer (rows x 3 x W, for W the
+    widest |A+A| of the rows' sets) whose first row holds s, and the
+    stack's blocks (``_PairBlocks``).
+
+    Each call works block by block: one bincount over a stacked bin index
+    (position in the block x W + pair index) forms a block's pair sums,
+    and one take of those sums over the same index gives its rows' T for
+    one stacked product T y.  Per row these are the float operations of
+    ``PairIndex.pair_sums`` and ``s[inverse] @ y``, so a one-set stack
+    gives the bits of each row alone.  A block of one set's rows reads
+    that set's index over a full block, built once with the kernel.  A
+    block that mixes sets pads each row to its longest set with zero
+    coefficients, whose pairs fall into one extra dump bin (a stack that
+    pads has W + 1 bins); their sums, T rows and gradient are 0, so
+    every vector of the ascent is 0 there.
     """
 
-    def __init__(self, index: PairIndex) -> None:
-        self.index = index
-        self.widths = [len(index.sums)]
+    def __init__(self, *indexes: PairIndex) -> None:
+        self.indexes = indexes
+        self.sizes = [len(index.masks) for index in indexes]
+        self.widths = [len(index.sums) for index in indexes]
+        # each set's index over the longest block of its rows so far
+        self.full = [index.inverse.reshape(-1) for index in indexes]
+        # the weights or T of any block, allocated once: a fresh array of
+        # that size per call would cost its page faults each time
+        self.scratch = np.empty(max(_BLOCK_PAIRS, max(self.sizes) ** 2))
+
+    def _blocks(self, row_sets: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
+        """(first row, end row, row length, bins, stacked index) of each
+        block of a stack whose rows belong to the sets ``row_sets``."""
+        if not len(row_sets):
+            return []
+        blocks, pieces, top = [], [], 0  # the open block's runs of one set
+        ends = (np.flatnonzero(row_sets[1:] != row_sets[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *ends], [*ends, len(row_sets)]):
+            j = int(row_sets[lo])
+            pairs = self.sizes[j] ** 2
+            while lo < hi:
+                top = max(top, pairs)
+                room = max(1, _BLOCK_PAIRS // top) - (lo - pieces[0][0] if pieces else 0)
+                if room > 0:
+                    pieces.append((lo, min(hi, lo + room), j))
+                    lo = pieces[-1][1]
+                else:
+                    blocks.append(self._block(pieces))
+                    pieces, top = [], 0
+        blocks.append(self._block(pieces))
+        return blocks
+
+    def _block(self, pieces: list[tuple[int, int, int]]) -> tuple[int, int, int, int, np.ndarray]:
+        """The block of these runs of rows (first row, end row, set)."""
+        lo, hi = pieces[0][0], pieces[-1][1]
+        if len(pieces) == 1:
+            j, size = pieces[0][2], self.sizes[pieces[0][2]]
+            if len(self.full[j]) < (hi - lo) * size * size:
+                offsets = np.arange(hi - lo) * self.widths[j]
+                self.full[j] = (offsets[:, None] + self.full[j][: size * size]).ravel()
+            return lo, hi, size, self.widths[j], self.full[j][: (hi - lo) * size * size]
+        sets = [j for *_, j in pieces]
+        length, top = max(self.sizes[j] for j in sets), max(self.widths[j] for j in sets)
+        bins = top + (min(self.sizes[j] for j in sets) < length)
+        index = np.full((hi - lo, length, length), top)
+        for a, b, j in pieces:
+            index[a - lo : b - lo, : self.sizes[j], : self.sizes[j]] = self.indexes[j].inverse
+        index += (np.arange(hi - lo) * bins)[:, None, None]
+        return lo, hi, length, bins, index.ravel()
+
+    def _sums(self, blocks: _PairBlocks, y: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+        """The pair sums of y (x) z, row by row, into out (rows x W)."""
+        for lo, hi, length, bins, index in blocks.blocks:
+            weights = self.scratch[: index.size].reshape(hi - lo, length, length)
+            np.multiply(y[lo:hi, :length, None], z[lo:hi, None, :length], out=weights)
+            sums = np.bincount(index, weights.reshape(-1), minlength=(hi - lo) * bins)
+            out[lo:hi, :bins] = sums.reshape(hi - lo, bins)
+            if bins < out.shape[-1]:
+                out[lo:hi, bins:] = 0.0
 
     def evaluate(
         self, coords: np.ndarray, row_sets: np.ndarray | None = None
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """F and the state of each row; the kernel serves one set."""
-        sums = np.empty((len(coords), 3, self.widths[0]))
-        for row, y in enumerate(coords):
-            sums[row, 0] = self.index.pair_sums(y)
-        return _row_dots(sums[:, 0], sums[:, 0]), (coords, sums)
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, _PairBlocks]]:
+        """F and the state of each row."""
+        row_sets = np.zeros(len(coords), dtype=int) if row_sets is None else row_sets
+        used = set(row_sets.tolist())
+        pads = min(self.sizes[j] for j in used) < coords.shape[-1]
+        sums = np.empty((len(coords), 3, max(self.widths[j] for j in used) + pads))
+        blocks = _PairBlocks(self, row_sets)
+        self._sums(blocks, coords, coords, sums[:, 0])
+        return _row_dots(sums[:, 0], sums[:, 0]), (coords, sums, blocks)
 
-    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        coords, sums = state
-        inverse = self.index.inverse
-        return 4.0 * np.array([p[inverse] @ y for y, p in zip(coords, sums[:, 0])])
+    def gradient(self, state: tuple[np.ndarray, np.ndarray, _PairBlocks]) -> np.ndarray:
+        coords, sums, blocks = state
+        grad = np.zeros(coords.shape)
+        for lo, hi, length, bins, index in blocks.blocks:
+            # take keeps the rows C-contiguous; sums[:, 0][:, inverse] is not,
+            # and its stacked product changes the last bits; every index is
+            # in range, and "clip" writes out unbuffered
+            pairs = self.scratch[: index.size].reshape(hi - lo, length, length)
+            np.take(sums[lo:hi, 0, :bins], index, out=pairs.reshape(-1), mode="clip")
+            grad[lo:hi, :length] = (pairs @ coords[lo:hi, :length, None])[..., 0]
+        grad *= 4.0
+        return grad
 
     def circle(
-        self, state: tuple[np.ndarray, np.ndarray], direction: np.ndarray
+        self, state: tuple[np.ndarray, np.ndarray, _PairBlocks], direction: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """F along cos(t) y + sin(t) d; the pair sums needed to move go
         into the state's buffer.
@@ -369,10 +454,9 @@ class _SparseKernel:
         coefficients are P.P, P.Q, (2 Q.Q + P.R) / 3, Q.R and R.R: all
         but Q.Q are entries of one stacked product [P; R] [P, Q, R]'.
         """
-        coords, sums = state
-        for row, (y, d) in enumerate(zip(coords, direction)):
-            sums[row, 1] = self.index.pair_sums(y, d)
-            sums[row, 2] = self.index.pair_sums(d)
+        coords, sums, blocks = state
+        self._sums(blocks, coords, direction, sums[:, 1])
+        self._sums(blocks, direction, direction, sums[:, 2])
         gram = sums[:, ::2] @ sums.transpose(0, 2, 1)
         coefficients = gram.reshape(-1, 6)[:, _GRAM_2X3]
         q = sums[:, 1]
@@ -381,19 +465,34 @@ class _SparseKernel:
 
     def move(
         self,
-        state: tuple[np.ndarray, np.ndarray],
+        state: tuple[np.ndarray, np.ndarray, _PairBlocks],
         direction: np.ndarray,
         c: np.ndarray,
         s: np.ndarray,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, _PairBlocks]]:
         """F and the state at cos(t) y + sin(t) d, with no enumeration."""
-        coords, sums = state
+        coords, sums, blocks = state
         c, s = c[:, None], s[:, None]
         moved = np.empty_like(sums)
         # c^2 P + 2cs Q + s^2 R, one row-by-row product
         weights = np.concatenate((c * c, 2.0 * c * s, s * s), axis=1)[:, None]
         p = np.matmul(weights, sums, out=moved[:, :1])[:, 0]
-        return _row_dots(p, p), (c * coords + s * direction, moved)
+        return _row_dots(p, p), (c * coords + s * direction, moved, blocks)
+
+
+class _PairBlocks:
+    """The blocks of a sparse stack (see ``_SparseKernel._blocks``) for
+    the rows' sets ``row_sets``.  The ascent drops rows by indexing each
+    part of the state with a row mask; indexed so, this cuts the kept
+    rows into blocks afresh, so a mixed block's index is built once per
+    ``evaluate`` and per drop, never per call."""
+
+    def __init__(self, kernel: _SparseKernel, row_sets: np.ndarray) -> None:
+        self.kernel, self.row_sets = kernel, row_sets
+        self.blocks = kernel._blocks(row_sets)
+
+    def __getitem__(self, keep: np.ndarray) -> _PairBlocks:
+        return _PairBlocks(self.kernel, self.row_sets[keep])
 
 
 # relative window improvement below which an ascent run stops
@@ -492,7 +591,8 @@ def _ascend(
     Every kernel call serves all rows still climbing: the dense kernel
     runs two stacked Walsh transforms of length 2^d per step (the
     gradients and the transforms of the directions), the sparse one two
-    bincounts per row over the pair index.  A row leaves the stack when
+    bincounts and one take per block of rows over the pair index (see
+    ``_SparseKernel``).  A row leaves the stack when
     its run ends, so each row follows the path it would follow alone, up
     to its last bits in a pool of several sets.
 
@@ -645,32 +745,38 @@ def _climb(
     """``mu_lower`` of each set, given with its extra starts, at once.
 
     Each set gets the starts, runs and certificate that ``mu_lower``
-    describes, but the rows of the dense-planned sets share stacks: each
-    phase pools them set by set in rank order, and a stack closes where
-    its kernel state (rows times 2^(largest rank)) would pass
-    _STACK_ENTRIES, or before a set whose width would make the stack's
-    padding take more entries than its rows fill.  Pooling saves the
-    fixed cost of each numpy call of a step, and padding costs entries:
-    on a 2-vCPU host, one stack of width 2^9 for the dense cells of
-    ``scan --n-max 10`` (33 starts each) climbed 1.8x slower than the
-    cells alone.  A sparse-planned set climbs alone.
+    describes, but the rows of the sets planned on one kernel share
+    stacks: each phase pools them set by set in order of width (2^rank
+    dense, |A+A| sparse), and a stack closes where its kernel state
+    (rows times the largest width) would pass _STACK_ENTRIES, or before
+    a set whose width would make the stack's padding take more entries
+    than its rows fill.  Pooling saves the fixed cost of each numpy call
+    of a step, and padding costs entries: on a 2-vCPU host, one stack of
+    width 2^9 for the dense cells of ``scan --n-max 10`` (33 starts
+    each) climbed 1.8x slower than the cells alone.
     """
     out: dict[int, MuEstimate] = {}
-    # each kernel with the problems it serves, in the order of its sets
-    groups: list[tuple[_DenseKernel | _SparseKernel, list[int]]] = []
-    dense: list[int] = []
-    first: dict[int, list[tuple[str, np.ndarray]]] = {}
-    for i, (A, extra_starts) in enumerate(problems):
+    planned: dict[str, list[int]] = {"sparse": [], "dense": []}
+    for i, (A, _) in enumerate(problems):
         if len(A) == 0:
             raise ValueError("cannot optimise over an empty support")
         if len(A) == 1 << A.affine.rank:
             run = AscentRun("uniform", float(len(A)), 0, "stationary")
             out[i] = MuEstimate(float(len(A)), SpectrumVector.uniform(A), True, (run,))
-            continue
-        if plan(len(A), A.affine.rank, dense_cap).kernel == "sparse":
-            groups.append((_SparseKernel(A.pairs), [i]))
         else:
-            dense.append(i)
+            planned[plan(len(A), A.affine.rank, dense_cap).kernel].append(i)
+    # each kernel with the problems it serves, in the order of its sets:
+    # the order of their widths, |A+A| sparse and 2^rank dense
+    sparse = sorted(planned["sparse"], key=lambda i: len(problems[i][0].pairs.sums))
+    dense = sorted(planned["dense"], key=lambda i: problems[i][0].affine.rank)
+    groups: list[tuple[_DenseKernel | _SparseKernel, list[int]]] = []
+    if sparse:
+        groups.append((_SparseKernel(*[problems[i][0].pairs for i in sparse]), sparse))
+    if dense:
+        groups.append((_DenseKernel(*[problems[i][0] for i in dense]), dense))
+    first: dict[int, list[tuple[str, np.ndarray]]] = {}
+    for i in sorted(sparse + dense):
+        A, extra_starts = problems[i]
         rng = random.Random(cfg.seed)
         first[i] = [("uniform", SpectrumVector.uniform(A).coords)]
         for extra in extra_starts:
@@ -682,9 +788,6 @@ def _climb(
             while float(np.dot(vec, vec)) == 0.0:
                 vec = _gaussian(rng, len(A))
             first[i].append(("gaussian", vec))
-    if dense:
-        dense.sort(key=lambda i: problems[i][0].affine.rank)
-        groups.append((_DenseKernel(*[problems[i][0] for i in dense]), dense))
     runs: dict[int, list[AscentRun]] = {i: [] for i in first}
     best: dict[int, tuple[np.ndarray, AscentRun]] = {}
 

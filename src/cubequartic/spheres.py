@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 __all__ = [
     "SphereParams",
@@ -58,16 +57,21 @@ class SphereParams:
         """Affine rank: S(n, k) with 0 < k < n spans the even-weight vectors."""
         return self.n - 1 if 0 < self.k < self.n else 0
 
-    @cached_property
+    @property
     def chain(self) -> tuple[int, ...]:
-        """``mass_chain``, built on first use and shared by every reader."""
-        return tuple(mass_chain(self))
+        """``mass_chain``, built on first use, kept in the instance dict
+        like ``total`` and shared by every reader."""
+        cache = vars(self)
+        if "chain" not in cache:
+            cache["chain"] = tuple(mass_chain(self))
+        return cache["chain"]
 
     @property
     def total(self) -> int:
         """sum(chain), the numerator of r(n, k) over chain[0], summed on
-        first use and kept.  Not a cached_property, whose first read takes
-        a lock on CPython 3.11 and costs more than summing a short chain."""
+        first use and kept.  Neither is a cached_property, whose first read
+        takes a lock on CPython 3.11 and costs more than summing a short
+        chain."""
         cache = vars(self)
         if "total" not in cache:
             cache["total"] = sum(self.chain)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cubequartic import core
+from cubequartic import core, quartic
 from cubequartic.additive import (
     PairIndex,
     additive_energy,
@@ -568,6 +568,30 @@ class TestStackedAscent:
             _, alone, _, _ = _ascend(_DenseKernel(small), starts[:1, : len(small)], cfg)
             assert math.isclose(values[0], alone[0], rel_tol=1e-12)
 
+    def test_pad_coefficients_stay_zero_in_a_pooled_sparse_stack(self):
+        # S(3,1) (3 elements) pooled with S(8,2) (28 elements): the S(3,1)
+        # row has 25 pad coefficients, whose pairs fall into the dump bin
+        small, large = SupportSet.sphere(3, 1), SupportSet.sphere(8, 2)
+        rng = np.random.default_rng(5)
+        starts = rng.standard_normal((2, len(large)))
+        starts[0, len(small) :] = 0.0
+        row_sets = np.array([0, 1])
+        pooled = _SparseKernel(small.pairs, large.pairs)
+        for steps in (1, 2):
+            cfg = OptimizerConfig(max_iters=steps)
+            recorder = _DirectionRecorder(pooled)
+            ys, values, _, _ = _ascend(recorder, starts, cfg, row_sets)
+            moves = [move for move in recorder.moves if move[0] == 0]
+            assert len(moves) == steps
+            for _, y, g, d, _, _ in moves:
+                for vector in (y, g, d):
+                    assert not np.any(vector[len(small) :])
+            assert not np.any(ys[0, len(small) :])
+            _, state = pooled.evaluate(ys, row_sets)
+            assert not np.any(pooled.gradient(state)[0, len(small) :])
+            _, alone, _, _ = _ascend(_SparseKernel(small.pairs), starts[:1, : len(small)], cfg)
+            assert math.isclose(values[0], alone[0], rel_tol=1e-12)
+
     def test_pooled_stacks_are_capped(self, monkeypatch):
         import cubequartic.quartic
 
@@ -587,6 +611,94 @@ class TestStackedAscent:
         assert [est.starts_used > 7 for est in estimates] == [True] * 3
         assert all(rows * width <= 512 for rows, width in shapes)
         assert (7, 4) in shapes and (4, 128) in shapes
+
+
+class TestSparseBlocks:
+    @staticmethod
+    def _rows(rng, A, blocks):
+        """A stack that fills ``blocks`` blocks of the sparse kernel and
+        part of one more."""
+        rows = blocks * max(1, quartic._BLOCK_PAIRS // len(A) ** 2) + 1
+        return rng.standard_normal((rows, len(A))), rng.standard_normal((rows, len(A)))
+
+    def test_a_one_set_stack_matches_the_rows_alone_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for A in (SupportSet.sphere(14, 2), random_support(rng, 10, 60)):
+            index = A.pairs
+            y, d = self._rows(rng, A, 3)
+            kernel = _SparseKernel(index)
+            value, state = kernel.evaluate(y)
+            assert len(state[2].blocks) == 4
+            # before and after a row drop, as the ascent drops them
+            keep = np.ones(len(y), dtype=bool)
+            keep[[1, len(y) // 2]] = False
+            for kept in (slice(None), keep):
+                if kept is keep:
+                    value, state = value[keep], tuple(part[keep] for part in state)
+                rows_y, rows_d = y[kept], d[kept]
+                sums = np.array([index.pair_sums(row) for row in rows_y])
+                assert np.array_equal(value, _row_dots(sums, sums))
+                expected = 4.0 * np.array([p[index.inverse] @ row for row, p in zip(rows_y, sums)])
+                assert np.array_equal(kernel.gradient(state), expected)
+                coefficients, _ = kernel.circle(state, rows_d)
+                cross = np.array([index.pair_sums(a, b) for a, b in zip(rows_y, rows_d)])
+                square = np.array([index.pair_sums(row) for row in rows_d])
+                assert np.array_equal(state[1][:, 1], cross)
+                assert np.array_equal(state[1][:, 2], square)
+                for row, (a, b) in enumerate(zip(rows_y, rows_d)):
+                    _, alone = kernel.evaluate(a[None])
+                    assert np.array_equal(kernel.circle(alone, b[None])[0][0], coefficients[row])
+
+    def test_a_pooled_stack_matches_each_set_alone(self, monkeypatch):
+        # blocks of at most 400 pair entries cut these 15 rows into blocks
+        # of one set and blocks that mix sets, before and after rows drop
+        monkeypatch.setattr(quartic, "_BLOCK_PAIRS", 400)
+        rng = np.random.default_rng(10)
+        sets = [SupportSet.sphere(n, k) for n, k in ((4, 1), (6, 1), (7, 1), (5, 2), (6, 2))]
+        row_sets = np.repeat(np.arange(len(sets)), 3)
+        width = max(len(A) for A in sets)
+        y, d = np.zeros((2, len(row_sets), width))
+        for row, j in enumerate(row_sets):
+            y[row, : len(sets[j])], d[row, : len(sets[j])] = rng.standard_normal((2, len(sets[j])))
+        pooled = _SparseKernel(*[A.pairs for A in sets])
+        value, state = pooled.evaluate(y, row_sets)
+        # rows 0-7 (S(4,1), S(6,1), S(7,1)) and 8-11 (S(7,1), S(5,2)) mix
+        # sets, padded to 7 and 10; S(6,2) fills one row per block
+        assert [(lo, length) for lo, _, length, _, _ in state[2].blocks] == [
+            (0, 7), (8, 10), (12, 15), (13, 15), (14, 15)
+        ]
+        keep = np.arange(len(row_sets)) % 4 != 1
+        for kept in (np.ones(len(row_sets), dtype=bool), keep):
+            state = tuple(part[kept] for part in state) if kept is keep else state
+            value = value[kept]
+            grad = pooled.gradient(state)
+            coefficients, _ = pooled.circle(state, d[kept])
+            for row, (j, a, b) in enumerate(zip(row_sets[kept], y[kept], d[kept])):
+                size = len(sets[j])
+                alone = _SparseKernel(sets[j].pairs)
+                f, solo = alone.evaluate(a[None, :size])
+                assert math.isclose(value[row], f[0], rel_tol=1e-12)
+                assert np.allclose(grad[row, :size], alone.gradient(solo)[0], rtol=1e-12, atol=0.0)
+                assert not np.any(grad[row, size:])
+                expected = alone.circle(solo, b[None, :size])[0][0]
+                assert np.allclose(coefficients[row], expected, rtol=1e-12, atol=1e-12)
+
+    def test_a_one_set_kernel_holds_no_index_over_all_rows(self):
+        rng = np.random.default_rng(9)
+        for A in (SupportSet.sphere(16, 2), SupportSet.sphere(10, 1)):
+            pairs = len(A) ** 2
+            block = max(quartic._BLOCK_PAIRS, pairs)
+            y, d = self._rows(rng, A, 3)
+            assert len(y) * pairs > 2 * block
+            kernel = _SparseKernel(A.pairs)
+            _, state = kernel.evaluate(y)
+            kernel.gradient(state)
+            kernel.circle(state, d)
+            state = tuple(part[np.arange(len(y)) % 3 > 0] for part in state)
+            kernel.gradient(state)
+            held = [*kernel.full, kernel.scratch] + [index for *_, index in state[2].blocks]
+            assert all(array.size <= block for array in held)
+            assert all(np.shares_memory(index, kernel.full[0]) for *_, index in state[2].blocks)
 
 
 class TestMuLower:

@@ -352,10 +352,10 @@ class TestConjectureScan:
     def test_dense_cells_share_stacks(self, monkeypatch):
         import cubequartic.quartic
 
-        # one call per cell and phase made 30 calls; now each of the 6
-        # sparse cells S(4..8,1) and S(8,2) climbs alone (two calls), the 9
-        # dense cells in 2 stacks per phase, and S(2,1) is a coset and
-        # does not climb
+        # one call per cell and phase made 30 calls; now the 6 sparse cells
+        # S(4..8,1) and S(8,2) climb in 2 stacks per phase, the 9 dense
+        # cells in 2 stacks per phase, and S(2,1) is a coset and does not
+        # climb
         calls = []
         ascend = cubequartic.quartic._ascend
 
@@ -365,13 +365,17 @@ class TestConjectureScan:
 
         monkeypatch.setattr(cubequartic.quartic, "_ascend", counted)
         conjecture_scan(8, OptimizerConfig(starts=6, seed=0))
-        assert len(calls) == 16
-        assert [kind for kind, _ in calls].count("_SparseKernel") == 12
+        assert len(calls) == 8
+        assert [kind for kind, _ in calls].count("_SparseKernel") == 4
         # 7 starts per cell: ranks 2-4 (3 cells) and 5-7 (6 cells); S(6,2)
         # of rank 5 opens a stack, as padding the 21 rows of ranks 2-4 to
         # width 2^5 would take more entries than the 28 rows fill
         dense = [rows for kind, rows in calls if kind == "_DenseKernel"]
         assert dense[:2] == [21, 42]
+        # S(4..8,1) (|A+A| 7 to 29) and S(8,2) (|A+A| 99), which padding
+        # the 35 rows of radius 1 to width 99 keeps apart
+        sparse = [rows for kind, rows in calls if kind == "_SparseKernel"]
+        assert sparse[:2] == [35, 7]
 
 
 class TestEnergyStep:
