@@ -351,8 +351,8 @@ class _SparseKernel:
     one stacked product T y.  Per row these are the float operations of
     ``PairIndex.pair_sums`` and ``s[inverse] @ y``, so a one-set stack
     gives the bits of each row alone.  A block of one set's rows reads
-    that set's index over a full block, built once with the kernel.  A
-    block that mixes sets pads each row to its longest set with zero
+    that set's stacked index, which the kernel keeps and extends when a
+    longer block first needs it.  A block that mixes sets pads each row to its longest set with zero
     coefficients, whose pairs fall into one extra dump bin (a stack that
     pads has W + 1 bins); their sums, T rows and gradient are 0, so
     every vector of the ascent is 0 there.
@@ -373,7 +373,8 @@ class _SparseKernel:
         block of a stack whose rows belong to the sets ``row_sets``."""
         if not len(row_sets):
             return []
-        blocks, pieces, top = [], [], 0  # the open block's runs of one set
+        # the open block's runs of rows of one set, and its widest |A|^2
+        blocks, pieces, top = [], [], 0
         ends = (np.flatnonzero(row_sets[1:] != row_sets[:-1]) + 1).tolist()
         for lo, hi in zip([0, *ends], [*ends, len(row_sets)]):
             j = int(row_sets[lo])
