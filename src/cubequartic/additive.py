@@ -237,7 +237,8 @@ def _zero_quadruples(index: PairIndex) -> np.ndarray:
 
 
 def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
-    """The exact maximum of E2(B, B) / |B|^2 over all non-empty B.
+    """The exact maximum of E2(B, B) / |B|^2 over all non-empty B, B as
+    its element positions.
 
     An ordered quadruple of B with XOR 0 either pairs up two values (the
     3|B|^2 - 2|B| quadruples with a = b, c = d or a permutation of that)
@@ -259,7 +260,7 @@ def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]
     For each size the best subset is one integer key, Q shifted left by
     m bits, OR-ed with its code.  Among equal Q the larger key is the
     subset holding the least element of the symmetric difference, i.e.
-    the lexicographically smaller mask tuple (masks are sorted).  Across
+    the lexicographically smaller tuple (masks are sorted).  Across
     sizes the higher ratio wins, then the smaller subset.
     """
     m = len(index.inverse)
@@ -302,7 +303,7 @@ def _exhaustive_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]
             best_size, best_ratio = size, ratio
     key = int(best[best_size])
     members = [i for i in range(m) if key >> (m - 1 - i) & 1]
-    return tuple(index.masks[members].tolist()), best_ratio
+    return tuple(members), best_ratio
 
 
 def _fill_bounds(index: PairIndex) -> list[int]:
@@ -317,7 +318,7 @@ def _fill_bounds(index: PairIndex) -> list[int]:
     many = np.bincount(index.counts[1:] >> 1).tolist()
     caps = [(p, many[p]) for p in range(len(many) - 1, 0, -1) if many[p]]
     bounds = []
-    for size in range(len(index.masks) + 1):
+    for size in range(len(index.inverse) + 1):
         half = size // 2
         left = size * (size - 1) // 2
         total = 0
@@ -348,7 +349,7 @@ def _full_set_is_best(index: PairIndex) -> bool:
     with U from ``_fill_bounds``.  The test is strict because a smaller
     subset wins a tie.
     """
-    m = len(index.masks)
+    m = len(index.inverse)
     energy = index.energy()
     return all(
         (3 * s * s - 2 * s + 24 * (bound // 3)) * m * m < energy * s * s
@@ -357,7 +358,8 @@ def _full_set_is_best(index: PairIndex) -> bool:
 
 
 def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
-    """Peel off one element at a time, keeping whichever removal helps most.
+    """Peel off one element at a time, keeping whichever removal helps
+    most; the best subset seen is returned as its element positions.
 
     With c the pair counts of the current set B, removing a lowers
     E2(B, B) by (2 c_0 - 1) + sum over b in B, b != a, of (4 c_{a^b} - 4)
@@ -397,11 +399,8 @@ def _greedy_hereditary(index: PairIndex) -> tuple[tuple[int, ...], Fraction]:
         size -= 1
         if energy * best_size * best_size > best_energy * size * size:
             best_energy, best_size = energy, size
-    best = np.delete(index.masks, removed[: len(index.masks) - best_size])
-    return (
-        tuple(best.tolist()),
-        Fraction(best_energy, best_size * best_size),
-    )
+    best = np.delete(np.arange(len(row_sums)), removed[: len(row_sums) - best_size])
+    return tuple(best.tolist()), Fraction(best_energy, best_size * best_size)
 
 
 def _subset_energy(A: SupportSet, B: SupportSet) -> int:
@@ -412,7 +411,7 @@ def _subset_energy(A: SupportSet, B: SupportSet) -> int:
         index = A.pairs
         if len(B) == len(A):
             return index.energy()
-        rows = np.searchsorted(index.masks, B.elements)
+        rows = np.searchsorted(A.masks, B.elements)
         counts = np.bincount(index.inverse[np.ix_(rows, rows)].ravel())
         return int(np.dot(counts, counts))
     table = B.pairs if plan(len(B), B.affine.rank).pairs else pair_multiplicities(B)
@@ -447,8 +446,9 @@ def hereditary_energy(
         index = A.pairs
         if _full_set_is_best(index):
             return HereditaryResult(A, Fraction(index.energy(), len(A) ** 2), exact=True)
-        masks, ratio = _exhaustive_hereditary(index)
-        return HereditaryResult(SupportSet(A.n, masks), ratio, exact=True)
+        members, ratio = _exhaustive_hereditary(index)
+        best = SupportSet(A.n, tuple(A.elements[i] for i in members))
+        return HereditaryResult(best, ratio, exact=True)
 
     candidates: list[SupportSet] = []
     if certificate is not None and certificate.norm_squared() > 0.0:
@@ -456,7 +456,8 @@ def hereditary_energy(
         candidates = [level for _, level in decomposition.levels]
         candidates.append(decomposition.tail)
     if route == "greedy":
-        best_set, best_ratio = _greedy_hereditary(A.pairs)
+        members, best_ratio = _greedy_hereditary(A.pairs)
+        best_set = tuple(A.elements[i] for i in members)
     else:
         best_set = A.elements
         best_ratio = Fraction(_subset_energy(A, A), len(A) ** 2)

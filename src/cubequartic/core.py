@@ -222,15 +222,16 @@ class SupportSet:
 
     @cached_property
     def pairs(self) -> "PairIndex":
-        """The pair index of ``masks`` (|A|^2 int64 entries).  Refused past
-        the cap before anything is allocated."""
+        """The pair index of the set's frame coordinates ``affine.coords``
+        (|A|^2 int64 entries): its sums are the coordinates of A + A, in
+        mask order.  Refused past the cap before anything is allocated."""
         size = len(self.elements)
         if size * size > PAIR_ENUMERATION_LIMIT:
             raise ResourceLimitError(
                 f"pair stage: enumerating the {size * size} pairs of a "
                 f"{size}-element set exceeds the cap of {PAIR_ENUMERATION_LIMIT}"
             )
-        return PairIndex.of(self.masks)
+        return PairIndex.of(self.affine.coords)
 
     @cached_property
     def affine(self) -> "AffineFrame":
@@ -254,46 +255,33 @@ class AffineFrame:
     """Coordinates of a set in the smallest coset of F_2^n that holds it.
 
     The coset is c + V, for c the smallest mask and V spanned by the
-    differences a ^ c.  ``basis`` is the reduced row-echelon basis of V,
-    one vector per coordinate bit: basis[j] has its highest bit at the
-    j-th smallest pivot, and no other basis vector has that bit set.  So
-    element i is c ^ (the XOR of basis[j] over the set bits j of
-    coords[i]), and coords[i] is the bits of (element ^ c) at the
-    pivots; coords are in element order, int64 while the rank is below
-    63.
+    differences a ^ c.  The pivots are the bits at which nonzero vectors
+    of V lead, and coords[i] is the bits of (element ^ c) at the pivots,
+    the j-th smallest at bit j: in element order, int64 while the rank
+    is below 63.  Reading the pivot bits is linear and one-to-one on V,
+    so a ^ b = c ^ d exactly when the coordinate XORs are equal, and
+    vectors of V order as their coordinates.
 
     Every quantity of the quartic problem (F, E(A), each |M_x|, m(A))
-    is unchanged by an affine bijection x -> Lx ^ c, so dense work on the
-    coordinates runs on arrays of 2^rank entries instead of 2^n; a
-    Hamming sphere S(n, k) with 0 < k < n has rank n - 1.
+    is unchanged by an affine bijection x -> Lx ^ c, so the pair and
+    dense stages run on the coordinates, dense work on arrays of 2^rank
+    entries instead of 2^n; a Hamming sphere S(n, k) with 0 < k < n has
+    rank n - 1.
     """
 
     rank: int
-    basis: tuple[int, ...]
     coords: np.ndarray
-
-    def linear_masks(self, coords: np.ndarray) -> np.ndarray:
-        """The vectors of V with the given coordinates, such as XOR sums of
-        elements: the XOR of basis[j] over the set bits j, untranslated.
-        A leading bit of a vector of V is always a pivot, so increasing
-        coordinates give increasing masks."""
-        wide = len(self.basis) > 0 and max(self.basis) >= 1 << 62
-        out = np.zeros(len(coords), dtype=object if wide else np.int64)
-        for j, vector in enumerate(self.basis):
-            out ^= ((coords >> j) & 1).astype(out.dtype) * vector
-        return out
 
 
 def _affine_frame(masks: np.ndarray) -> AffineFrame:
     """The ``AffineFrame`` of a sorted array of masks, in at most 2 rank
-    vectorised passes over the elements (one per pivot to find the basis,
-    one per pivot to read the coordinates) and no per-element loop."""
+    vectorised passes over the elements (one per pivot to find it, one
+    to read its coordinate bit) and no per-element loop."""
     if len(masks) == 0:
-        return AffineFrame(0, (), np.zeros(0, dtype=np.int64))
+        return AffineFrame(0, np.zeros(0, dtype=np.int64))
     differences = masks ^ masks[0]
     work = differences.copy()
     pivots: list[int] = []
-    vectors: list[int] = []
     top = int(work.max())
     while top:
         # every entry is at most top, so its pivot bit is set exactly in
@@ -302,28 +290,21 @@ def _affine_frame(masks: np.ndarray) -> AffineFrame:
         hit = work >= 1 << pivot
         work[hit] ^= top
         pivots.append(pivot)
-        vectors.append(top)
         top = int(work.max())
-    # pivots fall with the index, and vectors[j] has no bit above its own
-    # pivot; clear each pivot from the vectors before it
-    for j, pivot in enumerate(pivots):
-        for i in range(j):
-            if vectors[i] >> pivot & 1:
-                vectors[i] ^= vectors[j]
     pivots.reverse()
-    vectors.reverse()
     rank = len(pivots)
     coords = np.zeros(len(masks), dtype=np.int64 if rank < 63 else object)
     for j, pivot in enumerate(pivots):
         coords |= ((differences >> pivot) & 1).astype(coords.dtype) << j
-    return AffineFrame(rank, tuple(vectors), coords)
+    return AffineFrame(rank, coords)
 
 
 @dataclass(frozen=True, eq=False)
 class MultiplicityTable:
     """|M_x| for every x hit by A + A: ``sums`` in increasing order (so
-    sums[0] = 0) and ``counts[k]`` = |M_x| for x = sums[k].  Its readers
-    share the arrays, so they are read-only."""
+    sums[0] = 0) and ``counts[k]`` = |M_x| for x = sums[k]; a set's
+    tables hold frame coordinates, in mask order.  Its readers share the
+    arrays, so they are read-only."""
 
     sums: np.ndarray
     counts: np.ndarray
@@ -348,28 +329,29 @@ class MultiplicityTable:
 
 @dataclass(frozen=True, eq=False)
 class PairIndex(MultiplicityTable):
-    """The pair table of a set of masks, from every ordered pair grouped
+    """The pair table of an array of keys, from every ordered pair grouped
     by its XOR sum; ``inverse[i, j]`` is the position in ``sums`` of
-    masks[i] ^ masks[j].  Building it costs one pass over the |A|^2 pair
+    keys[i] ^ keys[j].  Building it costs one pass over the |A|^2 pair
     sums, after which the pair table, the sparse quartic kernel and the
     hereditary searches read it directly; a support set builds its own
-    once, as ``SupportSet.pairs``, from its ``masks``.
+    once, as ``SupportSet.pairs``, from its frame coordinates.
 
     The pass is a histogram of the sums when it is no longer than the
-    list of pairs, i.e. 2^bitlen(max mask) <= |A|^2, and a sort
-    (``np.unique``) otherwise and on object arrays; both give the same
-    arrays with the same dtypes.
+    list of pairs, i.e. 2^bitlen(max key) <= |A|^2, and a sort
+    (``np.unique``) otherwise; both give the same arrays with the same
+    dtypes.  Keys from 2^62 up (python ints) take the sort: 2^63 pairs
+    are far past the pair cap.
     """
 
-    masks: np.ndarray
     inverse: np.ndarray
 
     @classmethod
-    def of(cls, masks: np.ndarray) -> "PairIndex":
-        """The index of a sorted mask array, laid out as ``SupportSet.masks``."""
-        size = len(masks)
-        xors = (masks[:, None] ^ masks[None, :]).ravel()
-        if size and masks.dtype != object and 1 << int(masks.max()).bit_length() <= size * size:
+    def of(cls, keys: np.ndarray) -> "PairIndex":
+        """The index of an array of distinct non-negative keys: masks, or
+        coordinates as in ``AffineFrame.coords``."""
+        size = len(keys)
+        xors = (keys[:, None] ^ keys[None, :]).ravel()
+        if size and 1 << int(keys.max()).bit_length() <= size * size:
             histogram = np.bincount(xors)
             sums = np.flatnonzero(histogram)
             counts = histogram[sums]
@@ -377,7 +359,7 @@ class PairIndex(MultiplicityTable):
             inverse = (np.cumsum(histogram > 0) - 1)[xors]
         else:
             sums, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
-        return cls(sums, counts, masks, inverse.reshape(size, size))
+        return cls(sums, counts, inverse.reshape(size, size))
 
     def pair_sums(
         self, coords: np.ndarray, other: np.ndarray | None = None
@@ -538,9 +520,8 @@ def _convolution_table(A: SupportSet) -> MultiplicityTable:
     the squares, which are all >= 0 and by Parseval add up to 2^d |A|;
     so no value exceeds 2^d |A| < 2^(d + bitlen|A|).  While that is at
     most 2^53 (checked by the caller) every sum is exact in float64, and
-    the result is rounded to int64.  The translation cancels in a ^ b,
-    so the coordinates of the sums map back to masks by the basis alone.
-    Read it through ``A.convolution``.
+    the result is rounded to int64.  The sums are frame coordinates of
+    A + A, as in ``A.pairs``.  Read it through ``A.convolution``.
     """
     frame = A.affine
     ind = np.zeros(1 << frame.rank, dtype=np.float64)
@@ -556,7 +537,7 @@ def _convolution_table(A: SupportSet) -> MultiplicityTable:
     if remainder.any():
         # past the pair cap this is the only check of the convolution
         raise RuntimeError("pair stage: convolution output not divisible by 2^d")
-    return MultiplicityTable(frame.linear_masks(sums), counts)
+    return MultiplicityTable(sums, counts)
 
 
 def analyze(f: CubeFunction) -> CubeFunction:

@@ -360,7 +360,7 @@ class _SparseKernel:
 
     def __init__(self, *indexes: PairIndex) -> None:
         self.indexes = indexes
-        self.sizes = [len(index.masks) for index in indexes]
+        self.sizes = [len(index.inverse) for index in indexes]
         self.widths = [len(index.sums) for index in indexes]
         # each set's index over the longest block of its rows so far
         self.full = [index.inverse.reshape(-1) for index in indexes]

@@ -81,15 +81,23 @@ def greedy_hereditary_oracle(masks):
     return best_set, best_ratio
 
 
+def _on_masks(A, found):
+    """A hereditary helper's answer, (element positions, ratio), with the
+    positions read as the masks of A."""
+    members, ratio = found
+    return tuple(A.elements[i] for i in members), ratio
+
+
 def greedy_rescan_oracle(index):
     """The greedy sweep that rescans every row sum in each round.
 
     Each round gathers the counts of all |B|^2 pairs of the current set
     B, sums them by row and removes the first least row, so the sweep is
-    O(|A|^3) work; it must pick what the incremental sweep picks.
+    O(|A|^3) work; it must pick what the incremental sweep picks.  The
+    subset kept is returned as element positions.
     """
     counts = index.counts.copy()
-    active = np.arange(len(index.masks))
+    active = np.arange(len(index.inverse))
     size = len(active)
     energy = index.energy()
     best_rows, best_ratio = active, Fraction(energy, size * size)
@@ -105,7 +113,7 @@ def greedy_rescan_oracle(index):
         ratio = Fraction(energy, size * size)
         if ratio > best_ratio:
             best_rows, best_ratio = active, ratio
-    return tuple(index.masks[best_rows].tolist()), best_ratio
+    return tuple(best_rows.tolist()), best_ratio
 
 
 def exhaustive_hereditary_oracle(masks):
@@ -183,8 +191,11 @@ def subsets_bruteforce(masks):
 
 class TestPairMultiplicities:
     def test_weight_one_sphere(self):
-        table = pair_multiplicities(SupportSet.sphere(3, 1))
-        assert _as_dict(table) == {0: 3, 3: 2, 5: 2, 6: 2}
+        A = SupportSet.sphere(3, 1)
+        assert _as_dict(PairIndex.of(A.masks)) == {0: 3, 3: 2, 5: 2, 6: 2}
+        # the set's table holds the mask sums 0, 3, 5, 6 as frame
+        # coordinates, in the same order
+        assert _as_dict(pair_multiplicities(A)) == {0: 3, 1: 2, 2: 2, 3: 2}
 
     def test_total_is_size_squared(self, rng):
         for _ in range(10):
@@ -371,9 +382,14 @@ class TestPairIndex:
 
     def test_masks_beyond_int64(self):
         masks = (3, 1 << 62, (1 << 62) | 3, 1 << 70)
-        index = PairIndex.of(SupportSet(71, masks).masks)
+        A = SupportSet(71, masks)
+        index = PairIndex.of(A.masks)
         assert _as_dict(index) == _pairs_table(masks)
-        assert _as_dict(pair_multiplicities(SupportSet(71, masks))) == _pairs_table(masks)
+        # the set's own table groups the same sums, on int64 coordinates
+        table = pair_multiplicities(A)
+        assert table.sums.dtype == np.int64
+        assert np.array_equal(table.counts, index.counts)
+        assert np.array_equal(A.pairs.inverse, index.inverse)
 
 
 class TestEnergy:
@@ -513,14 +529,15 @@ class TestHereditaryEnergy:
         for _ in range(240):
             A = random_support(rng, int(rng.integers(1, 10)), 14)
             got = _exhaustive_hereditary(PairIndex.of(A.masks))
-            assert got == exhaustive_hereditary_oracle(A.elements)
+            assert _on_masks(A, got) == exhaustive_hereditary_oracle(A.elements)
 
     def test_exhaustive_tie_prefers_smaller_then_earlier(self):
         # the full set and five 4-element cosets all reach the maximum 4
         tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
         expected = ((1, 4, 10, 15), Fraction(4))
         assert exhaustive_hereditary_oracle(tie) == expected
-        assert _exhaustive_hereditary(PairIndex.of(SupportSet(5, tie).masks)) == expected
+        A = SupportSet(5, tie)
+        assert _on_masks(A, _exhaustive_hereditary(PairIndex.of(A.masks))) == expected
         res = hereditary_energy(SupportSet(5, tie))
         assert res.exact and (res.best.elements, res.ratio) == expected
 
@@ -580,9 +597,11 @@ class TestHereditaryEnergy:
 
     def test_exhaustive_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 13)))
-        index = PairIndex.of(SupportSet(64, masks).masks)
-        assert index.masks.dtype == object
-        assert _exhaustive_hereditary(index) == exhaustive_hereditary_oracle(masks)
+        A = SupportSet(64, masks)
+        assert A.masks.dtype == object
+        expected = exhaustive_hereditary_oracle(masks)
+        assert _on_masks(A, _exhaustive_hereditary(PairIndex.of(A.masks))) == expected
+        assert _on_masks(A, _exhaustive_hereditary(A.pairs)) == expected
 
     @pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 17])
     def test_exhaustive_on_both_sides_of_the_block_split(self, monkeypatch, block):
@@ -592,8 +611,9 @@ class TestHereditaryEnergy:
         monkeypatch.setattr(additive, "_BLOCK_ENTRIES", block)
         masks = (0, 3, 5, 6, 9, 12, 17, 20, 23, 26, 29, 30)
         for size in range(1, len(masks) + 1):
-            got = _exhaustive_hereditary(PairIndex.of(SupportSet(5, masks[:size]).masks))
-            assert got == exhaustive_hereditary_oracle(masks[:size])
+            A = SupportSet(5, masks[:size])
+            got = _exhaustive_hereditary(PairIndex.of(A.masks))
+            assert _on_masks(A, got) == exhaustive_hereditary_oracle(masks[:size])
 
     def test_energy_from_zero_quadruples_matches_pair_table(self, rng):
         # E2(B, B) = 3|B|^2 - 2|B| + 24 Q(B), Q(B) the listed 4-subsets within B
@@ -642,14 +662,15 @@ class TestHereditaryEnergy:
         for _ in range(240):
             A = random_support(rng, int(rng.integers(2, 10)), 48)
             got = _greedy_hereditary(PairIndex.of(A.masks))
-            assert got == greedy_hereditary_oracle(A.elements)
+            assert _on_masks(A, got) == greedy_hereditary_oracle(A.elements)
         # the full set and a 4-element coset tie at ratio 4: the earlier wins
         tie = (1, 2, 4, 10, 14, 15, 18, 27, 29, 31)
-        assert _greedy_hereditary(PairIndex.of(SupportSet(5, tie).masks)) == (tie, Fraction(4))
+        A = SupportSet(5, tie)
+        assert _on_masks(A, _greedy_hereditary(PairIndex.of(A.masks))) == (tie, Fraction(4))
         assert greedy_hereditary_oracle(tie) == (tie, Fraction(4))
         # 106 elements, where every round rescores many rows
         B = SupportSet.ball(14, 2)
-        assert _greedy_hereditary(B.pairs) == greedy_hereditary_oracle(B.elements)
+        assert _on_masks(B, _greedy_hereditary(B.pairs)) == greedy_hereditary_oracle(B.elements)
 
     def test_greedy_matches_the_rescanning_sweep(self):
         # a random set at GREEDY_LIMIT, and two sets on which every first
@@ -677,11 +698,35 @@ class TestHereditaryEnergy:
         stale = row_sums - 3 * index.counts[index.inverse[first]] + 3
         assert int(np.argmin(stale)) == first
         got = _greedy_hereditary(index)
-        assert got == greedy_rescan_oracle(index) == ((1, 2, 4, 7), Fraction(4))
+        assert got == greedy_rescan_oracle(index)
+        assert _on_masks(A, got) == ((1, 2, 4, 7), Fraction(4))
 
     def test_greedy_on_masks_beyond_int64(self):
         masks = tuple(sorted((m << 60) ^ m for m in range(1, 25)))
-        assert _greedy_hereditary(PairIndex.of(SupportSet(65, masks).masks)) == greedy_hereditary_oracle(masks)
+        A = SupportSet(65, masks)
+        expected = greedy_hereditary_oracle(masks)
+        assert _on_masks(A, _greedy_hereditary(PairIndex.of(A.masks))) == expected
+        assert _on_masks(A, _greedy_hereditary(A.pairs)) == expected
+
+    @pytest.mark.parametrize(
+        "elements, greedy, level, ratio, earlier",
+        [
+            ((0, 4, 7, 9, 12, 16, 20, 23, 27), (0, 7, 12, 16, 23, 27), (0, 4, 7, 16, 20, 23), Fraction(14, 3), True),
+            ((0, 2, 6, 7, 9, 15, 17, 27, 28), (0, 7, 27, 28), (2, 15, 17, 28), Fraction(4), False),
+        ],
+        ids=["level-set-earlier", "greedy-earlier"],
+    )
+    def test_tying_candidate_wins_only_when_earlier(self, elements, greedy, level, ratio, earlier):
+        # a level set that ties the greedy answer replaces it only when it
+        # is lexicographically earlier
+        A = SupportSet(5, elements)
+        assert _on_masks(A, _greedy_hereditary(A.pairs)) == (greedy, ratio)
+        assert energy_ratio(SupportSet(5, level)) == ratio
+        y = SpectrumVector(A, [1.0 if a in level else 0.01 for a in elements])
+        assert level in [B.elements for _, B in dyadic_level_sets(y).levels]
+        res = hereditary_energy(A, exact_limit=0, certificate=y)
+        assert not res.exact
+        assert (res.best.elements, res.ratio) == (level if earlier else greedy, ratio)
 
     def test_large_set_skips_greedy(self):
         A = SupportSet.sphere(12, 4)

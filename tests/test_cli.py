@@ -12,6 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cubequartic.cli import (
@@ -286,6 +287,28 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert results["set"] == {"n": 40, "size": 20, "affine_rank": 19}
         assert results["hereditary"]["exact"] is True
+
+    def test_affine_image_past_int64_gives_the_same_answers(self, tmp_path, capsys):
+        import random
+
+        # bit i to bit 7i maps 40 random masks of n = 14 into n = 100, past
+        # int64; every answer but the dimension and the uncertainty bounds
+        # (which read 2^n) is the same, and the wide set's pair index stays
+        # int64 on its frame coordinates
+        masks = random.Random(14).sample(range(1 << 14), 40)
+        wide = [sum(1 << 7 * i for i in range(14) if m >> i & 1) for m in masks]
+        found = []
+        for n, rows in ((14, masks), (100, wide)):
+            code, out, err = run(capsys, ["analyze", write(tmp_path, records(n, rows))] + FAST)
+            assert code == EXIT_OK, err
+            results = json.loads(out)["results"]
+            assert results["set"].pop("n") == n
+            results.pop("uncertainty")
+            found.append(results)
+        assert found[0] == found[1]
+        A = SupportSet.from_masks(100, wide)
+        assert A.masks.dtype == object
+        assert A.pairs.sums.dtype == A.pairs.inverse.dtype == np.int64
 
     @pytest.mark.parametrize(
         "n, generators, shift",

@@ -254,16 +254,22 @@ class TestSupportSetPairs:
         with pytest.raises(ResourceLimitError, match="pair stage"):
             A.pairs
 
-    def test_index_shares_the_sets_mask_array(self):
+    def test_index_groups_the_sets_mask_sums(self):
+        # keyed by frame coordinates, the index groups and orders the pairs
+        # as their mask sums do
         for A in (SupportSet.sphere(5, 2), SupportSet(71, (3, 1 << 62, 1 << 70))):
             assert A.masks is A.masks
-            assert A.pairs.masks is A.masks
             assert A.masks.tolist() == list(A.elements)
+            xors = (A.masks[:, None] ^ A.masks[None, :]).ravel()
+            _, inverse, counts = np.unique(xors, return_inverse=True, return_counts=True)
+            assert np.array_equal(A.pairs.inverse, inverse.reshape(len(A), len(A)))
+            assert np.array_equal(A.pairs.counts, counts)
+            assert A.pairs.sums.dtype == A.pairs.inverse.dtype == np.int64
 
     def test_shared_arrays_are_read_only(self):
         A = SupportSet.sphere(4, 2)
         index = A.pairs
-        for array in (A.masks, index.masks, index.sums, index.counts, index.inverse):
+        for array in (A.masks, A.affine.coords, index.sums, index.counts, index.inverse):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -289,7 +295,7 @@ class TestSupportSetPairs:
     @pytest.mark.parametrize("n, dim", [(20, 15), (21, 15)])
     def test_convolution_of_a_subspace(self, monkeypatch, n, dim):
         # |M_x| = |V| for every x in a subspace V, computed on the float
-        # transform
+        # transform; V's frame coordinates are 0 .. |V| - 1 in mask order
         transformed = []
         original = core.walsh_transform
 
@@ -304,13 +310,15 @@ class TestSupportSetPairs:
         table = V.convolution
         assert transformed == [np.float64, np.float64]
         assert table.sums.dtype == table.counts.dtype == np.int64
-        assert np.array_equal(table.sums, V.masks)
+        assert np.array_equal(table.sums, V.affine.coords)
+        assert np.array_equal(V.affine.coords, np.arange(len(V)))
         assert np.array_equal(table.counts, np.full(len(V), len(V)))
 
 
-def rank_oracle(masks) -> int:
-    """The dimension of the span of the differences a ^ masks[0], by
-    elimination on python ints, one element at a time."""
+def pivot_oracle(masks) -> list[int]:
+    """The leading bits of an echelon basis of the span of the differences
+    a ^ masks[0], increasing, by elimination on python ints, one element
+    at a time; their number is the rank."""
     leading: dict[int, int] = {}
     for mask in masks:
         vector = mask ^ masks[0]
@@ -320,7 +328,7 @@ def rank_oracle(masks) -> int:
                 leading[top] = vector
                 break
             vector ^= leading[top]
-    return len(leading)
+    return sorted(leading)
 
 
 class TestAffineFrame:
@@ -341,27 +349,26 @@ class TestAffineFrame:
         yield wide_random(2, 70, 10)
         yield SupportSet(71, (3, 1 << 62, (1 << 62) | 3, 1 << 70))
 
-    def test_coordinates_rebuild_every_element(self, rng):
+    def test_coordinates_keep_every_xor(self, rng):
         for A in self.sets(rng):
             frame = A.affine
             assert frame is A.affine
-            assert frame.rank == rank_oracle(A.elements) == len(frame.basis)
-            # reduced row-echelon form: increasing pivots, each pivot bit
-            # set in its own vector only
-            pivots = [vector.bit_length() - 1 for vector in frame.basis]
-            assert pivots == sorted(set(pivots))
-            for j, pivot in enumerate(pivots):
-                assert [v >> pivot & 1 for v in frame.basis] == [int(i == j) for i in range(frame.rank)]
+            pivots = pivot_oracle(A.elements)
+            assert frame.rank == len(pivots)
+            # element i's coordinate is the bits of a_i ^ a_0 at the pivots
             coords = frame.coords.tolist()
+            assert coords == [
+                sum(((mask ^ A.elements[0]) >> pivot & 1) << j for j, pivot in enumerate(pivots))
+                for mask in A.elements
+            ]
             assert frame.coords.dtype == np.int64
             assert len(set(coords)) == len(A)
             assert all(0 <= c < 1 << frame.rank for c in coords)
-            for mask, c in zip(A.elements, coords):
-                rebuilt = A.elements[0]
-                for j, vector in enumerate(frame.basis):
-                    if c >> j & 1:
-                        rebuilt ^= vector
-                assert rebuilt == mask
+            # a ^ b = c ^ d exactly when the coordinate XORs are equal, and
+            # the coordinate sums order as the mask sums do
+            mask_sums = np.unique((A.masks[:, None] ^ A.masks[None, :]).ravel(), return_inverse=True)[1]
+            coord_sums = np.unique((frame.coords[:, None] ^ frame.coords[None, :]).ravel(), return_inverse=True)[1]
+            assert np.array_equal(mask_sums, coord_sums)
             with pytest.raises(ValueError, match="read-only"):
                 frame.coords[0] = 0
 
@@ -381,11 +388,11 @@ class TestAffineFrame:
 
     def test_empty_set(self):
         frame = SupportSet(5, ()).affine
-        assert (frame.rank, frame.basis, len(frame.coords)) == (0, (), 0)
+        assert (frame.rank, len(frame.coords)) == (0, 0)
 
     def test_convolution_runs_at_the_rank(self, rng, monkeypatch):
-        # the convolution transforms 2^d entries and maps its sums back to
-        # the masks of the pair index, in the same order
+        # the convolution transforms 2^d entries and gives the pair index's
+        # sums, frame coordinates in the same order
         lengths = []
         original = core.walsh_transform
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubequartic import reports
 from cubequartic.additive import additive_energy, energy_ratio
 from cubequartic.core import CubeFunction, SpectrumVector, SupportSet, synthesize
 from cubequartic.errors import DimensionMismatchError, ResourceLimitError
@@ -429,6 +430,23 @@ class TestAsymptoticReports:
         report = sphere_ratio_report(64, 70)
         assert report.overall
         assert report.checks
+
+    @pytest.mark.parametrize(
+        "scale, failing",
+        [
+            (Fraction(1, 2), "ratios exceed the sliding floor below the peak"),
+            (100, "ratios stay under the sliding ceiling above the peak"),
+        ],
+        ids=["floor", "ceiling"],
+    )
+    def test_sphere_ratio_window_can_fail(self, monkeypatch, scale, failing):
+        # ratios scaled down miss the floor below the peak, scaled up they
+        # pass the ceiling above it; the other window still holds
+        monkeypatch.setattr(reports, "ratio_st", lambda p, t: scale * ratio_st(p, t))
+        report = sphere_ratio_report(64, 64)
+        assert not report.overall
+        failed = {c.name.split(" (")[0] for c in report.failed_checks()}
+        assert failed == {failing}
 
     def test_psi_envelope(self):
         assert psi_envelope_report(64).overall
