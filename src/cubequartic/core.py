@@ -198,11 +198,17 @@ class SupportSet:
         if not self.elements:
             return None
         k = self.elements[0].bit_count()
-        if any(m.bit_count() != k for m in self.elements):
-            return None
+        # C(n, k) distinct masks of weight k are the sphere
         if len(self.elements) != math.comb(self.n, k):
             return None
-        return k
+        if self.masks.dtype == object:
+            return k if all(m.bit_count() == k for m in self.elements) else None
+        # each mask's eight byte weights, summed into its top byte (numpy
+        # before 2.0 has no bitwise_count)
+        byte_weights = np.array([i.bit_count() for i in range(256)], dtype=np.uint8)
+        weights = byte_weights[self.masks.view(np.uint8)].view(np.uint64)
+        same = (weights * np.uint64(0x0101010101010101) >> np.uint64(56) == k).all()
+        return k if same else None
 
     def indicator(self) -> "CubeFunction":
         """Dense 0/1 indicator of the set."""

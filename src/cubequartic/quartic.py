@@ -504,57 +504,75 @@ _WINDOW = 50
 _RESTART = 0.1
 
 
-# m1 times the companion matrix of g, flattened, is m @ _COMPANION: its
-# first row is the coefficients of g over m1 times m1, its subdiagonal m1
-_COMPANION = np.zeros((5, 16))
-_COMPANION[[0, 2, 1, 3, 2, 4, 3], [0, 0, 1, 1, 2, 2, 3]] = [1.0, -3.0, 3.0, -3.0, 3.0, -1.0, 1.0]
-_COMPANION[1, [4, 9, 14]] = 1.0
+def _top_angle(m0: float, m1: float, m2: float, m3: float, m4: float) -> float:
+    """2t at the top of one row's circle (see ``_circle_argmax``)."""
+    # divided by its largest entry, the row's steps neither overflow nor
+    # sink into subnormal floats
+    scale = max(abs(m0), m1, abs(m2), abs(m3), abs(m4))
+    m0, m1, m2, m3, m4 = m0 / scale, m1 / scale, m2 / scale, m3 / scale, m4 / scale
+    l1, l2 = 0.5 * (m0 - m4), m1 + m3
+    # Q's half diagonal difference and off-diagonal entry; e1 at angle
+    # half is its top eigenvector (any angle when Q = qI, where u = g/|g|)
+    h, b = 0.125 * (m0 + m4) - 0.75 * m2, 0.5 * (m1 - m3)
+    half = 0.5 * math.atan2(b, h)
+    ce, se = math.cos(half), math.sin(half)
+    g1, g2 = 0.5 * (ce * l1 + se * l2), 0.5 * (ce * l2 - se * l1)
+    gap = 2.0 * math.hypot(h, b)
+    if g1 == 0.0:
+        # then w = (0, +-1), or, in the hard case |g2| < gap, x = 0 and
+        # w1 takes up the rest of |w| = 1; atan2 reads gap times w
+        w1 = math.sqrt(max(gap - abs(g2), 0.0)) * math.sqrt(gap + abs(g2))
+        return half + math.atan2(g2, w1)
+    # each term of |w|^2 is at most 1 at the root
+    x = max(abs(g1), abs(g2) - gap)
+    # the benchmark's circles take at most 7 steps, a near-hard case about
+    # 45 before |w| rounds to 1
+    for _ in range(100):
+        w1, w2 = g1 / x, g2 / (x + gap)
+        norm = math.hypot(w1, w2)
+        step = (norm - 1.0) * norm * norm / (w1 * w1 / x + w2 * w2 / (x + gap))
+        if not x + step > x:
+            break
+        x += step
+    return half + math.atan2(g2 / (x + gap), g1 / x)
 
 
-def _circle_argmax(
-    coefficients: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _circle_argmax(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cos t, sin t) at the maximum of F over each row's great circle.
 
-    F(cos(t) y + sin(t) d) = sum_i C(4, i) m_i cos^(4-i)(t) sin^i(t)
-    for the coefficients m, one row of five per circle.  With v = cot t
-    this is sin^4(t) p(v) for p(v) = sum_i C(4, i) m_i v^(4-i), and its
-    derivative in t is -sin^4(t) g(v) with g(v) = (1 + v^2) p'(v) -
-    4v p(v), a quartic whose degree-5 terms cancel.  F has period pi in
-    t and rises from t = 0 at rate 4 m1, so when m1 > 0 its maximum
-    sits at a root of g in (0, pi).  The roots are the eigenvalues of
-    the companion matrix over m1: one stacked ``eigvals`` call solves
-    every row's 4 x 4 matrix, scaled by m1 so that no row divides by
-    zero.  Complex roots are kept by their real part: every candidate is
-    a point of the circle, and the best one (the first on ties) wins.
-    The four candidates of a row are scored in Python floats: for stacks
-    of up to a few dozen rows that costs less than the dozen numpy calls
-    of a vectorised scoring.
+    F(cos(t) y + sin(t) d) = sum_i C(4, i) m_i cos^(4-i)(t) sin^i(t) for
+    the coefficients m, one row of five per circle.  In u = (cos 2t,
+    sin 2t) it is (m0 + m4)/4 + l.u + u'Qu, for l = ((m0 - m4)/2, m1 +
+    m3) and Q = [[(m0 + m4)/4, (m1 - m3)/2], [(m1 - m3)/2, 3 m2/2]].  A
+    unit u maximises it iff (lambda I - Q) u = l/2 with lambda >= q1,
+    Q's top eigenvalue (Moré and Sorensen 1983): any unit v scores
+    (u - v)'(lambda I - Q)(u - v) less.  In Q's eigenbasis E, with x =
+    lambda - q1, gap = q1 - q2 and g = E'l/2, u is w = (g1/x, g2/(x +
+    gap)) at the x >= 0 where |w| = 1.  Newton's method on 1/|w(x)| - 1,
+    concave and increasing, rises to it from the left; g1 = 0, which
+    holds the hard case x = 0, is solved directly.  Each row is solved
+    in Python floats, with no numpy or LAPACK call.
 
-    Returns c, s and the uphill mask, one entry per row.  A row is not
-    uphill when m1 <= 0, i.e. F does not rise along d at float
-    resolution; its c and s are 1 and 0, the start of the circle.
+    F has period pi in t and rises from t = 0 at rate 4 m1.  Returns c,
+    s >= 0 and the uphill mask, one entry per row.  A row is not uphill
+    when m1 <= 0, i.e. F does not rise along d at float resolution; its
+    c and s are 1 and 0, the start of the circle.  A coefficient that is
+    not finite raises ``ValueError``.
     """
-    scaled = (coefficients[:, None] @ _COMPANION).reshape(-1, 4, 4)
-    roots = np.linalg.eigvals(scaled).real.tolist()
-    c, s, uphill = [], [], []
-    for (m0, m1, m2, m3, m4), row_roots in zip(coefficients.tolist(), roots):
-        best, step = -math.inf, None
-        if m1 > 0.0:
-            for w in row_roots:
-                v = w / m1
-                h = math.hypot(1.0, v)
-                cc, ss = v / h, 1.0 / h
-                c2, s2 = cc * cc, ss * ss
-                value = c2 * (c2 * m0 + 4.0 * cc * ss * m1 + 6.0 * s2 * m2) + s2 * (
-                    4.0 * cc * ss * m3 + s2 * m4
-                )
-                if value > best:
-                    best, step = value, (cc, ss)
-        c.append(1.0 if step is None else step[0])
-        s.append(0.0 if step is None else step[1])
-        uphill.append(step is not None)
-    return np.array(c), np.array(s), np.array(uphill)
+    if not np.isfinite(coefficients).all():
+        raise ValueError("great-circle coefficients must be finite")
+    uphill = coefficients[:, 1] > 0.0
+    c, s = [], []
+    for m in coefficients.tolist():
+        cc, ss = 1.0, 0.0
+        if m[1] > 0.0:
+            t = 0.5 * _top_angle(*m)
+            cc, ss = math.cos(t), math.sin(t)
+            if ss < 0.0:
+                cc, ss = -cc, -ss
+        c.append(cc)
+        s.append(ss)
+    return np.array(c), np.array(s), uphill
 
 
 def _ascend(
@@ -573,8 +591,8 @@ def _ascend(
     Along it F is a quartic form in (cos t, sin t) with five
     coefficients, which the kernel returns together with what it needs
     to form the new point without a fresh evaluation;
-    ``_circle_argmax`` finds the maximum exactly.  A step is taken only
-    if F does not fall; otherwise the run stops.
+    ``_circle_argmax`` finds the circle's global maximum.  A step is
+    taken only if F does not fall; otherwise the run stops.
 
     The search vector is p = g + beta p_ for the tangent gradient g at
     y, with p_ the previous search vector carried to y along its circle

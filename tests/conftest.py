@@ -58,6 +58,42 @@ def quartic_oracle(support: SupportSet, coords) -> float:
     return math.fsum(v * v for v in sums.values())
 
 
+def circle_argmax_oracle(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos t, sin t) at the maximum of each row's circle quartic
+    sum_i C(4, i) m_i cos^(4-i)(t) sin^i(t), from the stationary points.
+
+    With v = cot t the quartic is sin^4(t) p(v) for p(v) = sum_i C(4, i)
+    m_i v^(4-i), and its derivative in t is -sin^4(t) g(v) with g(v) =
+    (1 + v^2) p'(v) - 4v p(v), a quartic whose degree-5 terms cancel.
+    Its roots are the eigenvalues of the companion matrix of g (scaled
+    by m1, so no row divides by zero), every root is scored by its real
+    part, and the best wins.  A row with m1 <= 0 does not rise from t = 0
+    and gets (1, 0) and uphill False.
+    """
+    companion = np.zeros((5, 16))
+    companion[[0, 2, 1, 3, 2, 4, 3], [0, 0, 1, 1, 2, 2, 3]] = [1, -3, 3, -3, 3, -1, 1]
+    companion[1, [4, 9, 14]] = 1.0
+    roots = np.linalg.eigvals((coefficients[:, None] @ companion).reshape(-1, 4, 4)).real
+    c, s, uphill = [], [], []
+    for (m0, m1, m2, m3, m4), row_roots in zip(coefficients.tolist(), roots.tolist()):
+        best, step = -math.inf, (1.0, 0.0)
+        if m1 > 0.0:
+            for w in row_roots:
+                v = w / m1
+                h = math.hypot(1.0, v)
+                cc, ss = v / h, 1.0 / h
+                value = (
+                    m0 * cc**4 + 4 * m1 * cc**3 * ss + 6 * m2 * cc**2 * ss**2
+                    + 4 * m3 * cc * ss**3 + m4 * ss**4
+                )
+                if value > best:
+                    best, step = value, (cc, ss)
+        c.append(step[0])
+        s.append(step[1])
+        uphill.append(m1 > 0.0)
+    return np.array(c), np.array(s), np.array(uphill)
+
+
 def brute_energy(masks) -> int:
     counts: dict[int, int] = {}
     for a in masks:

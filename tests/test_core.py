@@ -208,6 +208,33 @@ class TestSupportSet:
         partial = SupportSet.from_masks(4, [3, 5])
         assert partial.sphere_radius() is None
 
+    def test_sphere_radius_matches_the_weight_loop(self, rng):
+        def radius_loop(A):
+            k = A.elements[0].bit_count()
+            if any(m.bit_count() != k for m in A.elements):
+                return None
+            return k if len(A) == math.comb(A.n, k) else None
+
+        sets = [SupportSet.sphere(n, k) for n in range(1, 11) for k in range(n + 1)]
+        # int64 masks up to bit 61, and object masks past it
+        sets += [SupportSet.sphere(62, 1), SupportSet.sphere(62, 2), SupportSet.sphere(62, 61)]
+        sets += [SupportSet.sphere(70, 1), SupportSet.sphere(64, 2)]
+        sets += [wide_random(seed, 62, 62) for seed in range(3)]
+        sets += [wide_random(seed, 70, 70) for seed in range(3)]
+        for n in (6, 8, 10):
+            for k in range(n + 1):
+                size = math.comb(n, k)
+                masks = rng.choice(1 << n, size=size, replace=False)
+                sets.append(SupportSet.from_masks(n, [int(m) for m in masks]))
+        for n, k, stray in ((8, 2, 0b11100000), (62, 1, 0b11 << 60), (70, 1, 0b11 << 68)):
+            # C(n, k) masks, the first of weight k, one of weight k + 1
+            sphere = SupportSet.sphere(n, k).elements
+            sets.append(SupportSet.from_masks(n, sphere[:-1] + (stray,)))
+        for A in sets:
+            assert A.sphere_radius() == radius_loop(A), (A.n, len(A))
+        assert [A.sphere_radius() for A in sets[65:70]] == [1, 2, 61, 1, 2]
+        assert [A.sphere_radius() for A in sets[-3:]] == [None] * 3
+
     def test_weights_and_contains(self):
         A = SupportSet.from_masks(4, [0, 7, 15])
         assert A.weights() == (0, 3, 4)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from cubequartic.quartic import (
 
 from conftest import (
     central_difference,
+    circle_argmax_oracle,
     quartic_oracle,
     random_support,
     random_unit,
@@ -503,6 +505,117 @@ class TestLineSearch:
         assert calls == [] and est.iterations > 0
 
 
+EPS = np.finfo(float).eps
+
+
+def exact_circle_value(m, c: float, s: float) -> Fraction:
+    """The circle quartic at the unit point in the direction (c, s), in
+    rationals: no rounding in the value, nor from c^2 + s^2 != 1."""
+    c, s = Fraction(c), Fraction(s)
+    terms = (math.comb(4, i) * Fraction(mi) * c ** (4 - i) * s**i for i, mi in enumerate(m))
+    return sum(terms) / (c * c + s * s) ** 2
+
+
+class TestCircleArgmax:
+    """``_circle_argmax`` against the companion-matrix oracle and a grid."""
+
+    GRID = np.linspace(0.0, math.pi, 8001)  # the quartic has period pi in t
+
+    def assert_maxima(self, rows) -> None:
+        rows = np.array(rows, dtype=float)
+        c, s, uphill = _circle_argmax(rows)
+        oracle_c, oracle_s, oracle_uphill = circle_argmax_oracle(rows)
+        assert uphill.tolist() == oracle_uphill.tolist()
+        grid_c, grid_s = np.cos(self.GRID), np.sin(self.GRID)
+        powers = np.array([grid_c ** (4 - i) * grid_s**i for i in range(5)])
+        grid_values = (rows * [1.0, 4.0, 6.0, 4.0, 1.0]) @ powers
+        for row, m in enumerate(rows.tolist()):
+            if not uphill[row]:
+                assert (c[row], s[row]) == (1.0, 0.0)
+                continue
+            assert s[row] >= 0.0 and abs(c[row] ** 2 + s[row] ** 2 - 1.0) <= 2 * EPS
+            top = int(grid_values[row].argmax())
+            best = max(
+                exact_circle_value(m, oracle_c[row], oracle_s[row]),
+                exact_circle_value(m, grid_c[top], grid_s[top]),
+            )
+            slack = Fraction(4 * EPS) * Fraction(max(map(abs, m)))
+            assert exact_circle_value(m, c[row], s[row]) >= best - slack, m
+
+    def test_random_rows_over_six_decades(self, rng):
+        rows = rng.standard_normal((600, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (600, 5))
+        # m1 > 0 down to 1e-14 of the row's scale
+        scale = np.abs(rows).max(axis=1)
+        rows[:, 1] = scale * 10.0 ** rng.uniform(-14.0, 0.0, 600)
+        rows[::10, 1] *= -1.0
+        self.assert_maxima(rows)
+
+    def test_rows_of_the_benchmark_ascents(self, monkeypatch):
+        from cubequartic.reports import conjecture_scan
+
+        recorded = []
+
+        def recording(coefficients):
+            recorded.append(coefficients.copy())
+            return circle_argmax(coefficients)
+
+        circle_argmax = quartic._circle_argmax
+        monkeypatch.setattr(quartic, "_circle_argmax", recording)
+        masks = random.Random("0:14:72").sample(range(1 << 14), 72)
+        sets = [SupportSet.sphere(14, 2), SupportSet.ball(14, 2), SupportSet.from_masks(14, masks)]
+        sets += [SupportSet.sphere(11, 4), SupportSet.sphere(11, 3), SupportSet.sphere(6, 3)]
+        for A in sets:
+            mu_lower(A, OptimizerConfig(starts=4))
+        conjecture_scan(8, OptimizerConfig(starts=6))
+        rows = np.concatenate(recorded)
+        assert len(rows) > 1000
+        self.assert_maxima(rows)
+
+    def test_edge_rows(self):
+        rows = [
+            # Q = qI: F = 1 + 2 sin 2t, at most 3 at t = pi/4
+            (1.0, 1.0, 1.0 / 3.0, 1.0, 1.0),
+            (3.0, 1e-9, 1.0, 1e-9, 3.0),
+            # the hard case: g1 = 0 and |g2| = 1 < gap = 5
+            (4.0, 1.0, -2.0, 1.0, 4.0),
+            # near the hard case, where Newton climbs longest
+            (1e-300, 2.0, -4.0 / 3.0, 2.0, 0.0),
+            (1e-30, 2.0 * (1.0 - 1e-8), -4.0 / 3.0, 2.0 * (1.0 - 1e-8), 0.0),
+            (1.0, 1e-300, 0.2, 0.0, 1.0),
+            (1.0, 1e-300, 0.2, 0.5, 0.3),
+            # Q = qI with l = (0, 5e-324), so g rounds to 0; a subnormal row
+            (1.0, 5e-324, 1.0 / 3.0, 0.0, 1.0),
+            (0.0, 5e-324, 0.0, 0.0, 0.0),
+            (1e200, 2e200, 3e199, -1e200, 5e199),
+            (-1e200, 1e190, 3e199, 1e200, 5e199),
+            (1.0, 0.0, 0.0, 0.0, 1.0),
+            (1.0, -1.0, 2.0, 3.0, 4.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0),
+        ]
+        self.assert_maxima(rows)
+        c, s, _ = _circle_argmax(np.array(rows[:1]))
+        assert math.isclose(c[0], math.sqrt(0.5)) and math.isclose(s[0], math.sqrt(0.5))
+        assert math.isclose(circle_quartic(rows[0], math.atan2(s[0], c[0])), 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_coefficient_that_is_not_finite_raises(self, bad):
+        for column in range(5):
+            rows = np.array([[1.0, 1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.5, 0.0, 1.0]])
+            rows[1, column] = bad
+            with pytest.raises(ValueError):
+                _circle_argmax(rows)
+
+    def test_the_ascent_makes_no_eigenvalue_call(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        for A, kernel in ((SupportSet.sphere(6, 3), "dense"), (SupportSet.sphere(14, 2), "sparse")):
+            assert plan(len(A), A.affine.rank, DEFAULT_DENSE_CAP).kernel == kernel
+            est = mu_lower(A, OptimizerConfig(starts=4))
+            assert est.iterations > 0 and est.value >= energy_ratio(A)
+
+
 class TestStackedAscent:
     # sets on both kernels: spheres, a span and random masks
     SETS = [
@@ -729,8 +842,8 @@ class TestMuLower:
 
     def test_conjugate_directions_shorten_the_uniform_run(self):
         # the 72 random masks in n = 14 of the benchmark's analyze-sparse
-        # workload, drawn the same way; the uniform start took 123
-        # iterations by steepest ascent and takes about 25 by conjugate
+        # workload, drawn the same way; the uniform start takes 109
+        # iterations by steepest ascent and about 24 by conjugate
         # directions, with room left for other numpy versions
         masks = random.Random("0:14:72").sample(range(1 << 14), 72)
         est = mu_lower(SupportSet.from_masks(14, masks), OptimizerConfig(starts=0))
